@@ -22,40 +22,68 @@ log-likelihood
 import numpy as np
 from scipy.special import expit
 
-from .model import alpha_from_prevalence, cell_probs, retro_distribution
+from .model import _expit, alpha_from_prevalence, cell_probs, retro_distribution
 
 # flattened cell order matches CaseControlTable.w.ravel(): (d, i, j) C-order
 _D8 = np.array([0, 0, 0, 0, 1, 1, 1, 1], dtype=float)
 _I8 = np.array([0, 0, 1, 1, 0, 0, 1, 1], dtype=float)
 _J8 = np.array([0, 1, 0, 1, 0, 1, 0, 1], dtype=float)
+_NI8 = 1.0 - _I8
+_NJ8 = 1.0 - _J8
+_IJ8 = np.column_stack([_I8, _J8])
+_NIJ8 = 1.0 - _IJ8
 
 
 def f_derivs(alpha, beta, gamma, theta, pi):
-    """Gradient and Hessian of F = prevalence in (alpha, beta, gamma, theta, pi)."""
-    p = cell_probs(alpha, beta, gamma)
-    v = p * (1.0 - p)
-    vp = v * (1.0 - 2.0 * p)
-    tx = (1.0 - theta, theta)
-    te = (1.0 - pi, pi)
-    sg = (-1.0, 1.0)
-    grad = np.zeros(5)
-    hess = np.zeros((5, 5))
-    for i in (0, 1):
-        for j in (0, 1):
-            coef = np.array([1.0, float(i), float(j)])
-            wgt = tx[i] * te[j]
-            dwt = sg[i] * te[j]
-            dwp = tx[i] * sg[j]
-            grad[:3] += v[i, j] * coef * wgt
-            grad[3] += p[i, j] * dwt
-            grad[4] += p[i, j] * dwp
-            hess[:3, :3] += vp[i, j] * np.outer(coef, coef) * wgt
-            hess[:3, 3] += v[i, j] * coef * dwt
-            hess[:3, 4] += v[i, j] * coef * dwp
-            hess[3, 4] += p[i, j] * sg[i] * sg[j]
-    hess[3, :3] = hess[:3, 3]
-    hess[4, :3] = hess[:3, 4]
-    hess[4, 3] = hess[3, 4]
+    """Gradient and Hessian of F = prevalence in (alpha, beta, gamma, theta, pi).
+
+    F = sum_ij p_ij tx_i te_j with p_ij = expit(alpha + beta*i + gamma*j),
+    tx = (1 - theta, theta) and te = (1 - pi, pi).  Evaluated on plain
+    floats: every entry starts at 0.0 and adds its per-cell terms in C order
+    (00, 01, 10, 11), exactly as accumulating per-cell arrays would, so the
+    result is bitwise the array form's.  Terms with a zero covariate or
+    exposure coefficient are exact zeros and are left out.
+    """
+    a1 = alpha + beta
+    p00, p01 = _expit(alpha), _expit(alpha + gamma)
+    p10, p11 = _expit(a1), _expit(a1 + gamma)
+    v00, v01 = p00 * (1.0 - p00), p01 * (1.0 - p01)
+    v10, v11 = p10 * (1.0 - p10), p11 * (1.0 - p11)
+    t0, t1 = 1.0 - theta, theta
+    e0, e1 = 1.0 - pi, pi
+    w00, w01, w10, w11 = t0 * e0, t0 * e1, t1 * e0, t1 * e1
+    q00 = v00 * (1.0 - 2.0 * p00) * w00
+    q01 = v01 * (1.0 - 2.0 * p01) * w01
+    q10 = v10 * (1.0 - 2.0 * p10) * w10
+    q11 = v11 * (1.0 - 2.0 * p11) * w11
+
+    # d/dtheta of w_ij is -/+ te_j and d/dpi is -/+ tx_i.
+    g0 = 0.0 + v00 * w00 + v01 * w01 + v10 * w10 + v11 * w11
+    g1 = 0.0 + v10 * w10 + v11 * w11
+    g2 = 0.0 + v01 * w01 + v11 * w11
+    g3 = 0.0 - p00 * e0 - p01 * e1 + p10 * e0 + p11 * e1
+    g4 = 0.0 - p00 * t0 + p01 * t0 - p10 * t1 + p11 * t1
+    h00 = 0.0 + q00 + q01 + q10 + q11
+    h01 = 0.0 + q10 + q11
+    h02 = 0.0 + q01 + q11
+    h12 = 0.0 + q11
+    h03 = 0.0 - v00 * e0 - v01 * e1 + v10 * e0 + v11 * e1
+    h13 = 0.0 + v10 * e0 + v11 * e1
+    h23 = 0.0 - v01 * e1 + v11 * e1
+    h04 = 0.0 - v00 * t0 + v01 * t0 - v10 * t1 + v11 * t1
+    h14 = 0.0 - v10 * t1 + v11 * t1
+    h24 = 0.0 + v01 * t0 + v11 * t1
+    h34 = 0.0 + p00 - p01 - p10 + p11
+    grad = np.array([g0, g1, g2, g3, g4])
+    hess = np.array(
+        [
+            [h00, h01, h02, h03, h04],
+            [h01, h01, h12, h13, h14],
+            [h02, h12, h02, h23, h24],
+            [h03, h13, h23, 0.0, h34],
+            [h04, h14, h24, h34, 0.0],
+        ]
+    )
     return grad, hess
 
 
@@ -91,26 +119,29 @@ def profile_parts(f, s):
     v = p * (1.0 - p)
     resid = _D8 - p
 
-    es = np.tile(a_s, (8, 1))
-    es[:, 0] += _I8
-    es[:, 1] += _J8
+    es = np.empty((8, 4))
+    es[:] = a_s
+    es[:, :2] += _IJ8
 
     l8 = (
         _D8 * eta
         - np.logaddexp(0.0, eta)
         + _I8 * np.log(theta)
-        + (1.0 - _I8) * np.log1p(-theta)
+        + _NI8 * np.log1p(-theta)
         + _J8 * np.log(pi)
-        + (1.0 - _J8) * np.log1p(-pi)
+        + _NJ8 * np.log1p(-pi)
     )
 
+    # Columns 2 and 3 take the theta and pi terms side by side; every element
+    # sees the same operations as a column-at-a-time update.
+    tp = np.array([theta, pi])
     g8 = resid[:, None] * es
-    g8[:, 2] += _I8 / theta - (1.0 - _I8) / (1.0 - theta)
-    g8[:, 3] += _J8 / pi - (1.0 - _J8) / (1.0 - pi)
+    g8[:, 2:] += _IJ8 / tp - _NIJ8 / (1.0 - tp)
 
     H8 = -v[:, None, None] * (es[:, :, None] * es[:, None, :]) + resid[:, None, None] * a_ss
-    H8[:, 2, 2] -= _I8 / theta**2 + (1.0 - _I8) / (1.0 - theta) ** 2
-    H8[:, 3, 3] -= _J8 / pi**2 + (1.0 - _J8) / (1.0 - pi) ** 2
+    tp2 = np.array([theta**2, pi**2])
+    otp2 = np.array([(1.0 - theta) ** 2, (1.0 - pi) ** 2])
+    H8[:, (2, 3), (2, 3)] -= _IJ8 / tp2 + _NIJ8 / otp2
     return alpha, l8, g8, H8
 
 

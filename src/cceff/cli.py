@@ -35,6 +35,7 @@ from .model import DesignParams, PopulationParams, alpha_from_prevalence
 from .simulate import (
     DEFAULT_EPS,
     SimConfig,
+    ThreadCountError,
     expected_table,
     misspec_sweep,
     run_mc,
@@ -665,6 +666,9 @@ def main(argv=None):
     except CCEffError as exc:
         print(f"cceff {ns.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except ThreadCountError as exc:
+        print(f"cceff {ns.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

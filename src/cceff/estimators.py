@@ -243,7 +243,7 @@ def _constrained_eval(w, f, zeta):
     h_z = h_s * np.outer(scale, scale)
     h_z[2, 2] += g_s[2] * scale[2] * (1.0 - 2.0 * s[2])
     h_z[3, 3] += g_s[3] * scale[3] * (1.0 - 2.0 * s[3])
-    return alpha, ll, g_s, g_z, h_z
+    return alpha, ll, g_s, h_s, g_z, h_z
 
 
 _PROB_EDGE = 1e-8
@@ -264,6 +264,11 @@ def fit_constrained(
     inverse observed information of the (alpha, beta, gamma, pi)
     parameterization at any interior optimum.  With f_misspecified a robust
     sandwich covariance is attached as well.
+
+    The iteration stops early when the line search accepts a candidate
+    bitwise equal to the current point: every later iteration would repeat
+    that one exactly, so this exit gives the estimates, covariance and
+    verdict the 100-iteration cap would, and only ``iterations`` is smaller.
     """
     if not (0.0 < f < 1.0):
         raise InfeasibleStart(f"prevalence f={f!r} must lie in (0, 1)")
@@ -280,7 +285,7 @@ def fit_constrained(
         raise InfeasibleStart(str(exc)) from exc
 
     zeta = np.array([adj.params[1], adj.params[2], float(logit(theta0)), float(logit(pi0))])
-    _, ll, g_s, g_z, h_z = _constrained_eval(w, f, zeta)
+    alpha_hat, ll, g_s, h_s, g_z, h_z = _constrained_eval(w, f, zeta)
     iterations = 0
     for iterations in range(1, 101):
         if np.max(np.abs(g_s)) <= 1e-13:
@@ -296,14 +301,19 @@ def fit_constrained(
         for _ in range(60):
             cand = zeta + scale * direction
             if np.max(np.abs(cand[:2])) <= 60.0 and np.max(np.abs(cand[2:])) <= 45.0:
-                _, ll_new, g_s_new, g_z_new, h_z_new = _constrained_eval(w, f, cand)
+                cand_eval = _constrained_eval(w, f, cand)
+                _, ll_new, g_s_new, _, _, _ = cand_eval
                 improved = ll_new >= ll + 1e-4 * scale * (g_z @ direction)
                 flat_but_closer = ll_new >= ll and (
                     np.max(np.abs(g_s_new)) < np.max(np.abs(g_s))
                 )
                 if improved or flat_but_closer:
-                    zeta, ll, g_s, g_z, h_z = cand, ll_new, g_s_new, g_z_new, h_z_new
-                    moved = True
+                    # A step that rounds back onto zeta is an exact fixed point:
+                    # every later iteration would repeat this one bit for bit.
+                    moved = not np.array_equal(cand, zeta)
+                    if moved:
+                        zeta = cand
+                        alpha_hat, ll, g_s, h_s, g_z, h_z = cand_eval
                     break
             scale *= 0.5
         if not moved:
@@ -324,7 +334,7 @@ def fit_constrained(
             f"constrained estimate pinned at the parameter-space edge: s = {tuple(s_hat)}"
         )
 
-    alpha_hat, ll_final, _, h_s = loglik_grad_hess_s(w, f, s_hat)
+    # alpha_hat, ll and h_s are those of the last accepted evaluation, at s_hat.
     info = -h_s
     eig = np.linalg.eigvalsh(info)
     if eig[0] < 1e-12 * np.trace(info):
@@ -343,7 +353,7 @@ def fit_constrained(
         gamma_hat=float(s_hat[1]),
         se_gamma=math.sqrt(cov[1, 1]),
         params=tuple(float(x) for x in s_hat),
-        loglik=ll_final * total,
+        loglik=ll * total,
         converged=True,
         iterations=iterations,
         cov=cov,
@@ -376,6 +386,8 @@ def _empirical_sandwich(table: CaseControlTable, f, s_hat):
 
 def wald_test(fit: FitResult, level: float = 0.05) -> TestResult:
     """Two-sided Wald test of gamma = 0 from a fitted result."""
+    if not (0.0 < level < 1.0):
+        raise ValueError("level must lie in (0, 1)")
     if not fit.converged or not (fit.se_gamma > 0):
         raise NotConverged("fit did not converge or has no usable standard error")
     z = fit.gamma_hat / fit.se_gamma

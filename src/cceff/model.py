@@ -172,10 +172,40 @@ def theta_from_constraint(alpha, beta, gamma, pi, f):
     return float(theta)
 
 
+def _expit(x):
+    """1 / (1 + exp(-x)) on one float: the expression scipy.special.expit evaluates.
+
+    An overflowing exp gives 0.0, as the infinity does in scipy.
+    """
+    try:
+        return 1.0 / (1.0 + math.exp(-x))
+    except OverflowError:
+        return 0.0
+
+
 def _prevalence_and_slope(alpha, beta, gamma, theta, pi):
-    p = cell_probs(alpha, beta, gamma)
-    w = mixture_weights(theta, pi)
-    return float(np.sum(p * w)), float(np.sum(p * (1.0 - p) * w))
+    """Prevalence and its alpha-derivative on plain floats.
+
+    Same arithmetic as np.sum(cell_probs * mixture_weights): the cells are
+    summed left to right in C order (00, 01, 10, 11), which is what np.sum
+    does for four elements, so the result is bitwise the array version's.
+    """
+    a1 = alpha + beta
+    p00 = _expit(alpha)
+    p01 = _expit(alpha + gamma)
+    p10 = _expit(a1)
+    p11 = _expit(a1 + gamma)
+    t0, t1 = 1.0 - theta, theta
+    e0, e1 = 1.0 - pi, pi
+    w00, w01, w10, w11 = t0 * e0, t0 * e1, t1 * e0, t1 * e1
+    val = p00 * w00 + p01 * w01 + p10 * w10 + p11 * w11
+    slope = (
+        p00 * (1.0 - p00) * w00
+        + p01 * (1.0 - p01) * w01
+        + p10 * (1.0 - p10) * w10
+        + p11 * (1.0 - p11) * w11
+    )
+    return val, slope
 
 
 def alpha_from_prevalence(f, beta, gamma, theta, pi):
@@ -185,6 +215,11 @@ def alpha_from_prevalence(f, beta, gamma, theta, pi):
     search starts from the bracket logit(f) -/+ (|beta| + |gamma|), which
     always contains the root for valid inputs, and runs safeguarded Newton
     (steps clipped to the bracket, bisection otherwise).
+
+    Prevalence and slope are evaluated on plain Python floats, in the same
+    order of operations as the (2, 2)-array form (cell_probs times
+    mixture_weights, summed by np.sum), so the returned alpha is bitwise the
+    one the array form gives; only the small-array overhead is gone.
     """
     if not (0.0 < f < 1.0) or not math.isfinite(f):
         raise BracketFailure(f"target prevalence f={f!r} not in (0, 1)")

@@ -202,12 +202,19 @@ def _replicate(args):
     return rows
 
 
+class ThreadCountError(ValueError):
+    """CCEFF_THREADS is set to something that is not an integer."""
+
+
 def _resolve_workers(workers):
     if workers is not None:
         return max(1, int(workers))
     env = os.environ.get("CCEFF_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ThreadCountError(f"CCEFF_THREADS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 
@@ -297,7 +304,10 @@ def limiting_value(
     The expectation is the exact 8-term sum with weights nu/(1+nu) p_case and
     1/(1+nu) p_ctrl; no sampling.  Newton iteration with backtracking starts
     from the true (beta, gamma, theta, pi); at f_used equal to the true
-    prevalence the truth itself is the maximizer.
+    prevalence the truth itself is the maximizer.  An accepted step that
+    rounds back onto the current point is an exact fixed point, where every
+    later iteration would repeat the last one; the iteration stops there
+    with the result the 200-iteration cap would give.
     """
     if not (0.0 < f_used <= 1.0 - eps):
         raise InfeasiblePrevalence(
@@ -322,8 +332,10 @@ def limiting_value(
             if 0.0 < cand[2] < 1.0 and 0.0 < cand[3] < 1.0 and np.max(np.abs(cand[:2])) < 60.0:
                 _, ll_new, grad_new, hess_new = loglik_grad_hess_s(masses, f_used, cand)
                 if ll_new >= ll + 1e-4 * scale * (grad @ step) or ll_new >= ll:
-                    s, ll, grad, hess = cand, ll_new, grad_new, hess_new
-                    moved = True
+                    # A step that rounds back onto s is an exact fixed point.
+                    moved = not np.array_equal(cand, s)
+                    if moved:
+                        s, ll, grad, hess = cand, ll_new, grad_new, hess_new
                     break
             scale *= 0.5
         if not moved:

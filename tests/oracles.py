@@ -4,11 +4,20 @@ Everything here is recomputed directly from the 8-cell joint distribution
 pr(D=d, X=i, E=j) with plain loops, or by finite differences of exact
 expectations at high precision (mpmath).  Nothing imports the package's
 formula implementations, so agreement is evidence rather than tautology.
+
+The exception is the block of frozen references at the end: verbatim
+copies of the small-array prevalence inversion and prevalence derivatives
+that the plain-float kernels replaced.  They are the judge of the kernels'
+bitwise identity, not of their mathematics.
 """
 
 import math
 
 import mpmath
+import numpy as np
+from scipy.special import expit, logit
+
+from cceff.errors import BracketFailure
 
 
 def _sigmoid(eta):
@@ -145,3 +154,112 @@ def enum_sigma_AC(alpha, beta, gamma, theta, pi, nu, dps=30):
 
 def fd_derivative(fn, x, h=1e-6):
     return (fn(x + h) - fn(x - h)) / (2.0 * h)
+
+
+# ------------------------------------------------- frozen array references
+# Verbatim copies of cceff.model.alpha_from_prevalence (with the helpers it
+# calls) and cceff._constrained.f_derivs as they stood on (2, 2) numpy
+# arrays.  Do not edit: the float kernels must reproduce them bit for bit.
+
+
+def cell_probs(alpha, beta, gamma):
+    """All four disease probabilities as a (2, 2) array indexed [i, j]."""
+    i = np.arange(2.0)[:, None]
+    j = np.arange(2.0)[None, :]
+    return expit(alpha + beta * i + gamma * j)
+
+
+def mixture_weights(theta, pi):
+    """Joint covariate-exposure weights theta^i (1-theta)^(1-i) pi^j (1-pi)^(1-j)."""
+    tx = np.array([1.0 - theta, theta])
+    te = np.array([1.0 - pi, pi])
+    return np.outer(tx, te)
+
+
+def _prevalence_and_slope(alpha, beta, gamma, theta, pi):
+    p = cell_probs(alpha, beta, gamma)
+    w = mixture_weights(theta, pi)
+    return float(np.sum(p * w)), float(np.sum(p * (1.0 - p) * w))
+
+
+def alpha_from_prevalence(f, beta, gamma, theta, pi):
+    """Invert the prevalence map in alpha for fixed (beta, gamma, theta, pi).
+
+    Prevalence is strictly increasing in alpha, so the root is unique.  The
+    search starts from the bracket logit(f) -/+ (|beta| + |gamma|), which
+    always contains the root for valid inputs, and runs safeguarded Newton
+    (steps clipped to the bracket, bisection otherwise).
+    """
+    if not (0.0 < f < 1.0) or not math.isfinite(f):
+        raise BracketFailure(f"target prevalence f={f!r} not in (0, 1)")
+    spread = abs(beta) + abs(gamma)
+    center = float(logit(f))
+    lo, hi = center - spread, center + spread
+
+    def g(a):
+        val, slope = _prevalence_and_slope(a, beta, gamma, theta, pi)
+        return val - f, slope
+
+    glo, _ = g(lo)
+    width = max(hi - lo, 1.0)
+    while glo > 0.0:
+        lo -= width
+        width *= 2.0
+        if lo < -750.0:
+            raise BracketFailure("bracket expansion for alpha exceeded |alpha| = 750")
+        glo, _ = g(lo)
+    ghi, _ = g(hi)
+    width = max(hi - lo, 1.0)
+    while ghi < 0.0:
+        hi += width
+        width *= 2.0
+        if hi > 750.0:
+            raise BracketFailure("bracket expansion for alpha exceeded |alpha| = 750")
+        ghi, _ = g(hi)
+
+    a = min(max(center, lo), hi)
+    for _ in range(100):
+        ga, slope = g(a)
+        if ga == 0.0:
+            return float(a)
+        if ga > 0.0:
+            hi = a
+        else:
+            lo = a
+        step = -ga / slope if slope > 0.0 else math.inf
+        a_new = a + step
+        if not (lo < a_new < hi):
+            a_new = 0.5 * (lo + hi)
+        if abs(a_new - a) <= 1e-15 * (1.0 + abs(a_new)):
+            return float(a_new)
+        a = a_new
+    return float(a)
+
+
+def f_derivs(alpha, beta, gamma, theta, pi):
+    """Gradient and Hessian of F = prevalence in (alpha, beta, gamma, theta, pi)."""
+    p = cell_probs(alpha, beta, gamma)
+    v = p * (1.0 - p)
+    vp = v * (1.0 - 2.0 * p)
+    tx = (1.0 - theta, theta)
+    te = (1.0 - pi, pi)
+    sg = (-1.0, 1.0)
+    grad = np.zeros(5)
+    hess = np.zeros((5, 5))
+    for i in (0, 1):
+        for j in (0, 1):
+            coef = np.array([1.0, float(i), float(j)])
+            wgt = tx[i] * te[j]
+            dwt = sg[i] * te[j]
+            dwp = tx[i] * sg[j]
+            grad[:3] += v[i, j] * coef * wgt
+            grad[3] += p[i, j] * dwt
+            grad[4] += p[i, j] * dwp
+            hess[:3, :3] += vp[i, j] * np.outer(coef, coef) * wgt
+            hess[:3, 3] += v[i, j] * coef * dwt
+            hess[:3, 4] += v[i, j] * coef * dwp
+            hess[3, 4] += p[i, j] * sg[i] * sg[j]
+    hess[3, :3] = hess[:3, 3]
+    hess[4, :3] = hess[:3, 4]
+    hess[4, 3] = hess[3, 4]
+    return grad, hess

@@ -271,6 +271,16 @@ class TestSimulate:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_non_integer_thread_count_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("CCEFF_THREADS", "abc")
+        out = tmp_path / "sim.csv"
+        rc = run("simulate", *self.TRUTH, "--n", "400", "--replicates", "4",
+                 "--methods", "mar", "--out", out)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "CCEFF_THREADS" in err and "'abc'" in err
+        assert not out.exists()
+
     def test_exactly_one_of_alpha_and_f(self, tmp_path):
         base = ["simulate", *CANON, "--n", "400", "--replicates", "4",
                 "--out", tmp_path / "x.csv"]

@@ -314,3 +314,9 @@ class TestWald:
         object.__setattr__(fit, "converged", False)
         with pytest.raises(NotConverged):
             wald_test(fit)
+
+    @pytest.mark.parametrize("level", [0.0, 1.0, 2.0, -0.05, float("nan")])
+    def test_level_outside_unit_interval_rejected(self, level):
+        fit = fit_marginal(collapsed_table(30.0, 20.0, 20.0, 30.0))
+        with pytest.raises(ValueError, match=r"level must lie in \(0, 1\)"):
+            wald_test(fit, level=level)
