@@ -1,15 +1,12 @@
 """Internal machinery for the prevalence-constrained likelihood.
 
 The constrained model treats pr(X=1) as a function of the remaining
-parameters through the prevalence identity.  Two equivalent coordinate
-systems appear:
-
-* u = (alpha, beta, gamma, pi) with theta(u) eliminated.  This is the
-  natural frame for the Fisher information of the constrained fit, but
-  theta(u) = (f - A0)/(A1 - A0) degenerates as beta -> 0.
-* s = (beta, gamma, theta, pi) with alpha(f, s) recovered from the
-  prevalence inversion.  Smooth through beta = 0; used for optimization
-  and for the misspecified-f sandwich.
+parameters through the prevalence identity.  It has one frame,
+s = (beta, gamma, theta, pi), with the intercept alpha(f, s) recovered from
+the prevalence inversion; it is smooth through beta = 0.  The information,
+the fits, the misspecification limits and the sandwich covariance are all
+taken in s.  The fits search in zeta = (beta, gamma, logit theta, logit pi),
+which keeps theta and pi inside (0, 1), and map back to s.
 
 Everything here is exact differentiation of the 8-cell weighted
 log-likelihood
@@ -22,7 +19,7 @@ log-likelihood
 import numpy as np
 from scipy.special import expit
 
-from .model import _expit, alpha_from_prevalence, cell_probs, retro_distribution
+from .model import _expit, alpha_from_prevalence, retro_distribution
 
 # flattened cell order matches CaseControlTable.w.ravel(): (d, i, j) C-order
 _D8 = np.array([0, 0, 0, 0, 1, 1, 1, 1], dtype=float)
@@ -173,22 +170,24 @@ def expected_info_s(params, nu):
     return -hess
 
 
-def sandwich_s(params, nu, f_used, s_star):
-    """A, B, and the sandwich covariance A^-1 B A^-1 in s-coordinates.
 
-    A is the expected Hessian of the (possibly misspecified-f) log-likelihood
-    at s_star; B mixes the per-stratum score covariances with weights
-    nu/(1+nu) for cases and 1/(1+nu) for controls, all expectations taken
-    under the true sampling distribution given by params and nu.
+
+def sandwich_s(masses, p_case, p_ctrl, nu, f, s):
+    """Sandwich covariance A^-1 B A^-1 in s of the log-likelihood at prevalence f.
+
+    A is the Hessian at s under the cell masses; B mixes the per-stratum
+    score covariances under the case and control cell distributions p_case
+    and p_ctrl with weights nu/(1+nu) and 1/(1+nu).  The misspecification
+    limits pass the exact expected masses and the true retrospective
+    distributions; a fitted table passes its own normalized cells, so the
+    same routine gives the plug-in robust covariance per unit total weight.
     """
-    r = retro_distribution(params)
-    m = expected_masses(params, nu).ravel()
-    _, _, g8, H8 = profile_parts(f_used, s_star)
-    A = np.einsum("k,kij->ij", m, H8)
+    _, _, g8, H8 = profile_parts(f, s)
+    A = np.einsum("k,kij->ij", np.ravel(masses), H8)
     A = 0.5 * (A + A.T)
 
-    pc = r.p_case.ravel()
-    p0 = r.p_ctrl.ravel()
+    pc = np.ravel(p_case)
+    p0 = np.ravel(p_ctrl)
     g_case = g8[4:]
     g_ctrl = g8[:4]
     mean_case = pc @ g_case
@@ -200,88 +199,55 @@ def sandwich_s(params, nu, f_used, s_star):
 
     a_inv = np.linalg.inv(A)
     sigma = a_inv @ B @ a_inv
-    return A, B, 0.5 * (sigma + sigma.T)
+    return 0.5 * (sigma + sigma.T)
 
 
-def theta_u_derivs(alpha, beta, gamma, pi, f):
-    """theta(u) with first and second derivatives, u = (alpha, beta, gamma, pi).
+def newton_ascent(evaluate, x, in_box, gtol, max_iter):
+    """Maximize by damped Newton steps with backtracking from x.
 
-    theta = (f - A0)/(A1 - A0) with A_i = p_i1*pi + p_i0*(1-pi); valid away
-    from beta = 0 where the denominator vanishes.
+    evaluate(x) returns (ll, stop_grad, g, h, extra): the objective, the
+    gradient whose max-norm is tested against gtol, and the gradient and
+    Hessian in the search coordinates x.  Each iteration tries the Newton
+    direction, or the gradient scaled to max-norm at most 1 where the
+    Hessian is singular or the Newton direction does not ascend, and halves
+    the step up to 60 times.  A candidate inside in_box is accepted when it
+    passes the Armijo test with constant 1e-4, or when it does not lower
+    the objective and shrinks the max-norm of the stopping gradient.  The iteration ends at the
+    gradient tolerance, after max_iter iterations, when no candidate is
+    accepted, or when the accepted candidate is bitwise equal to x: that is
+    an exact fixed point, where every later iteration would repeat this one.
+
+    Returns (x, evaluate(x), iterations), the evaluation being the last
+    accepted one.
     """
-    p = cell_probs(alpha, beta, gamma)
-    v = p * (1.0 - p)
-    vp = v * (1.0 - 2.0 * p)
-
-    a_val = np.empty(2)
-    a_u = np.empty((2, 4))
-    a_uu = np.empty((2, 4, 4))
-    for i in (0, 1):
-        fi = float(i)
-        a_val[i] = p[i, 1] * pi + p[i, 0] * (1.0 - pi)
-        da = v[i, 1] * pi + v[i, 0] * (1.0 - pi)
-        a_u[i] = [da, fi * da, v[i, 1] * pi, p[i, 1] - p[i, 0]]
-        daa = vp[i, 1] * pi + vp[i, 0] * (1.0 - pi)
-        dag = vp[i, 1] * pi
-        dap = v[i, 1] - v[i, 0]
-        a_uu[i] = [
-            [daa, fi * daa, dag, dap],
-            [fi * daa, fi * daa, fi * dag, fi * dap],
-            [dag, fi * dag, dag, v[i, 1]],
-            [dap, fi * dap, v[i, 1], 0.0],
-        ]
-
-    num = f - a_val[0]
-    den = a_val[1] - a_val[0]
-    theta = num / den
-    num_u = -a_u[0]
-    den_u = a_u[1] - a_u[0]
-    num_uu = -a_uu[0]
-    den_uu = a_uu[1] - a_uu[0]
-
-    theta_u = num_u / den - num * den_u / den**2
-    theta_uu = (
-        num_uu / den
-        - (np.outer(num_u, den_u) + np.outer(den_u, num_u)) / den**2
-        - num * den_uu / den**2
-        + 2.0 * num * np.outer(den_u, den_u) / den**3
-    )
-    return float(theta), theta_u, theta_uu
-
-
-def info_u(alpha, beta, gamma, pi, f, masses):
-    """Information matrix in u = (alpha, beta, gamma, pi) with theta eliminated.
-
-    masses is the (2, 2) array of (i, j) cell masses (expected E(n_+ij)/n for
-    the Fisher information, observed n_+ij for the observed information; the
-    disease label enters only through those masses because eta is linear in u).
-    """
-    m = np.asarray(masses, dtype=float)
-    p = cell_probs(alpha, beta, gamma)
-    v = p * (1.0 - p)
-    theta, theta_u, theta_uu = theta_u_derivs(alpha, beta, gamma, pi, f)
-
-    mv = m * v
-    a = mv.sum()
-    b = mv[1].sum()
-    c = mv[:, 1].sum()
-    d = mv[1, 1]
-    t = m[:, 1].sum() / pi**2 + m[:, 0].sum() / (1.0 - pi) ** 2
-    info = np.array(
-        [
-            [a, b, c, 0.0],
-            [b, b, d, 0.0],
-            [c, d, c, 0.0],
-            [0.0, 0.0, 0.0, t],
-        ]
-    )
-    g = m[1].sum() / theta**2 + m[0].sum() / (1.0 - theta) ** 2
-    h = m[0].sum() / (1.0 - theta) - m[1].sum() / theta
-    info += g * np.outer(theta_u, theta_u) + h * theta_uu
-    return 0.5 * (info + info.T)
-
-
-def expected_info_u(params, nu):
-    """Per-unit-n Fisher information of the constrained model in u at the truth."""
-    masses = expected_masses(params, nu).sum(axis=0)
-    return info_u(params.alpha, params.beta, params.gamma, params.pi, params.f, masses)
+    state = evaluate(x)
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        ll, stop_grad, g, h, _ = state
+        stop_norm = np.max(np.abs(stop_grad))
+        if stop_norm <= gtol:
+            break
+        try:
+            direction = np.linalg.solve(-h, g)
+        except np.linalg.LinAlgError:
+            direction = g / max(1.0, np.max(np.abs(g)))
+        if g @ direction <= 0.0:
+            direction = g / max(1.0, np.max(np.abs(g)))
+        scale = 1.0
+        moved = False
+        for _ in range(60):
+            cand = x + scale * direction
+            if in_box(cand):
+                cand_state = evaluate(cand)
+                ll_new, stop_new = cand_state[0], cand_state[1]
+                improved = ll_new >= ll + 1e-4 * scale * (g @ direction)
+                flat_but_closer = ll_new >= ll and np.max(np.abs(stop_new)) < stop_norm
+                if improved or flat_but_closer:
+                    moved = not np.array_equal(cand, x)
+                    if moved:
+                        x, state = cand, cand_state
+                    break
+            scale *= 0.5
+        if not moved:
+            break
+    return x, state, iterations

@@ -16,7 +16,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from ._constrained import expected_info_s, expected_info_u
+from ._constrained import expected_info_s
 from .errors import SingularInformation, VacuousMinimizer
 from .estimators import Method
 from .model import (
@@ -173,30 +173,20 @@ def sigma0_sq(nu: float, pi: float) -> float:
     return (2.0 + nu + 1.0 / nu) / (pi * (1.0 - pi))
 
 
-def _gamma_gamma_of_inverse(info, index):
+def sigma_AC_sq(params: PopulationParams, nu: float) -> float:
+    """Asymptotic variance of sqrt(n) gamma_hat_AC from the constrained information.
+
+    The gamma-gamma entry of the inverse per-unit-n expected information in
+    s = (beta, gamma, theta, pi), with the intercept profiled out through
+    the prevalence identity; the frame is smooth through beta = 0.
+    """
+    info = expected_info_s(params, nu)
     eig = np.linalg.eigvalsh(info)
     if eig[0] < 1e-12 * np.trace(info):
         raise SingularInformation(
             f"constrained information nearly singular (min eig {eig[0]:.3e})"
         )
-    return float(np.linalg.inv(info)[index, index])
-
-
-def sigma_AC_sq(params: PopulationParams, nu: float, n_unit: float = 1.0) -> float:
-    """Asymptotic variance of sqrt(n) gamma_hat_AC from the constrained information.
-
-    Assembled in u = (alpha, beta, gamma, pi) with theta eliminated through
-    the prevalence identity; near beta = 0, where theta(u) degenerates
-    numerically, the equivalent profiled (beta, gamma, theta, pi) information
-    is used instead (the gamma-gamma entry of the inverse is
-    parameterization-invariant).  n_unit only sets the scale the information
-    is built on; the returned per-unit value does not depend on it.
-    """
-    if not (n_unit > 0):
-        raise ValueError("n_unit must be positive")
-    if abs(params.beta) < 1e-3:
-        return _gamma_gamma_of_inverse(expected_info_s(params, nu), 1)
-    return _gamma_gamma_of_inverse(expected_info_u(params, nu), 2)
+    return float(np.linalg.inv(info)[1, 1])
 
 
 def lambda_ratio(alpha, beta, theta, nu):
@@ -267,6 +257,13 @@ def _std_normal_cdf(x):
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
+def _wald_power(shift, var, n, level):
+    """Two-sided Wald power at sample size n for a per-unit-n variance var."""
+    z = NormalDist().inv_cdf(1.0 - level / 2.0)
+    m = math.sqrt(n) * shift / math.sqrt(var)
+    return _std_normal_cdf(-z + m) + _std_normal_cdf(-z - m)
+
+
 def asymptotic_power(method, params: PopulationParams, nu, n, level=0.05):
     """Limiting rejection probability of the two-sided Wald test at sample size n.
 
@@ -283,9 +280,7 @@ def asymptotic_power(method, params: PopulationParams, nu, n, level=0.05):
     else:
         shift = params.gamma
         var = sigma_AC_sq(params, nu)
-    z = NormalDist().inv_cdf(1.0 - level / 2.0)
-    m = math.sqrt(n) * shift / math.sqrt(var)
-    return _std_normal_cdf(-z + m) + _std_normal_cdf(-z - m)
+    return _wald_power(shift, var, n, level)
 
 
 def asymptotic_constants(params: PopulationParams, nu: float) -> AsymptoticConstants:
@@ -324,6 +319,8 @@ def theory_curve(f_values, beta, gamma, theta, pi, nu, n, level=0.05):
         alpha = alpha_from_prevalence(f, beta, gamma, theta, pi)
         params = PopulationParams(alpha, beta, gamma, theta, pi)
         delta = bias_delta(alpha, beta, gamma, theta)
+        var_m, var_a = sigma_M_sq(params, nu), sigma_A_sq(params, nu)
+        var_ac = sigma_AC_sq(params, nu)
         rows.append(
             PowerPoint(
                 f=f,
@@ -332,12 +329,12 @@ def theory_curve(f_values, beta, gamma, theta, pi, nu, n, level=0.05):
                 alpha=alpha,
                 delta=delta,
                 gamma_plus_delta=gamma + delta,
-                sigma_M_sq=sigma_M_sq(params, nu),
-                sigma_A_sq=sigma_A_sq(params, nu),
-                sigma_AC_sq=sigma_AC_sq(params, nu),
-                power_mar=asymptotic_power(Method.MAR, params, nu, n, level),
-                power_adj=asymptotic_power(Method.ADJ, params, nu, n, level),
-                power_adjcon=asymptotic_power(Method.ADJCON, params, nu, n, level),
+                sigma_M_sq=var_m,
+                sigma_A_sq=var_a,
+                sigma_AC_sq=var_ac,
+                power_mar=_wald_power(gamma + delta, var_m, n, level),
+                power_adj=_wald_power(gamma, var_a, n, level),
+                power_adjcon=_wald_power(gamma, var_ac, n, level),
                 ep_M_vs_A=pitman_are_M_vs_A(alpha, beta, theta, nu),
                 ep_M_vs_AC=pitman_are_M_vs_AC(alpha, beta, theta, pi, nu),
                 f_star=f_star,

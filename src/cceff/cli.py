@@ -194,11 +194,11 @@ def load_config(path):
     return values
 
 
-def _resolve(ns, parser, spec):
-    """Merge CLI flags over config-file values over defaults.
+def _resolve(ns, parser):
+    """Merge CLI flags over config-file values over defaults for ns.command.
 
-    spec maps option name -> (parser_fn, default).  Flags were declared with
-    default=None so an unset flag falls through to the config file.
+    Flags are declared with default=None so an unset flag falls through to
+    the config file, then to the command's own default or the OPTIONS one.
     """
     config = {}
     if getattr(ns, "config", None):
@@ -206,8 +206,10 @@ def _resolve(ns, parser, spec):
             config = load_config(ns.config)
         except (OSError, ValueError) as exc:
             parser.error(str(exc))
+    _, _, names, defaults = COMMANDS[ns.command]
     resolved = {}
-    for name, (parse_fn, default) in spec.items():
+    for name in names:
+        parse_fn, default, _ = OPTIONS[name]
         value = getattr(ns, name)
         if value is None and name in config:
             try:
@@ -215,7 +217,7 @@ def _resolve(ns, parser, spec):
             except ValueError as exc:
                 parser.error(f"config value for {name}: {exc}")
         if value is None:
-            value = default
+            value = defaults.get(name, default)
         resolved[name] = value
     return resolved
 
@@ -245,18 +247,7 @@ def _truth_params(parser, resolved):
 # ---------------------------------------------------------------- theory
 
 def cmd_theory(ns, parser):
-    spec = {
-        "beta": (float, None),
-        "gamma": (float, None),
-        "theta": (float, None),
-        "pi": (float, None),
-        "nu": (float, 1.0),
-        "n": (float, 50000.0),
-        "level": (float, 0.05),
-        "f_grid": (str, None),
-        "out": (str, None),
-    }
-    r = _resolve(ns, parser, spec)
+    r = _resolve(ns, parser)
     _require(parser, r, ["beta", "gamma", "theta", "pi", "f_grid", "out"])
     try:
         grid = _parse_grid(r["f_grid"])
@@ -305,7 +296,9 @@ def _parse_cell(text):
     return d, i, j, count
 
 
-def _read_counts_file(path):
+def _read_table_file(path, columns):
+    """Sum a CSV of d,i,j,count rows (columns=4) or of d,x,e subjects (columns=3) into w."""
+    names = "d,i,j,count" if columns == 4 else "d,x,e"
     w = np.zeros((2, 2, 2))
     with open(path, newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
@@ -313,54 +306,27 @@ def _read_counts_file(path):
                 continue
             if lineno == 1 and not row[0].strip().lstrip("+-").isdigit():
                 continue  # header row
-            if len(row) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 4 columns d,i,j,count")
+            where = f"{path}:{lineno}"
+            if len(row) != columns:
+                raise ValueError(f"{where}: expected {columns} columns {names}")
             try:
                 d, i, j = (int(c) for c in row[:3])
-                count = float(row[3])
+                count = float(row[3]) if columns == 4 else 1.0
             except ValueError:
-                raise ValueError(f"{path}:{lineno}: could not parse d,i,j,count") from None
+                raise ValueError(f"{where}: could not parse {names}") from None
             if d not in (0, 1) or i not in (0, 1) or j not in (0, 1):
-                raise ValueError(f"{path}:{lineno}: d, i, j must each be 0 or 1")
+                raise ValueError(
+                    f"{where}: {names[:5].replace(',', ', ')} must each be 0 or 1 "
+                    f"(got {d},{i},{j})"
+                )
             if not (count >= 0 and math.isfinite(count)):
-                raise ValueError(f"{path}:{lineno}: count must be finite and nonnegative")
+                raise ValueError(f"{where}: count must be finite and nonnegative")
             w[d, i, j] += count
     return w
 
 
-def _read_subjects_file(path):
-    w = np.zeros((2, 2, 2))
-    with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if lineno == 1 and not row[0].strip().lstrip("+-").isdigit():
-                continue  # header row
-            if len(row) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 columns d,x,e")
-            try:
-                d, x, e = (int(c) for c in row)
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: could not parse d,x,e") from None
-            if d not in (0, 1) or x not in (0, 1) or e not in (0, 1):
-                raise ValueError(
-                    f"{path}:{lineno}: d, x, e must each be 0 or 1 (got {d},{x},{e})"
-                )
-            w[d, x, e] += 1.0
-    return w
-
-
 def cmd_fit(ns, parser):
-    spec = {
-        "counts_file": (str, None),
-        "subjects_file": (str, None),
-        "methods": (_parse_methods, (Method.MAR, Method.ADJ, Method.ADJCON)),
-        "prevalence": (float, None),
-        "level": (float, 0.05),
-        "continuity_correction": (_parse_bool, False),
-        "out": (str, None),
-    }
-    r = _resolve(ns, parser, spec)
+    r = _resolve(ns, parser)
     methods = r["methods"]
 
     sources = [ns.cell is not None, r["counts_file"] is not None, r["subjects_file"] is not None]
@@ -375,9 +341,8 @@ def cmd_fit(ns, parser):
             w[d, i, j] = count
     else:
         path = r["counts_file"] or r["subjects_file"]
-        reader = _read_counts_file if r["counts_file"] else _read_subjects_file
         try:
-            w = reader(path)
+            w = _read_table_file(path, 4 if r["counts_file"] else 3)
         except OSError as exc:
             parser.error(str(exc))
         except ValueError as exc:
@@ -434,25 +399,7 @@ def cmd_fit(ns, parser):
 # ---------------------------------------------------------------- simulate
 
 def cmd_simulate(ns, parser):
-    spec = {
-        "alpha": (float, None),
-        "f": (float, None),
-        "beta": (float, None),
-        "gamma": (float, None),
-        "theta": (float, None),
-        "pi": (float, None),
-        "nu": (float, 1.0),
-        "n": (float, None),
-        "replicates": (int, 1000),
-        "seed": (int, 0),
-        "level": (float, 0.05),
-        "methods": (_parse_methods, (Method.MAR, Method.ADJ, Method.ADJCON)),
-        "adjcon_f": (float, None),
-        "emit_expected": (_parse_bool, False),
-        "failures_reject": (_parse_bool, False),
-        "out": (str, None),
-    }
-    r = _resolve(ns, parser, spec)
+    r = _resolve(ns, parser)
     _require(parser, r, ["beta", "gamma", "theta", "pi", "n", "out"])
     params = _truth_params(parser, r)
     design = DesignParams(nu=r["nu"], n=r["n"])
@@ -514,23 +461,7 @@ def cmd_simulate(ns, parser):
 # ---------------------------------------------------------------- misspec
 
 def cmd_misspec(ns, parser):
-    spec = {
-        "alpha": (float, None),
-        "f": (float, None),
-        "beta": (float, None),
-        "gamma": (float, None),
-        "theta": (float, None),
-        "pi": (float, None),
-        "nu": (float, 1.0),
-        "n": (float, 100000.0),
-        "f1_grid": (str, None),
-        "f1_list": (_parse_float_list, None),
-        "eps": (float, DEFAULT_EPS),
-        "seed": (int, 0),
-        "level": (float, 0.05),
-        "out": (str, None),
-    }
-    r = _resolve(ns, parser, spec)
+    r = _resolve(ns, parser)
     _require(parser, r, ["beta", "gamma", "theta", "pi", "out"])
     params = _truth_params(parser, r)
     design = DesignParams(nu=r["nu"], n=r["n"])
@@ -578,6 +509,69 @@ def cmd_misspec(ns, parser):
 
 # ---------------------------------------------------------------- parser
 
+# Every option but --cell, --mc-confirm and --config: name -> (parser, default,
+# help).  A _parse_bool option is a switch on the command line; a config file
+# spells it out (true/false, yes/no, on/off, 1/0).
+OPTIONS = {
+    "alpha": (float, None, "true intercept (give exactly one of --alpha and --f)"),
+    "f": (float, None, "true disease prevalence (give exactly one of --alpha and --f)"),
+    "beta": (float, None, "covariate-disease log odds ratio"),
+    "gamma": (float, None, "exposure-disease log odds ratio"),
+    "theta": (float, None, "covariate prevalence pr(X=1)"),
+    "pi": (float, None, "exposure prevalence pr(E=1)"),
+    "nu": (float, 1.0, "cases per control"),
+    "n": (float, None, "total sample size"),
+    "level": (float, 0.05, "two-sided test level"),
+    "f_grid": (str, None, "prevalence grid as min:max:points"),
+    "counts_file": (str, None, "CSV with columns d,i,j,count"),
+    "subjects_file": (str, None, "per-subject CSV with columns d,x,e"),
+    "methods": (_parse_methods, tuple(Method), "comma list from mar,adj,adjcon"),
+    "prevalence": (float, None, "population disease prevalence (required for adjcon)"),
+    "continuity_correction": (
+        _parse_bool, False, "Haldane-Anscombe +0.5 on the collapsed margins (Mar only)"
+    ),
+    "replicates": (int, 1000, "Monte Carlo replicates"),
+    "seed": (int, 0, "random seed"),
+    "adjcon_f": (float, None, "prevalence supplied to AdjCon (default: the true f)"),
+    "emit_expected": (_parse_bool, False, "write the exact expected table instead of sampling"),
+    "failures_reject": (
+        _parse_bool, False, "count failed replicates as rejections instead of non-rejections"
+    ),
+    "f1_grid": (str, None, "supplied-prevalence grid min:max:points"),
+    "f1_list": (_parse_float_list, None, "comma list of supplied prevalences"),
+    "eps": (float, DEFAULT_EPS, "supplied prevalences may reach 1 - eps"),
+    "out": (str, None, "output CSV path (optional for fit)"),
+}
+
+_TRUTH = ("alpha", "f", "beta", "gamma", "theta", "pi", "nu", "n")
+
+# command -> (handler, help, options, defaults that differ from OPTIONS)
+COMMANDS = {
+    "theory": (
+        cmd_theory, "closed-form curves over a prevalence grid",
+        ("beta", "gamma", "theta", "pi", "nu", "n", "level", "f_grid", "out"),
+        {"n": 50000.0},
+    ),
+    "fit": (
+        cmd_fit, "fit estimators to a 2x2x2 table",
+        ("counts_file", "subjects_file", "methods", "prevalence", "level",
+         "continuity_correction", "out"),
+        {},
+    ),
+    "simulate": (
+        cmd_simulate, "seeded Monte Carlo or expected-table export",
+        _TRUTH + ("replicates", "seed", "level", "methods", "adjcon_f",
+                  "emit_expected", "failures_reject", "out"),
+        {},
+    ),
+    "misspec": (
+        cmd_misspec, "supplied-prevalence misspecification sweep",
+        _TRUTH + ("f1_grid", "f1_list", "eps", "seed", "level", "out"),
+        {"n": 100000.0},
+    ),
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="cceff",
@@ -588,81 +582,33 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=f"cceff {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    common = dict(default=None, type=float)
-
-    p_theory = sub.add_parser("theory", help="closed-form curves over a prevalence grid")
-    for flag in ("--beta", "--gamma", "--theta", "--pi", "--nu", "--n", "--level"):
-        p_theory.add_argument(flag, **common)
-    p_theory.add_argument("--f-grid", dest="f_grid", help="prevalence grid as min:max:points")
-    p_theory.add_argument("--out", help="output CSV path")
-    p_theory.add_argument("--config", help="key=value config file (flags take precedence)")
-
-    p_fit = sub.add_parser("fit", help="fit estimators to a 2x2x2 table")
-    p_fit.add_argument(
-        "--cell", action="append", type=_parse_cell, default=None,
-        metavar="D,I,J,COUNT", help="one cell weight; give all 8 cells",
-    )
-    p_fit.add_argument("--counts-file", dest="counts_file", help="CSV with columns d,i,j,count")
-    p_fit.add_argument(
-        "--subjects-file", dest="subjects_file", help="per-subject CSV with columns d,x,e"
-    )
-    p_fit.add_argument("--methods", type=_parse_methods, default=None,
-                       help="comma list from mar,adj,adjcon")
-    p_fit.add_argument("--prevalence", type=float, default=None,
-                       help="population disease prevalence (required for adjcon)")
-    p_fit.add_argument("--level", type=float, default=None)
-    p_fit.add_argument("--continuity-correction", dest="continuity_correction",
-                       action="store_const", const=True, default=None,
-                       help="Haldane-Anscombe +0.5 on the collapsed margins (Mar only)")
-    p_fit.add_argument("--out", help="optional output CSV path")
-    p_fit.add_argument("--config", help="key=value config file (flags take precedence)")
-
-    p_sim = sub.add_parser("simulate", help="seeded Monte Carlo or expected-table export")
-    for flag in ("--alpha", "--f", "--beta", "--gamma", "--theta", "--pi",
-                 "--nu", "--n", "--level", "--adjcon-f"):
-        p_sim.add_argument(flag, **common)
-    p_sim.add_argument("--replicates", type=int, default=None)
-    p_sim.add_argument("--seed", type=int, default=None)
-    p_sim.add_argument("--methods", type=_parse_methods, default=None)
-    p_sim.add_argument("--emit-expected", dest="emit_expected",
-                       action="store_const", const=True, default=None,
-                       help="write the exact expected table instead of sampling")
-    p_sim.add_argument("--failures-reject", dest="failures_reject",
-                       action="store_const", const=True, default=None,
-                       help="count failed replicates as rejections instead of non-rejections")
-    p_sim.add_argument("--out", help="output CSV path")
-    p_sim.add_argument("--config", help="key=value config file (flags take precedence)")
-
-    p_mis = sub.add_parser("misspec", help="supplied-prevalence misspecification sweep")
-    for flag in ("--alpha", "--f", "--beta", "--gamma", "--theta", "--pi",
-                 "--nu", "--n", "--eps", "--level"):
-        p_mis.add_argument(flag, **common)
-    p_mis.add_argument("--f1-grid", dest="f1_grid", help="supplied-prevalence grid min:max:points")
-    p_mis.add_argument("--f1-list", dest="f1_list", type=_parse_float_list, default=None,
-                       help="comma list of supplied prevalences")
-    p_mis.add_argument("--mc-confirm", dest="mc_confirm", nargs=2, metavar=("N", "REPS"),
-                       default=None, help="Monte-Carlo confirmation sample size and replicates")
-    p_mis.add_argument("--seed", type=int, default=None)
-    p_mis.add_argument("--out", help="output CSV path")
-    p_mis.add_argument("--config", help="key=value config file (flags take precedence)")
-
+    for command, (_, command_help, names, _) in COMMANDS.items():
+        p = sub.add_parser(command, help=command_help)
+        if command == "fit":
+            p.add_argument(
+                "--cell", action="append", type=_parse_cell, default=None,
+                metavar="D,I,J,COUNT", help="one cell weight; give all 8 cells",
+            )
+        for name in names:
+            parse_fn, _, option_help = OPTIONS[name]
+            flag = "--" + name.replace("_", "-")
+            if parse_fn is _parse_bool:
+                p.add_argument(flag, action="store_const", const=True, default=None,
+                               help=option_help)
+            else:
+                p.add_argument(flag, type=parse_fn, default=None, help=option_help)
+        if command == "misspec":
+            p.add_argument("--mc-confirm", dest="mc_confirm", nargs=2, metavar=("N", "REPS"),
+                           default=None, help="Monte-Carlo confirmation sample size and replicates")
+        p.add_argument("--config", help="key=value config file (flags take precedence)")
     return parser
-
-
-_DISPATCH = {
-    "theory": cmd_theory,
-    "fit": cmd_fit,
-    "simulate": cmd_simulate,
-    "misspec": cmd_misspec,
-}
 
 
 def main(argv=None):
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
-        return _DISPATCH[ns.command](ns, parser)
+        return COMMANDS[ns.command][0](ns, parser)
     except CCEffError as exc:
         print(f"cceff {ns.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

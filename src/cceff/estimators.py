@@ -21,7 +21,7 @@ import math
 import numpy as np
 from scipy.special import expit, logit
 
-from ._constrained import loglik_grad_hess_s
+from ._constrained import loglik_grad_hess_s, newton_ascent, sandwich_s
 from .errors import (
     BoundaryEstimate,
     BracketFailure,
@@ -236,6 +236,7 @@ def _zeta_to_s(zeta):
 
 
 def _constrained_eval(w, f, zeta):
+    """newton_ascent's evaluation in zeta; the extra is (alpha, Hessian in s)."""
     s = _zeta_to_s(zeta)
     alpha, ll, g_s, h_s = loglik_grad_hess_s(w, f, s)
     scale = np.array([1.0, 1.0, s[2] * (1.0 - s[2]), s[3] * (1.0 - s[3])])
@@ -243,7 +244,11 @@ def _constrained_eval(w, f, zeta):
     h_z = h_s * np.outer(scale, scale)
     h_z[2, 2] += g_s[2] * scale[2] * (1.0 - 2.0 * s[2])
     h_z[3, 3] += g_s[3] * scale[3] * (1.0 - 2.0 * s[3])
-    return alpha, ll, g_s, h_s, g_z, h_z
+    return ll, g_s, g_z, h_z, (alpha, h_s)
+
+
+def _in_zeta_box(zeta):
+    return np.max(np.abs(zeta[:2])) <= 60.0 and np.max(np.abs(zeta[2:])) <= 45.0
 
 
 _PROB_EDGE = 1e-8
@@ -256,14 +261,13 @@ def fit_constrained(
 
     The intercept is profiled out through the prevalence identity, so the
     fitted parameters satisfy the constraint exactly.  Optimization runs in
-    (beta, gamma, logit theta, logit pi): Newton steps with backtracking,
-    started from the adjusted fit's (beta, gamma) and the sample covariate
-    and exposure fractions (the adjusted estimates projected onto the
-    constraint surface).  The covariance of (beta, gamma, theta, pi) is the
-    inverse observed information, equal to the delta-method transform of the
-    inverse observed information of the (alpha, beta, gamma, pi)
-    parameterization at any interior optimum.  With f_misspecified a robust
-    sandwich covariance is attached as well.
+    (beta, gamma, logit theta, logit pi) by ``newton_ascent`` (gradient
+    tolerance 1e-13, at most 100 iterations), started from the adjusted
+    fit's (beta, gamma) and the sample covariate and exposure fractions (the
+    adjusted estimates projected onto the constraint surface).  The
+    covariance of (beta, gamma, theta, pi) is the inverse observed
+    information in s.  With f_misspecified the plug-in ``sandwich_s`` on the
+    table's own cells is attached as a robust covariance as well.
 
     The iteration stops early when the line search accepts a candidate
     bitwise equal to the current point: every later iteration would repeat
@@ -285,39 +289,9 @@ def fit_constrained(
         raise InfeasibleStart(str(exc)) from exc
 
     zeta = np.array([adj.params[1], adj.params[2], float(logit(theta0)), float(logit(pi0))])
-    alpha_hat, ll, g_s, h_s, g_z, h_z = _constrained_eval(w, f, zeta)
-    iterations = 0
-    for iterations in range(1, 101):
-        if np.max(np.abs(g_s)) <= 1e-13:
-            break
-        try:
-            direction = np.linalg.solve(-h_z, g_z)
-        except np.linalg.LinAlgError:
-            direction = g_z / max(1.0, np.max(np.abs(g_z)))
-        if g_z @ direction <= 0.0:
-            direction = g_z / max(1.0, np.max(np.abs(g_z)))
-        scale = 1.0
-        moved = False
-        for _ in range(60):
-            cand = zeta + scale * direction
-            if np.max(np.abs(cand[:2])) <= 60.0 and np.max(np.abs(cand[2:])) <= 45.0:
-                cand_eval = _constrained_eval(w, f, cand)
-                _, ll_new, g_s_new, _, _, _ = cand_eval
-                improved = ll_new >= ll + 1e-4 * scale * (g_z @ direction)
-                flat_but_closer = ll_new >= ll and (
-                    np.max(np.abs(g_s_new)) < np.max(np.abs(g_s))
-                )
-                if improved or flat_but_closer:
-                    # A step that rounds back onto zeta is an exact fixed point:
-                    # every later iteration would repeat this one bit for bit.
-                    moved = not np.array_equal(cand, zeta)
-                    if moved:
-                        zeta = cand
-                        alpha_hat, ll, g_s, h_s, g_z, h_z = cand_eval
-                    break
-            scale *= 0.5
-        if not moved:
-            break
+    zeta, (ll, g_s, _, _, (alpha_hat, h_s)), iterations = newton_ascent(
+        lambda z: _constrained_eval(w, f, z), zeta, _in_zeta_box, 1e-13, 100
+    )
 
     if np.max(np.abs(g_s)) > 1e-8:
         raise NonConvergence(
@@ -346,7 +320,7 @@ def fit_constrained(
 
     cov_sw = None
     if f_misspecified:
-        cov_sw = _empirical_sandwich(table, f, s_hat) / total
+        cov_sw = sandwich_s(w, w[1] / w[1].sum(), w[0] / w[0].sum(), table.nu, f, s_hat) / total
 
     return FitResult(
         method=Method.ADJCON,
@@ -361,27 +335,6 @@ def fit_constrained(
         f=float(f),
         cov_sandwich=cov_sw,
     )
-
-
-def _empirical_sandwich(table: CaseControlTable, f, s_hat):
-    """Plug-in A^-1 B A^-1 with per-stratum empirical score covariances."""
-    from ._constrained import profile_parts
-
-    w = table.w / table.n
-    nu = table.nu
-    _, _, g8, H8 = profile_parts(f, s_hat)
-    A = np.einsum("k,kij->ij", w.ravel(), H8)
-    A = 0.5 * (A + A.T)
-    out = np.zeros((4, 4))
-    for share, rows in ((nu / (1.0 + nu), slice(4, 8)), (1.0 / (1.0 + nu), slice(0, 4))):
-        pk = w.ravel()[rows]
-        pk = pk / pk.sum()
-        g = g8[rows]
-        mean = pk @ g
-        out += share * (np.einsum("k,ki,kj->ij", pk, g, g) - np.outer(mean, mean))
-    a_inv = np.linalg.inv(A)
-    sw = a_inv @ out @ a_inv
-    return 0.5 * (sw + sw.T)
 
 
 def wald_test(fit: FitResult, level: float = 0.05) -> TestResult:

@@ -19,7 +19,7 @@ from statistics import NormalDist
 import numpy as np
 from scipy.stats import binom
 
-from ._constrained import expected_masses, loglik_grad_hess_s, sandwich_s
+from ._constrained import expected_masses, loglik_grad_hess_s, newton_ascent, sandwich_s
 from .asymptotics import (
     asymptotic_power,
     bias_delta,
@@ -222,10 +222,11 @@ def run_mc(config: SimConfig, workers: int | None = None) -> MCReport:
     """Run the Monte Carlo and fold per-replicate rows in index order.
 
     workers defaults to the CCEFF_THREADS environment variable, then to the
-    machine's CPU count.  The fold is deterministic, so the report is
-    bitwise identical for any worker count.
+    machine's CPU count; at most one process per replicate and per CPU is
+    started.  The fold is deterministic, so the report is bitwise identical
+    for any worker count.
     """
-    n_workers = _resolve_workers(workers)
+    n_workers = min(_resolve_workers(workers), config.replicates, os.cpu_count() or 1)
     args = [(config, i) for i in range(config.replicates)]
     if n_workers == 1 or config.replicates < 4:
         rows = [_replicate(a) for a in args]
@@ -302,54 +303,40 @@ def limiting_value(
     """Deterministic maximizer s*_f of the expected constrained log-likelihood.
 
     The expectation is the exact 8-term sum with weights nu/(1+nu) p_case and
-    1/(1+nu) p_ctrl; no sampling.  Newton iteration with backtracking starts
-    from the true (beta, gamma, theta, pi); at f_used equal to the true
-    prevalence the truth itself is the maximizer.  An accepted step that
-    rounds back onto the current point is an exact fixed point, where every
-    later iteration would repeat the last one; the iteration stops there
-    with the result the 200-iteration cap would give.
+    1/(1+nu) p_ctrl; no sampling.  ``newton_ascent`` runs in s itself
+    (gradient tolerance 1e-12, at most 200 iterations) from the true
+    (beta, gamma, theta, pi); at f_used equal to the true prevalence the
+    truth itself is the maximizer.  An accepted step that rounds back onto
+    the current point is an exact fixed point, where the iteration stops
+    with the result the iteration cap would give.  The sandwich covariance
+    is ``sandwich_s`` under the expected masses and the true retrospective
+    case and control distributions.
     """
     if not (0.0 < f_used <= 1.0 - eps):
         raise InfeasiblePrevalence(
             f"f_used={f_used!r} outside the admissible range (0, {1.0 - eps:g}]"
         )
     masses = expected_masses(truth, design.nu)
+
+    def evaluate(s):
+        _, ll, grad, hess = loglik_grad_hess_s(masses, f_used, s)
+        return ll, grad, grad, hess, None
+
+    def in_box(s):
+        return 0.0 < s[2] < 1.0 and 0.0 < s[3] < 1.0 and np.max(np.abs(s[:2])) < 60.0
+
     s = np.array([truth.beta, truth.gamma, truth.theta, truth.pi])
-    _, ll, grad, hess = loglik_grad_hess_s(masses, f_used, s)
-    for _ in range(200):
-        if np.max(np.abs(grad)) <= 1e-12:
-            break
-        try:
-            step = np.linalg.solve(-hess, grad)
-        except np.linalg.LinAlgError:
-            step = grad
-        if grad @ step <= 0.0:
-            step = grad
-        scale = 1.0
-        moved = False
-        for _ in range(60):
-            cand = s + scale * step
-            if 0.0 < cand[2] < 1.0 and 0.0 < cand[3] < 1.0 and np.max(np.abs(cand[:2])) < 60.0:
-                _, ll_new, grad_new, hess_new = loglik_grad_hess_s(masses, f_used, cand)
-                if ll_new >= ll + 1e-4 * scale * (grad @ step) or ll_new >= ll:
-                    # A step that rounds back onto s is an exact fixed point.
-                    moved = not np.array_equal(cand, s)
-                    if moved:
-                        s, ll, grad, hess = cand, ll_new, grad_new, hess_new
-                    break
-            scale *= 0.5
-        if not moved:
-            break
+    s, (ll, grad, _, _, _), _ = newton_ascent(evaluate, s, in_box, 1e-12, 200)
     if np.max(np.abs(grad)) > 1e-10:
         raise NonConvergence(
             f"expected-log-likelihood gradient max-norm {np.max(np.abs(grad)):.2e} at f_used={f_used}"
         )
-    _, _, sandwich = sandwich_s(truth, design.nu, f_used, s)
+    r = retro_distribution(truth)
     return LimitPoint(
         f_used=float(f_used),
         s_star=tuple(float(x) for x in s),
         expected_loglik=float(ll),
-        sandwich=sandwich,
+        sandwich=sandwich_s(masses, r.p_case, r.p_ctrl, design.nu, f_used, s),
     )
 
 

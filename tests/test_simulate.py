@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.stats import chi2
 
+import cceff.simulate as simulate_mod
 from cceff import (
     AllReplicatesFailed,
     DesignParams,
@@ -206,6 +207,34 @@ class TestRunMC:
             params=canonical, design=DesignParams(1.0, 1000.0), replicates=30, seed=11
         )
         assert run_mc(cfg, workers=1) == run_mc(cfg, workers=2)
+
+    @pytest.mark.parametrize("cpus, replicates, expected", [(4, 6, 4), (64, 6, 6)])
+    def test_worker_count_is_capped(self, canonical, monkeypatch, cpus, replicates, expected):
+        # A process pool forks all of its workers at the first submit, so the
+        # cap must hold before the pool exists; this fake pool starts none.
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, args, chunksize=1):
+                return map(fn, args)
+
+        monkeypatch.setattr(simulate_mod, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(simulate_mod.os, "cpu_count", lambda: cpus)
+        monkeypatch.setenv("CCEFF_THREADS", "5000")
+        cfg = SimConfig(
+            params=canonical, design=DesignParams(1.0, 1000.0), replicates=replicates, seed=11
+        )
+        assert run_mc(cfg) == run_mc(cfg, workers=1)
+        assert started == [expected]
 
 
 class TestLimitingValue:
