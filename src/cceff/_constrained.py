@@ -211,8 +211,15 @@ def newton_ascent(evaluate, x, in_box, gtol, max_iter):
     direction, or the gradient scaled to max-norm at most 1 where the
     Hessian is singular or the Newton direction does not ascend, and halves
     the step up to 60 times.  A candidate inside in_box is accepted when it
-    passes the Armijo test with constant 1e-4, or when it does not lower
-    the objective and shrinks the max-norm of the stopping gradient.  The iteration ends at the
+    passes the Armijo test with constant 1e-4, or when it shrinks the
+    max-norm of the stopping gradient and does not lower the objective.
+
+    In the endgame, once that max-norm is within 100 * gtol, "does not
+    lower" allows a drop of 1e-14 * (1 + |ll|): the predicted gain of a step
+    there is below the objective's rounding, so only the gradient can judge
+    progress.  Farther out the objective still resolves a step's gain, so a
+    lower objective there marks a worse step.  A flat step must shrink the
+    max-norm in either case, so flat steps cannot cycle.  The iteration ends at the
     gradient tolerance, after max_iter iterations, when no candidate is
     accepted, or when the accepted candidate is bitwise equal to x: that is
     an exact fixed point, where every later iteration would repeat this one.
@@ -227,6 +234,7 @@ def newton_ascent(evaluate, x, in_box, gtol, max_iter):
         stop_norm = np.max(np.abs(stop_grad))
         if stop_norm <= gtol:
             break
+        ll_floor = ll - 1e-14 * (1.0 + abs(ll)) if stop_norm <= 100.0 * gtol else ll
         try:
             direction = np.linalg.solve(-h, g)
         except np.linalg.LinAlgError:
@@ -241,7 +249,7 @@ def newton_ascent(evaluate, x, in_box, gtol, max_iter):
                 cand_state = evaluate(cand)
                 ll_new, stop_new = cand_state[0], cand_state[1]
                 improved = ll_new >= ll + 1e-4 * scale * (g @ direction)
-                flat_but_closer = ll_new >= ll and np.max(np.abs(stop_new)) < stop_norm
+                flat_but_closer = ll_new >= ll_floor and np.max(np.abs(stop_new)) < stop_norm
                 if improved or flat_but_closer:
                     moved = not np.array_equal(cand, x)
                     if moved:

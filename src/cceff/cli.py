@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import theory_curve
-from .errors import AllReplicatesFailed, CCEffError
+from .errors import AllReplicatesFailed, CCEffError, InvalidInput
 from .estimators import (
     CaseControlTable,
     Method,
@@ -35,7 +35,6 @@ from .model import DesignParams, PopulationParams, alpha_from_prevalence
 from .simulate import (
     DEFAULT_EPS,
     SimConfig,
-    ThreadCountError,
     expected_table,
     misspec_sweep,
     run_mc,
@@ -612,7 +611,7 @@ def main(argv=None):
     except CCEffError as exc:
         print(f"cceff {ns.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except ThreadCountError as exc:
+    except InvalidInput as exc:
         print(f"cceff {ns.command}: {exc}", file=sys.stderr)
         return 2
 

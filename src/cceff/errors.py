@@ -1,9 +1,14 @@
 """Exception types raised across the package.
 
-Everything derives from :class:`CCEffError` so callers can catch the whole
-family with one clause.  The CLI maps these to exit code 1 (data/model
-failures) while argument problems exit with 2.
+Numeric and model failures derive from :class:`CCEffError` so callers can
+catch the whole family with one clause; the CLI maps them to exit code 1.
+Arguments outside their declared domain raise :class:`InvalidInput`, a
+``ValueError``, which the CLI reports as a usage error with exit code 2.
 """
+
+
+class InvalidInput(ValueError):
+    """A parameter, design or Monte Carlo setting lies outside its declared domain."""
 
 
 class CCEffError(Exception):

@@ -25,6 +25,7 @@ from ._constrained import loglik_grad_hess_s, newton_ascent, sandwich_s
 from .errors import (
     BoundaryEstimate,
     BracketFailure,
+    CCEffError,
     InfeasibleStart,
     NonConvergence,
     NotConverged,
@@ -248,7 +249,9 @@ def _constrained_eval(w, f, zeta):
 
 
 def _in_zeta_box(zeta):
-    return np.max(np.abs(zeta[:2])) <= 60.0 and np.max(np.abs(zeta[2:])) <= 45.0
+    # expit(36) = 1 - 2.3e-16 still differs from 1.0; past about 37 it rounds
+    # to 1.0 and log1p(-theta) in the likelihood is -inf.
+    return np.max(np.abs(zeta[:2])) <= 60.0 and np.max(np.abs(zeta[2:])) <= 36.0
 
 
 _PROB_EDGE = 1e-8
@@ -264,19 +267,34 @@ def fit_constrained(
     (beta, gamma, logit theta, logit pi) by ``newton_ascent`` (gradient
     tolerance 1e-13, at most 100 iterations), started from the adjusted
     fit's (beta, gamma) and the sample covariate and exposure fractions (the
-    adjusted estimates projected onto the constraint surface).  The
-    covariance of (beta, gamma, theta, pi) is the inverse observed
-    information in s.  With f_misspecified the plug-in ``sandwich_s`` on the
-    table's own cells is attached as a robust covariance as well.
+    adjusted estimates projected onto the constraint surface).  When the
+    adjusted fit fails, this fit raises the same error.  The covariance of
+    (beta, gamma, theta, pi) is the inverse observed information in s.  With
+    f_misspecified the plug-in ``sandwich_s`` on the table's own cells is
+    attached as a robust covariance as well.
 
-    The iteration stops early when the line search accepts a candidate
-    bitwise equal to the current point: every later iteration would repeat
-    that one exactly, so this exit gives the estimates, covariance and
-    verdict the 100-iteration cap would, and only ``iterations`` is smaller.
+    Once max|grad| is within 1e-11, a line-search step that shrinks it may
+    lower the log-likelihood by up to 1e-14 * (1 + |loglik|), the per-unit
+    log-likelihood's rounding (``newton_ascent``'s endgame rule); farther
+    out a step must not lower it.  The iteration stops early when the line
+    search accepts a candidate bitwise equal to the current point: every
+    later iteration would repeat that one exactly, so this exit gives the
+    estimates, covariance and verdict the 100-iteration cap would, and only
+    ``iterations`` is smaller.
     """
+    try:
+        adj = fit_adjusted(table)
+    except CCEffError as exc:
+        adj = exc
+    return _fit_constrained(table, f, adj, f_misspecified)
+
+
+def _fit_constrained(table, f, adj, f_misspecified=False):
+    """``fit_constrained`` from the table's adjusted fit, or the error that fit raised."""
     if not (0.0 < f < 1.0):
         raise InfeasibleStart(f"prevalence f={f!r} must lie in (0, 1)")
-    adj = fit_adjusted(table)
+    if isinstance(adj, CCEffError):
+        raise adj
     total = table.n
     w = table.w / total
     theta0 = float(w[:, 1, :].sum())

@@ -19,7 +19,7 @@ import math
 import numpy as np
 from scipy.special import expit, logit
 
-from .errors import BracketFailure, DegenerateConstraint, InfeasiblePrevalence
+from .errors import BracketFailure, DegenerateConstraint, InfeasiblePrevalence, InvalidInput
 
 __all__ = [
     "PopulationParams",
@@ -59,11 +59,13 @@ class PopulationParams:
         for name in ("alpha", "beta", "gamma"):
             v = getattr(self, name)
             if not math.isfinite(v) or abs(v) > _COEF_BOUND:
-                raise ValueError(f"{name}={v!r} outside [-{_COEF_BOUND:g}, {_COEF_BOUND:g}]")
+                raise InvalidInput(f"{name}={v!r} outside [-{_COEF_BOUND:g}, {_COEF_BOUND:g}]")
         for name in ("theta", "pi"):
             v = getattr(self, name)
             if not (_PROB_MARGIN <= v <= 1.0 - _PROB_MARGIN):
-                raise ValueError(f"{name}={v!r} outside [{_PROB_MARGIN:g}, {1.0 - _PROB_MARGIN:g}]")
+                raise InvalidInput(
+                    f"{name}={v!r} outside [{_PROB_MARGIN:g}, {1.0 - _PROB_MARGIN:g}]"
+                )
 
     @cached_property
     def f(self) -> float:
@@ -80,9 +82,9 @@ class DesignParams:
 
     def __post_init__(self):
         if not (1e-6 <= self.nu <= 1e6):
-            raise ValueError(f"nu={self.nu!r} outside [1e-6, 1e6]")
+            raise InvalidInput(f"nu={self.nu!r} outside [1e-6, 1e6]")
         if not (self.n > 0 and math.isfinite(self.n)):
-            raise ValueError(f"n={self.n!r} must be positive and finite")
+            raise InvalidInput(f"n={self.n!r} must be positive and finite")
 
     @property
     def n_cases(self) -> float:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import math
 import os
 from statistics import NormalDist
+import time
 
 import numpy as np
 from scipy.stats import binom
@@ -31,16 +32,20 @@ from .errors import (
     AllReplicatesFailed,
     CCEffError,
     InfeasiblePrevalence,
+    InvalidInput,
     NonConvergence,
 )
 from .estimators import (
     CaseControlTable,
     Method,
     fit_adjusted,
-    fit_constrained,
     fit_marginal,
     wald_test,
 )
+
+# AdjCon from the replicate's adjusted fit.  Bound to the public fit's name so
+# that the layer trace (perfbench/spans.py) counts these calls as fit_constrained.
+from .estimators import _fit_constrained as fit_constrained
 from .model import DesignParams, PopulationParams, retro_distribution
 
 __all__ = [
@@ -51,6 +56,7 @@ __all__ = [
     "MisspecRow",
     "expected_table",
     "sample_table",
+    "sample_tables",
     "run_mc",
     "limiting_value",
     "misspec_sweep",
@@ -72,11 +78,11 @@ class SimConfig:
 
     def __post_init__(self):
         if self.replicates < 1:
-            raise ValueError("replicates must be at least 1")
+            raise InvalidInput("replicates must be at least 1")
         if not (0.0 < self.level < 1.0):
-            raise ValueError("level must lie in (0, 1)")
+            raise InvalidInput("level must lie in (0, 1)")
         if self.f_supplied is not None and not (0.0 < self.f_supplied < 1.0):
-            raise ValueError("f_supplied must lie in (0, 1)")
+            raise InvalidInput("f_supplied must lie in (0, 1)")
         object.__setattr__(self, "methods", tuple(Method(m) for m in self.methods))
 
 
@@ -133,77 +139,103 @@ def expected_table(params: PopulationParams, design: DesignParams) -> CaseContro
     return CaseControlTable(expected_masses(params, design.nu) * design.n)
 
 
-def _multinomial_invcdf(rng, n, probs):
-    """Multinomial draw via sequential conditional binomials, one uniform per split."""
+def _multinomial_invcdf(u, n, probs):
+    """Multinomial draws via sequential conditional binomials, one uniform per split.
+
+    u holds one row of len(probs) - 1 uniforms per draw; returns one row of
+    counts per draw.  The conditional probabilities are the same for every
+    draw, so each split is one binom.ppf call over the draws that still
+    have a positive remaining count.
+    """
     k = len(probs)
-    u = rng.random(k - 1)
-    counts = np.zeros(k, dtype=np.int64)
-    remaining = int(n)
+    counts = np.zeros((len(u), k), dtype=np.int64)
+    remaining = np.full(len(u), int(n), dtype=np.int64)
     for idx in range(k - 1):
         tail = probs[idx:].sum()
         p_cond = probs[idx] / tail if tail > 0 else 0.0
-        if remaining == 0 or p_cond <= 0.0:
-            c = 0
-        elif p_cond >= 1.0:
-            c = remaining
-        else:
-            c = int(binom.ppf(u[idx], remaining, p_cond))
-        counts[idx] = c
-        remaining -= c
-    counts[k - 1] = remaining
+        if p_cond >= 1.0:
+            counts[:, idx] = remaining
+        elif p_cond > 0.0:
+            live = remaining > 0
+            if live.any():
+                counts[live, idx] = binom.ppf(u[live, idx], remaining[live], p_cond)
+        remaining -= counts[:, idx]
+    counts[:, k - 1] = remaining
     return counts
+
+
+def sample_tables(params, design, seed, replicate_indices) -> np.ndarray:
+    """Retrospective samples for many replicates: cell weights of shape (k, 2, 2, 2).
+
+    Replicate r draws from a Philox stream keyed by (seed, r): three
+    uniforms for the case multinomial, then three for the control one, so
+    any replicate can be drawn independently of the others and of execution
+    order.  Row m is bitwise the table ``sample_table`` gives for
+    replicate_indices[m].
+    """
+    n = design.n
+    if abs(n - round(n)) > 1e-9:
+        raise InvalidInput("sampling requires an integer total sample size")
+    n1 = int(round(design.n_cases))
+    n0 = int(round(n)) - n1
+    if n1 < 1 or n0 < 1:
+        raise InvalidInput("both case and control counts must be at least 1")
+    r = retro_distribution(params)
+    u = np.empty((len(replicate_indices), 2, 3))
+    for row, index in zip(u, replicate_indices):
+        key = np.array([seed % 2**64, index % 2**64], dtype=np.uint64)
+        rng = np.random.Generator(np.random.Philox(key=key))
+        row[0] = rng.random(3)
+        row[1] = rng.random(3)
+    cases = _multinomial_invcdf(u[:, 0], n1, r.p_case.ravel())
+    ctrls = _multinomial_invcdf(u[:, 1], n0, r.p_ctrl.ravel())
+    return np.concatenate([ctrls, cases], axis=1).reshape(-1, 2, 2, 2).astype(float)
 
 
 def sample_table(params, design, seed, replicate_index) -> CaseControlTable:
     """One retrospective sample: multinomial cases then controls, Philox-keyed.
 
-    The stream key is (seed, replicate_index), so any replicate can be drawn
-    independently of the others and of execution order.
+    The batch of one of ``sample_tables``, which documents the stream.
     """
-    n = design.n
-    if abs(n - round(n)) > 1e-9:
-        raise ValueError("sampling requires an integer total sample size")
-    n1 = int(round(design.n_cases))
-    n0 = int(round(n)) - n1
-    if n1 < 1 or n0 < 1:
-        raise ValueError("both case and control counts must be at least 1")
-    r = retro_distribution(params)
-    key = np.array([seed % 2**64, replicate_index % 2**64], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
-    cases = _multinomial_invcdf(rng, n1, r.p_case.ravel())
-    ctrls = _multinomial_invcdf(rng, n0, r.p_ctrl.ravel())
-    w = np.stack([ctrls.reshape(2, 2), cases.reshape(2, 2)]).astype(float)
-    return CaseControlTable(w)
+    return CaseControlTable(sample_tables(params, design, seed, [replicate_index])[0])
 
 
-def _fit_one(method, table, config):
+def _fit_one(method, table, adj, config):
+    """One method's fit; adj is the table's adjusted fit or the error it raised."""
     if method is Method.MAR:
         return fit_marginal(table)
-    if method is Method.ADJ:
-        return fit_adjusted(table)
-    f = config.f_supplied if config.f_supplied is not None else config.params.f
-    return fit_constrained(table, f)
+    if method is Method.ADJCON:
+        f = config.f_supplied if config.f_supplied is not None else config.params.f
+        return fit_constrained(table, f, adj)
+    if isinstance(adj, CCEffError):
+        raise adj
+    return adj
 
 
 def _replicate(args):
-    """Worker: one sampled table, all requested fits. Returns one row per method."""
-    config, index = args
-    table = sample_table(config.params, config.design, config.seed, index)
+    """Worker: all requested fits of one sampled table. Returns one row per method.
+
+    The adjusted fit runs once and serves both Adj and AdjCon's start.
+    """
+    config, w = args
+    table = CaseControlTable(w)
+    adj = None
+    if Method.ADJ in config.methods or Method.ADJCON in config.methods:
+        try:
+            adj = fit_adjusted(table)
+        except CCEffError as exc:
+            adj = exc
     z_half = NormalDist().inv_cdf(1.0 - config.level / 2.0)
     rows = []
     for method in config.methods:
         try:
-            fit = _fit_one(method, table, config)
+            fit = _fit_one(method, table, adj, config)
             test = wald_test(fit, config.level)
             covered = abs(fit.gamma_hat - config.params.gamma) <= z_half * fit.se_gamma
             rows.append((True, fit.gamma_hat, fit.se_gamma, test.reject, covered, ""))
         except CCEffError as exc:
             rows.append((False, math.nan, math.nan, False, False, type(exc).__name__))
     return rows
-
-
-class ThreadCountError(ValueError):
-    """CCEFF_THREADS is set to something that is not an integer."""
 
 
 def _resolve_workers(workers):
@@ -214,26 +246,49 @@ def _resolve_workers(workers):
         try:
             return max(1, int(env))
         except ValueError:
-            raise ThreadCountError(f"CCEFF_THREADS must be an integer, got {env!r}") from None
+            raise InvalidInput(f"CCEFF_THREADS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
+
+
+# Wall time a process pool costs before it saves any.  With two fork workers,
+# a two-replicate run took 20-45 ms longer than in-process, and runs of 10 to
+# 320 Fig. 1 replicates took 55-110 ms longer than half their in-process time
+# (medians of 7 runs each; 2-vCPU Xeon VM, Python 3.11, numpy 2.4, scipy 1.17).
+_POOL_STARTUP_S = 0.05
 
 
 def run_mc(config: SimConfig, workers: int | None = None) -> MCReport:
     """Run the Monte Carlo and fold per-replicate rows in index order.
 
-    workers defaults to the CCEFF_THREADS environment variable, then to the
-    machine's CPU count; at most one process per replicate and per CPU is
-    started.  The fold is deterministic, so the report is bitwise identical
-    for any worker count.
+    All tables are sampled first, in one pass (``sample_tables``).
+    Replicates are then fitted in index order in this process, and the rest
+    go to a process pool once it pays: the in-process part has taken
+    longer than the pool's start-up cost, and the replicates left would,
+    at their mean cost so far, take longer in-process than that cost plus
+    their share per worker.  workers defaults to the CCEFF_THREADS
+    environment variable, then to the machine's CPU count; at most one
+    process per remaining replicate and per CPU is started.  The fold is
+    deterministic, so the report is bitwise identical for any worker count.
     """
-    n_workers = min(_resolve_workers(workers), config.replicates, os.cpu_count() or 1)
-    args = [(config, i) for i in range(config.replicates)]
-    if n_workers == 1 or config.replicates < 4:
-        rows = [_replicate(a) for a in args]
-    else:
-        chunk = max(1, config.replicates // (4 * n_workers))
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            rows = list(pool.map(_replicate, args, chunksize=chunk))
+    n_workers = min(_resolve_workers(workers), os.cpu_count() or 1)
+    tables = sample_tables(config.params, config.design, config.seed, range(config.replicates))
+    rows = []
+    start = time.perf_counter()
+    for w in tables:
+        done = len(rows)
+        left = len(tables) - done
+        size = min(n_workers, left)
+        elapsed = time.perf_counter() - start
+        # At the mean cost so far, a pool of size workers would save
+        # elapsed / done * left * (1 - 1 / size) on the replicates left.
+        pays = elapsed * left * (size - 1) >= _POOL_STARTUP_S * done * size
+        if size > 1 and elapsed >= _POOL_STARTUP_S and pays:
+            rest = [(config, table) for table in tables[done:]]
+            chunk = max(1, len(rest) // (4 * size))
+            with ProcessPoolExecutor(max_workers=size) as pool:
+                rows += pool.map(_replicate, rest, chunksize=chunk)
+            break
+        rows.append(_replicate((config, w)))
 
     params, design = config.params, config.design
     sqrt_n = math.sqrt(design.n)
@@ -306,11 +361,15 @@ def limiting_value(
     1/(1+nu) p_ctrl; no sampling.  ``newton_ascent`` runs in s itself
     (gradient tolerance 1e-12, at most 200 iterations) from the true
     (beta, gamma, theta, pi); at f_used equal to the true prevalence the
-    truth itself is the maximizer.  An accepted step that rounds back onto
-    the current point is an exact fixed point, where the iteration stops
-    with the result the iteration cap would give.  The sandwich covariance
-    is ``sandwich_s`` under the expected masses and the true retrospective
-    case and control distributions.
+    truth itself is the maximizer.  Once max|grad| is within 1e-10, a step
+    that shrinks it may lower the expected log-likelihood by up to
+    1e-14 * (1 + |loglik|), its rounding (``newton_ascent``'s endgame
+    rule); farther out a step must not lower it.  An accepted step that
+    rounds back onto the current point is an exact fixed point, where the
+    iteration stops with the result the iteration cap would give.  Limits
+    whose iteration stalls above the 1e-10 bar raise NonConvergence.  The
+    sandwich covariance is ``sandwich_s`` under the expected masses and the
+    true retrospective case and control distributions.
     """
     if not (0.0 < f_used <= 1.0 - eps):
         raise InfeasiblePrevalence(

@@ -7,8 +7,9 @@ formula implementations, so agreement is evidence rather than tautology.
 
 The exception is the block of frozen references at the end: verbatim
 copies of the small-array prevalence inversion and prevalence derivatives
-that the plain-float kernels replaced.  They are the judge of the kernels'
-bitwise identity, not of their mathematics.
+that the plain-float kernels replaced, and of the one-table-at-a-time
+sampler that the batch sampler replaced.  They are the judge of the
+replacements' bitwise identity, not of their mathematics.
 """
 
 import math
@@ -16,8 +17,10 @@ import math
 import mpmath
 import numpy as np
 from scipy.special import expit, logit
+from scipy.stats import binom
 
 from cceff.errors import BracketFailure
+from cceff.model import retro_distribution
 
 
 def _sigmoid(eta):
@@ -263,3 +266,41 @@ def f_derivs(alpha, beta, gamma, theta, pi):
     hess[4, :3] = hess[:3, 4]
     hess[4, 3] = hess[3, 4]
     return grad, hess
+
+
+def _multinomial_invcdf(rng, n, probs):
+    """Multinomial draw via sequential conditional binomials, one uniform per split."""
+    k = len(probs)
+    u = rng.random(k - 1)
+    counts = np.zeros(k, dtype=np.int64)
+    remaining = int(n)
+    for idx in range(k - 1):
+        tail = probs[idx:].sum()
+        p_cond = probs[idx] / tail if tail > 0 else 0.0
+        if remaining == 0 or p_cond <= 0.0:
+            c = 0
+        elif p_cond >= 1.0:
+            c = remaining
+        else:
+            c = int(binom.ppf(u[idx], remaining, p_cond))
+        counts[idx] = c
+        remaining -= c
+    counts[k - 1] = remaining
+    return counts
+
+
+def sample_table(params, design, seed, replicate_index):
+    """One retrospective sample's cell weights, one scalar binom.ppf call per split."""
+    n = design.n
+    if abs(n - round(n)) > 1e-9:
+        raise ValueError("sampling requires an integer total sample size")
+    n1 = int(round(design.n_cases))
+    n0 = int(round(n)) - n1
+    if n1 < 1 or n0 < 1:
+        raise ValueError("both case and control counts must be at least 1")
+    r = retro_distribution(params)
+    key = np.array([seed % 2**64, replicate_index % 2**64], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
+    cases = _multinomial_invcdf(rng, n1, r.p_case.ravel())
+    ctrls = _multinomial_invcdf(rng, n0, r.p_ctrl.ravel())
+    return np.stack([ctrls.reshape(2, 2), cases.reshape(2, 2)]).astype(float)

@@ -281,6 +281,22 @@ class TestSimulate:
         assert err.count("\n") == 1 and "CCEFF_THREADS" in err and "'abc'" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--replicates", "0"),
+        ("--level", "1.5"),
+        ("--nu", "-1"),
+        ("--n", "100.5"),
+    ])
+    def test_out_of_domain_value_is_usage_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "sim.csv"
+        args = {"--n": "400", "--replicates": "4", flag: value}
+        rc = run("simulate", *self.TRUTH, *(x for kv in args.items() for x in kv),
+                 "--methods", "mar", "--out", out)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("cceff simulate: ")
+        assert not out.exists()
+
     def test_exactly_one_of_alpha_and_f(self, tmp_path):
         base = ["simulate", *CANON, "--n", "400", "--replicates", "4",
                 "--out", tmp_path / "x.csv"]

@@ -3,7 +3,7 @@ import statistics
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -252,6 +252,9 @@ class TestInvariances:
 
     @settings(max_examples=20, deadline=None)
     @given(cells=positive_cells, scale=st.floats(0.01, 100.0))
+    # Its Newton iteration pushes logit theta toward the box edge; past about
+    # 37, expit rounds to 1.0 and log1p(-theta) divides by zero.
+    @example(cells=[3894.299527023667] + [0.5] * 7, scale=0.01)
     def test_scale_equivariance_constrained(self, cells, scale):
         w = np.array(cells).reshape(2, 2, 2)
         t1 = CaseControlTable(w)

@@ -8,14 +8,17 @@ from scipy.stats import chi2
 import cceff.simulate as simulate_mod
 from cceff import (
     AllReplicatesFailed,
+    CaseControlTable,
     DesignParams,
     InfeasiblePrevalence,
     Method,
     PopulationParams,
     SimConfig,
+    ZeroMargin,
     asymptotic_power,
     bias_delta,
     expected_table,
+    fit_constrained,
     limiting_value,
     misspec_sweep,
     retro_distribution,
@@ -202,11 +205,48 @@ class TestRunMC:
         with pytest.raises(AllReplicatesFailed, match="ZeroCell"):
             run_mc(cfg, workers=1)
 
-    def test_worker_count_does_not_change_the_report(self, canonical):
+    def test_worker_count_does_not_change_the_report(self, canonical, monkeypatch):
+        # With no start-up cost to recover, the pool takes every replicate.
+        monkeypatch.setattr(simulate_mod, "_POOL_STARTUP_S", 0.0)
         cfg = SimConfig(
             params=canonical, design=DesignParams(1.0, 1000.0), replicates=30, seed=11
         )
         assert run_mc(cfg, workers=1) == run_mc(cfg, workers=2)
+
+    def test_small_runs_stay_in_process(self, canonical, monkeypatch):
+        def no_pool(max_workers):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(simulate_mod, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(simulate_mod, "_POOL_STARTUP_S", 60.0)
+        cfg = SimConfig(
+            params=canonical, design=DesignParams(1.0, 1000.0), replicates=6, seed=11
+        )
+        run_mc(cfg, workers=2)
+
+    def test_one_adjusted_fit_per_replicate(self, canonical, monkeypatch):
+        fit_adjusted = simulate_mod.fit_adjusted
+        calls = []
+
+        def count(table):
+            calls.append(1)
+            return fit_adjusted(table)
+
+        monkeypatch.setattr(simulate_mod, "fit_adjusted", count)
+        cfg = SimConfig(params=canonical, design=DesignParams(1.0, 1000.0), replicates=5, seed=3)
+        report = run_mc(cfg, workers=1)
+        assert len(calls) == 5
+        assert [st.n_included for st in report.stats] == [5, 5, 5]
+
+    def test_adjcon_reports_the_adjusted_fit_failure(self, canonical):
+        # No subject has the covariate: the adjusted fit raises ZeroMargin,
+        # and AdjCon, which starts from it, reports the same kind.
+        w = np.array([[[40.0, 30.0], [0.0, 0.0]], [[25.0, 35.0], [0.0, 0.0]]])
+        cfg = SimConfig(params=canonical, design=DesignParams(1.0, 130.0), replicates=1, seed=0)
+        rows = simulate_mod._replicate((cfg, w))
+        assert [r[5] for r in rows] == ["", "ZeroMargin", "ZeroMargin"]
+        with pytest.raises(ZeroMargin):
+            fit_constrained(CaseControlTable(w), canonical.f)
 
     @pytest.mark.parametrize("cpus, replicates, expected", [(4, 6, 4), (64, 6, 6)])
     def test_worker_count_is_capped(self, canonical, monkeypatch, cpus, replicates, expected):
@@ -228,6 +268,7 @@ class TestRunMC:
                 return map(fn, args)
 
         monkeypatch.setattr(simulate_mod, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(simulate_mod, "_POOL_STARTUP_S", 0.0)
         monkeypatch.setattr(simulate_mod.os, "cpu_count", lambda: cpus)
         monkeypatch.setenv("CCEFF_THREADS", "5000")
         cfg = SimConfig(
