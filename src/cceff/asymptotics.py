@@ -17,10 +17,11 @@ from statistics import NormalDist
 import numpy as np
 
 from ._constrained import expected_info_s
-from .errors import SingularInformation, VacuousMinimizer
+from .errors import CCEffError, InvalidInput, SingularInformation, VacuousMinimizer
 from .estimators import Method
 from .model import (
     PopulationParams,
+    _alpha_error,
     alpha_from_prevalence,
     prevalence_at,
     retro_distribution,
@@ -178,15 +179,37 @@ def sigma_AC_sq(params: PopulationParams, nu: float) -> float:
 
     The gamma-gamma entry of the inverse per-unit-n expected information in
     s = (beta, gamma, theta, pi), with the intercept profiled out through
-    the prevalence identity; the frame is smooth through beta = 0.
+    the prevalence identity; the frame is smooth through beta = 0.  The
+    batch of one of ``_sigma_AC_lanes``.
     """
-    info = expected_info_s(params, nu)
-    eig = np.linalg.eigvalsh(info)
-    if eig[0] < 1e-12 * np.trace(info):
-        raise SingularInformation(
-            f"constrained information nearly singular (min eig {eig[0]:.3e})"
-        )
-    return float(np.linalg.inv(info)[1, 1])
+    (out,) = _sigma_AC_lanes([params], nu)
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
+def _sigma_AC_lanes(params_list, nu):
+    """``sigma_AC_sq`` of every parameter point, from one batched information.
+
+    Returns one outcome per point: the variance, or the error it raises
+    alone.  The stacked eigenvalues and inverses round each lane as a
+    one-point call does.
+    """
+    out = [None] * len(params_list)
+    info = expected_info_s(params_list, nu) if params_list else np.empty((0, 4, 4))
+    bad = np.isnan(info).any(axis=(1, 2))
+    for k in np.flatnonzero(bad):
+        out[k] = _alpha_error(params_list[k].f)
+    good = np.flatnonzero(~bad)
+    eig = np.linalg.eigvalsh(info[good])[:, 0] if good.size else np.empty(0)
+    near = eig < 1e-12 * np.trace(info[good], axis1=1, axis2=2)
+    for k, e in zip(good[near], eig[near]):
+        out[k] = SingularInformation(f"constrained information nearly singular (min eig {e:.3e})")
+    good = good[~near]
+    if good.size:
+        for k, var in zip(good, np.linalg.inv(info[good])[:, 1, 1]):
+            out[k] = float(var)
+    return out
 
 
 def lambda_ratio(alpha, beta, theta, nu):
@@ -225,9 +248,14 @@ def pitman_are_M_vs_AC(alpha, beta, theta, pi, nu):
     """
     if beta == 0.0:
         return 1.0
+    var = sigma_AC_sq(PopulationParams(alpha, beta, 1e-8, theta, pi), nu)
+    return _are_M_vs_AC(alpha, beta, theta, pi, nu, var)
+
+
+def _are_M_vs_AC(alpha, beta, theta, pi, nu, var_ac0):
+    """``pitman_are_M_vs_AC`` from the constrained variance at gamma = 1e-8."""
     slope = attenuation_slope(alpha, beta, theta)
-    params = PopulationParams(alpha, beta, 1e-8, theta, pi)
-    return slope * slope * sigma_AC_sq(params, nu) / sigma0_sq(nu, pi)
+    return slope * slope * var_ac0 / sigma0_sq(nu, pi)
 
 
 def pitman_tau(beta, theta, nu):
@@ -308,19 +336,49 @@ def asymptotic_constants(params: PopulationParams, nu: float) -> AsymptoticConst
 
 
 def theory_curve(f_values, beta, gamma, theta, pi, nu, n, level=0.05):
-    """One PowerPoint row per prevalence value, deterministic in the grid order."""
+    """One PowerPoint row per prevalence value, deterministic in the grid order.
+
+    The intercepts of all rows come from one batched ``alpha_from_prevalence``
+    and every row's constrained variance, at gamma and at the ARE's
+    gamma = 1e-8, from one batched information (``_sigma_AC_lanes``); each
+    row is bitwise what a one-point call gives.  A row that fails raises
+    the error it raises alone, the first such row in grid order, with the
+    row's prevalence attached as the error's ``f`` attribute.
+    """
     try:
         alpha_star, f_star = bias_minimizer(beta, gamma, theta, pi)
     except VacuousMinimizer:
         alpha_star, f_star = math.nan, math.nan
+    f_values = [float(f) for f in f_values]
+    alphas = alpha_from_prevalence(np.array(f_values, dtype=float), beta, gamma, theta, pi)
+    staged = []
+    for f, alpha in zip(f_values, alphas):
+        try:
+            if math.isnan(alpha):
+                raise _alpha_error(f)
+            alpha = float(alpha)
+            params = PopulationParams(alpha, beta, gamma, theta, pi)
+            delta = bias_delta(alpha, beta, gamma, theta)
+            staged.append((params, delta, sigma_M_sq(params, nu), sigma_A_sq(params, nu)))
+        except (CCEffError, InvalidInput) as exc:
+            staged.append(exc)
+    points = [row[0] for row in staged if not isinstance(row, Exception)]
+    # The ARE needs the constrained variance at gamma = 1e-8 too, unless beta = 0.
+    near_null = [] if beta == 0.0 else [
+        PopulationParams(p.alpha, beta, 1e-8, theta, pi) for p in points
+    ]
+    variances = _sigma_AC_lanes(points + near_null, nu)
+    var_ac = iter(variances[: len(points)])
+    var_ac0 = iter(variances[len(points) :])
     rows = []
-    for f in f_values:
-        f = float(f)
-        alpha = alpha_from_prevalence(f, beta, gamma, theta, pi)
-        params = PopulationParams(alpha, beta, gamma, theta, pi)
-        delta = bias_delta(alpha, beta, gamma, theta)
-        var_m, var_a = sigma_M_sq(params, nu), sigma_A_sq(params, nu)
-        var_ac = sigma_AC_sq(params, nu)
+    for f, row in zip(f_values, staged):
+        if not isinstance(row, Exception):
+            params, delta, var_m, var_a = row
+            alpha, v, v0 = params.alpha, next(var_ac), next(var_ac0, None)
+            row = next((x for x in (v, v0) if isinstance(x, Exception)), None)
+        if row is not None:
+            row.f = f
+            raise row
         rows.append(
             PowerPoint(
                 f=f,
@@ -331,12 +389,12 @@ def theory_curve(f_values, beta, gamma, theta, pi, nu, n, level=0.05):
                 gamma_plus_delta=gamma + delta,
                 sigma_M_sq=var_m,
                 sigma_A_sq=var_a,
-                sigma_AC_sq=var_ac,
+                sigma_AC_sq=v,
                 power_mar=_wald_power(gamma + delta, var_m, n, level),
                 power_adj=_wald_power(gamma, var_a, n, level),
-                power_adjcon=_wald_power(gamma, var_ac, n, level),
+                power_adjcon=_wald_power(gamma, v, n, level),
                 ep_M_vs_A=pitman_are_M_vs_A(alpha, beta, theta, nu),
-                ep_M_vs_AC=pitman_are_M_vs_AC(alpha, beta, theta, pi, nu),
+                ep_M_vs_AC=1.0 if v0 is None else _are_M_vs_AC(alpha, beta, theta, pi, nu, v0),
                 f_star=f_star,
                 alpha_star=alpha_star,
             )

@@ -252,24 +252,26 @@ def cmd_theory(ns, parser):
         grid = _parse_grid(r["f_grid"])
     except ValueError as exc:
         parser.error(f"--f-grid: {exc}")
+    outside = [f for f in grid if not 0.0 < f < 1.0]
+    if outside:
+        raise InvalidInput(f"--f-grid: prevalence {outside[0]:.17g} outside (0, 1)")
     started = _now()
-    rows = []
-    for f in grid:
-        try:
-            point = theory_curve(
-                [f], r["beta"], r["gamma"], r["theta"], r["pi"], r["nu"], r["n"], r["level"]
-            )[0]
-        except CCEffError as exc:
-            print(f"theory failed at f={f:.17g}: {exc}", file=sys.stderr)
-            return 1
-        rows.append(
-            [
-                point.f, point.alpha, point.delta, point.gamma_plus_delta,
-                point.sigma_M_sq, point.sigma_A_sq, point.sigma_AC_sq,
-                point.power_mar, point.power_adj, point.power_adjcon,
-                point.ep_M_vs_A, point.ep_M_vs_AC, point.f_star, point.alpha_star,
-            ]
+    try:
+        points = theory_curve(
+            grid, r["beta"], r["gamma"], r["theta"], r["pi"], r["nu"], r["n"], r["level"]
         )
+    except CCEffError as exc:
+        print(f"theory failed at f={exc.f:.17g}: {exc}", file=sys.stderr)
+        return 1
+    rows = [
+        [
+            point.f, point.alpha, point.delta, point.gamma_plus_delta,
+            point.sigma_M_sq, point.sigma_A_sq, point.sigma_AC_sq,
+            point.power_mar, point.power_adj, point.power_adjcon,
+            point.ep_M_vs_A, point.ep_M_vs_AC, point.f_star, point.alpha_star,
+        ]
+        for point in points
+    ]
     _write_csv(r["out"], THEORY_COLUMNS, rows)
     write_manifest(
         r["out"], "theory",

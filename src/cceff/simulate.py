@@ -21,13 +21,7 @@ import numpy as np
 from scipy.stats import binom
 
 from ._constrained import expected_masses, loglik_grad_hess_s, newton_ascent, sandwich_s
-from .asymptotics import (
-    asymptotic_power,
-    bias_delta,
-    sigma_A_sq,
-    sigma_AC_sq,
-    sigma_M_sq,
-)
+from .asymptotics import _wald_power, bias_delta, sigma_A_sq, sigma_AC_sq, sigma_M_sq
 from .errors import (
     AllReplicatesFailed,
     CCEffError,
@@ -35,18 +29,14 @@ from .errors import (
     InvalidInput,
     NonConvergence,
 )
-from .estimators import (
-    CaseControlTable,
-    Method,
-    fit_adjusted,
-    fit_marginal,
-    wald_test,
-)
+from .estimators import CaseControlTable, Method, wald_test
 
-# AdjCon from the replicate's adjusted fit.  Bound to the public fit's name so
-# that the layer trace (perfbench/spans.py) counts these calls as fit_constrained.
-from .estimators import _fit_constrained as fit_constrained
-from .model import DesignParams, PopulationParams, retro_distribution
+# The batch entry points, bound under the one-table names so that the layer
+# trace (perfbench/spans.py) counts each batch as one call of that fit.
+from .estimators import fit_adjusted_batch as fit_adjusted
+from .estimators import fit_constrained_batch as fit_constrained
+from .estimators import fit_marginal_batch as fit_marginal
+from .model import DesignParams, PopulationParams, _alpha_error, retro_distribution
 
 __all__ = [
     "SimConfig",
@@ -59,6 +49,7 @@ __all__ = [
     "sample_tables",
     "run_mc",
     "limiting_value",
+    "limiting_values",
     "misspec_sweep",
 ]
 
@@ -200,41 +191,36 @@ def sample_table(params, design, seed, replicate_index) -> CaseControlTable:
     return CaseControlTable(sample_tables(params, design, seed, [replicate_index])[0])
 
 
-def _fit_one(method, table, adj, config):
-    """One method's fit; adj is the table's adjusted fit or the error it raised."""
-    if method is Method.MAR:
-        return fit_marginal(table)
-    if method is Method.ADJCON:
-        f = config.f_supplied if config.f_supplied is not None else config.params.f
-        return fit_constrained(table, f, adj)
-    if isinstance(adj, CCEffError):
-        raise adj
-    return adj
+def _fit_block(args):
+    """Worker: all requested fits of a block of sampled tables, one batch per method.
 
-
-def _replicate(args):
-    """Worker: all requested fits of one sampled table. Returns one row per method.
-
-    The adjusted fit runs once and serves both Adj and AdjCon's start.
+    Returns one row per table, holding one entry per method.  The adjusted
+    fits run once and serve both Adj and AdjCon's start.
     """
-    config, w = args
-    table = CaseControlTable(w)
-    adj = None
+    config, tables = args
+    fits = {}
+    if Method.MAR in config.methods:
+        fits[Method.MAR] = fit_marginal(tables)
     if Method.ADJ in config.methods or Method.ADJCON in config.methods:
-        try:
-            adj = fit_adjusted(table)
-        except CCEffError as exc:
-            adj = exc
+        fits[Method.ADJ] = fit_adjusted(tables)
+    if Method.ADJCON in config.methods:
+        f = config.f_supplied if config.f_supplied is not None else config.params.f
+        fits[Method.ADJCON] = fit_constrained(tables, f, adjusted=fits[Method.ADJ])
     z_half = NormalDist().inv_cdf(1.0 - config.level / 2.0)
     rows = []
-    for method in config.methods:
-        try:
-            fit = _fit_one(method, table, adj, config)
-            test = wald_test(fit, config.level)
-            covered = abs(fit.gamma_hat - config.params.gamma) <= z_half * fit.se_gamma
-            rows.append((True, fit.gamma_hat, fit.se_gamma, test.reject, covered, ""))
-        except CCEffError as exc:
-            rows.append((False, math.nan, math.nan, False, False, type(exc).__name__))
+    for r in range(len(tables)):
+        row = []
+        for method in config.methods:
+            fit = fits[method][r]
+            try:
+                if isinstance(fit, CCEffError):
+                    raise fit
+                test = wald_test(fit, config.level)
+                covered = abs(fit.gamma_hat - config.params.gamma) <= z_half * fit.se_gamma
+                row.append((True, fit.gamma_hat, fit.se_gamma, test.reject, covered, ""))
+            except CCEffError as exc:
+                row.append((False, math.nan, math.nan, False, False, type(exc).__name__))
+        rows.append(row)
     return rows
 
 
@@ -256,25 +242,36 @@ def _resolve_workers(workers):
 # (medians of 7 runs each; 2-vCPU Xeon VM, Python 3.11, numpy 2.4, scipy 1.17).
 _POOL_STARTUP_S = 0.05
 
+# Tables per batch of fits.  Fig. 1 replicates (n = 20000, all three methods)
+# cost 4.2, 0.70, 0.38, 0.22, 0.15, 0.11 and 0.09 ms each in batches of 1, 8,
+# 16, 32, 64, 128 and 256 (medians of 5 runs over 512 tables, scaled to the
+# host speed of perfbench/calib.py; 2-vCPU Xeon VM, Python 3.11, numpy 2.4,
+# scipy 1.17).  Past 128 little is left to gain, while a smaller batch lets
+# the pool rule below look at the clock more often; a 40-replicate block is
+# one batch.
+_CHUNK = 128
+
 
 def run_mc(config: SimConfig, workers: int | None = None) -> MCReport:
     """Run the Monte Carlo and fold per-replicate rows in index order.
 
-    All tables are sampled first, in one pass (``sample_tables``).
-    Replicates are then fitted in index order in this process, and the rest
-    go to a process pool once it pays: the in-process part has taken
-    longer than the pool's start-up cost, and the replicates left would,
-    at their mean cost so far, take longer in-process than that cost plus
-    their share per worker.  workers defaults to the CCEFF_THREADS
-    environment variable, then to the machine's CPU count; at most one
-    process per remaining replicate and per CPU is started.  The fold is
-    deterministic, so the report is bitwise identical for any worker count.
+    All tables are sampled first, in one pass (``sample_tables``).  They
+    are then fitted in index order in this process, in batches of
+    ``_CHUNK`` tables, and the rest go to a process pool, in batches too,
+    once it pays: the in-process part has taken longer than the pool's
+    start-up cost, and the replicates left would, at their mean cost so
+    far, take longer in-process than that cost plus their share per
+    worker.  workers defaults to the CCEFF_THREADS environment variable,
+    then to the machine's CPU count; at most one process per remaining
+    replicate and per CPU is started.  Every fit is bitwise independent of
+    the batch it runs in, and the fold is deterministic, so the report is
+    bitwise identical for any worker count.
     """
     n_workers = min(_resolve_workers(workers), os.cpu_count() or 1)
     tables = sample_tables(config.params, config.design, config.seed, range(config.replicates))
     rows = []
     start = time.perf_counter()
-    for w in tables:
+    while len(rows) < len(tables):
         done = len(rows)
         left = len(tables) - done
         size = min(n_workers, left)
@@ -283,12 +280,13 @@ def run_mc(config: SimConfig, workers: int | None = None) -> MCReport:
         # elapsed / done * left * (1 - 1 / size) on the replicates left.
         pays = elapsed * left * (size - 1) >= _POOL_STARTUP_S * done * size
         if size > 1 and elapsed >= _POOL_STARTUP_S and pays:
-            rest = [(config, table) for table in tables[done:]]
-            chunk = max(1, len(rest) // (4 * size))
+            chunk = min(_CHUNK, -(-left // (4 * size)))
+            blocks = [(config, tables[k : k + chunk]) for k in range(done, len(tables), chunk)]
             with ProcessPoolExecutor(max_workers=size) as pool:
-                rows += pool.map(_replicate, rest, chunksize=chunk)
+                for block_rows in pool.map(_fit_block, blocks):
+                    rows += block_rows
             break
-        rows.append(_replicate((config, w)))
+        rows += _fit_block((config, tables[done : done + _CHUNK]))
 
     params, design = config.params, config.design
     sqrt_n = math.sqrt(design.n)
@@ -346,7 +344,9 @@ def run_mc(config: SimConfig, workers: int | None = None) -> MCReport:
                 coverage_mc_se=math.sqrt(cov_rate * (1.0 - cov_rate) / n_inc),
                 theory_delta=t_delta,
                 theory_sigma=math.sqrt(t_var),
-                theory_power=asymptotic_power(method, params, design.nu, design.n, config.level),
+                theory_power=_wald_power(
+                    params.gamma + t_delta, t_var, design.n, config.level
+                ),
             )
         )
     return MCReport(config=config, stats=tuple(stats))
@@ -369,34 +369,66 @@ def limiting_value(
     iteration stops with the result the iteration cap would give.  Limits
     whose iteration stalls above the 1e-10 bar raise NonConvergence.  The
     sandwich covariance is ``sandwich_s`` under the expected masses and the
-    true retrospective case and control distributions.
+    true retrospective case and control distributions.  The batch of one
+    of ``limiting_values``.
     """
-    if not (0.0 < f_used <= 1.0 - eps):
-        raise InfeasiblePrevalence(
-            f"f_used={f_used!r} outside the admissible range (0, {1.0 - eps:g}]"
-        )
-    masses = expected_masses(truth, design.nu)
+    (out,) = limiting_values(truth, design, [f_used], eps)
+    if isinstance(out, CCEffError):
+        raise out
+    return out
 
-    def evaluate(s):
-        _, ll, grad, hess = loglik_grad_hess_s(masses, f_used, s)
-        return ll, grad, grad, hess, None
+
+def limiting_values(truth: PopulationParams, design: DesignParams, f_values, eps=DEFAULT_EPS):
+    """``limiting_value`` at every supplied prevalence, as lanes of one ``newton_ascent``.
+
+    Returns one outcome per value, in order: its LimitPoint, or the error
+    it raises alone.  Each lane is bitwise what a one-value call gives.
+    """
+    f_values = [float(f) for f in f_values]
+    out = [
+        None
+        if 0.0 < f <= 1.0 - eps
+        else InfeasiblePrevalence(f"f_used={f!r} outside the admissible range (0, {1.0 - eps:g}]")
+        for f in f_values
+    ]
+    lanes = np.array([k for k, o in enumerate(out) if o is None], dtype=int)
+    if not lanes.size:
+        return out
+    masses = expected_masses(truth, design.nu)
+    f_lane = np.array(f_values)[lanes]
+
+    def evaluate(s, k):
+        _, ll, grad, hess = loglik_grad_hess_s(masses, f_lane[k], s)
+        return ll, grad, grad, hess
 
     def in_box(s):
-        return 0.0 < s[2] < 1.0 and 0.0 < s[3] < 1.0 and np.max(np.abs(s[:2])) < 60.0
+        inside = (0.0 < s[:, 2]) & (s[:, 2] < 1.0) & (0.0 < s[:, 3]) & (s[:, 3] < 1.0)
+        return inside & (np.abs(s[:, :2]).max(axis=1) < 60.0)
 
-    s = np.array([truth.beta, truth.gamma, truth.theta, truth.pi])
-    s, (ll, grad, _, _, _), _ = newton_ascent(evaluate, s, in_box, 1e-12, 200)
-    if np.max(np.abs(grad)) > 1e-10:
-        raise NonConvergence(
-            f"expected-log-likelihood gradient max-norm {np.max(np.abs(grad)):.2e} at f_used={f_used}"
-        )
-    r = retro_distribution(truth)
-    return LimitPoint(
-        f_used=float(f_used),
-        s_star=tuple(float(x) for x in s),
-        expected_loglik=float(ll),
-        sandwich=sandwich_s(masses, r.p_case, r.p_ctrl, design.nu, f_used, s),
-    )
+    s0 = np.tile([truth.beta, truth.gamma, truth.theta, truth.pi], (len(lanes), 1))
+    s, (ll, grad, _, _), _, failed = newton_ascent(evaluate, s0, in_box, 1e-12, 200)
+    gmax = np.abs(grad).max(axis=1)
+    good = []
+    for k, r in enumerate(lanes):
+        if failed[k]:
+            out[r] = _alpha_error(f_lane[k])
+        elif gmax[k] > 1e-10:
+            out[r] = NonConvergence(
+                f"expected-log-likelihood gradient max-norm {gmax[k]:.2e} at f_used={f_values[r]}"
+            )
+        else:
+            good.append(k)
+    if good:
+        rd = retro_distribution(truth)
+        sandwich = sandwich_s(masses, rd.p_case, rd.p_ctrl, design.nu, f_lane[good], s[good])
+        for j, k in enumerate(good):
+            out[lanes[k]] = LimitPoint(
+                f_used=f_values[lanes[k]],
+                s_star=tuple(float(x) for x in s[k]),
+                expected_loglik=float(ll[k]),
+                sandwich=sandwich[j],
+            )
+    return out
 
 
 def misspec_sweep(
@@ -417,15 +449,19 @@ def misspec_sweep(
     mc_confirm = (n, replicates) adds a Monte-Carlo check that the
     constrained fit with the misspecified prevalence concentrates on
     gamma*_{f1}.  With capture_errors per-row failures land in the row's
-    error field instead of propagating.
+    error field instead of propagating.  The limit at the true f0 and every
+    f1 are lanes of one ``limiting_values`` call.
     """
-    base = limiting_value(truth, design, truth.f, eps)
+    f_grid = [float(f1) for f1 in f_grid]
+    base, *limits = limiting_values(truth, design, [truth.f, *f_grid], eps)
+    if isinstance(base, CCEffError):
+        raise base
     s0 = np.array(base.s_star)
     rows = []
-    for idx, f1 in enumerate(f_grid):
-        f1 = float(f1)
+    for idx, (f1, lp) in enumerate(zip(f_grid, limits)):
         try:
-            lp = limiting_value(truth, design, f1, eps)
+            if isinstance(lp, CCEffError):
+                raise lp
             dev_s = float(np.linalg.norm(np.array(lp.s_star) - s0))
             dev_sigma = float(np.linalg.norm(lp.sandwich - base.sandwich, "fro"))
             gap = abs(f1 - truth.f)

@@ -96,10 +96,27 @@ class TestTheory:
             run("theory", *CANON, "--f-grid", "0.1:0.9", "--out", tmp_path / "x.csv")
         assert ei.value.code == 2
 
-    def test_infeasible_grid_point_fails_with_code_one(self, tmp_path, capsys):
-        rc = run("theory", *CANON, "--f-grid", "0:0.5:2", "--out", tmp_path / "x.csv")
+    @pytest.mark.parametrize("grid", ["0:0.5:2", "0.5:1:2", "0.5:1.5:3"])
+    def test_grid_point_outside_unit_interval_is_usage_error(self, tmp_path, capsys, grid):
+        out = tmp_path / "x.csv"
+        rc = run("theory", *CANON, "--f-grid", grid, "--out", out)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--f-grid" in err and "outside (0, 1)" in err
+        assert not out.exists()
+
+    def test_failing_row_names_its_prevalence(self, tmp_path, capsys):
+        # At beta = 50, gamma = 30, theta = 1 - 1e-8 the constrained
+        # information is singular at f = 0.9 and 0.99; the first failing
+        # row's error gives exit code 1 and names the row.
+        out = tmp_path / "x.csv"
+        rc = run("theory", "--beta", "50", "--gamma", "30", "--theta", "0.99999999",
+                 "--pi", "0.5", "--f-grid", "0.9:0.99:2", "--out", out)
         assert rc == 1
-        assert "theory failed at f=0" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("theory failed at f=0.90000000000000002: constrained information")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -151,7 +151,13 @@ class TestAdjusted:
     def test_zero_margin(self):
         w = np.ones((2, 2, 2))
         w[:, 1, :] = 0.0  # covariate stratum X=1 empty
-        with pytest.raises(ZeroMargin):
+        with pytest.raises(ZeroMargin, match="^a covariate stratum contains no observations$"):
+            fit_adjusted(CaseControlTable(w))
+
+    def test_zero_exposure_margin(self):
+        w = np.ones((2, 2, 2))
+        w[:, :, 0] = 0.0  # exposure stratum E=0 empty
+        with pytest.raises(ZeroMargin, match="^an exposure stratum contains no observations$"):
             fit_adjusted(CaseControlTable(w))
 
     def test_separation(self):

@@ -11,6 +11,7 @@ from cceff import (
     DegenerateConstraint,
     DesignParams,
     InfeasiblePrevalence,
+    InvalidInput,
     PopulationParams,
     alpha_from_prevalence,
     cell_prob,
@@ -19,6 +20,9 @@ from cceff import (
     prevalence,
     prevalence_at,
     retro_distribution,
+    sample_tables,
+    sigma_A_sq,
+    sigma_M_sq,
     theta_from_constraint,
 )
 
@@ -226,3 +230,27 @@ class TestRetroDistribution:
         for i in (0, 1):
             assert_allclose(r.p_case[i, 1], r.d_mat[i, 1] * r.h_mat[i, 1], rtol=1e-12)
             assert_allclose(r.p_ctrl[i, 1], r.d_mat[i, 0] * r.h_mat[i, 0], rtol=1e-12)
+
+    # (alpha, beta, gamma, theta, pi): the prevalence rounds to 1.0, so the
+    # control law is 0/0; and the control probabilities round to 0, so the
+    # control law underflows to all zeros.  Both lie inside PopulationParams.
+    @pytest.mark.parametrize(
+        "args, reason",
+        [((50.0, 50.0, 50.0, 0.5, 0.5), "rounds to 0 or 1"),
+         ((37.0, 13.0, 0.0, 1e-8, 0.5), "empty covariate stratum")],
+    )
+    @pytest.mark.parametrize(
+        "consumer",
+        [
+            lambda p: sample_tables(p, DesignParams(1.0, 100.0), 0, range(3)),
+            lambda p: sigma_M_sq(p, 1.0),
+            lambda p: sigma_A_sq(p, 1.0),
+        ],
+        ids=["sample_tables", "sigma_M_sq", "sigma_A_sq"],
+    )
+    def test_unrepresentable_law_is_invalid_input(self, args, reason, consumer):
+        params = PopulationParams(*args)
+        with pytest.raises(InvalidInput, match=reason):
+            retro_distribution(params)
+        with pytest.raises(InvalidInput, match=reason):
+            consumer(params)

@@ -228,14 +228,15 @@ class TestRunMC:
         fit_adjusted = simulate_mod.fit_adjusted
         calls = []
 
-        def count(table):
-            calls.append(1)
-            return fit_adjusted(table)
+        def count(tables):
+            calls.append(len(tables))
+            return fit_adjusted(tables)
 
         monkeypatch.setattr(simulate_mod, "fit_adjusted", count)
         cfg = SimConfig(params=canonical, design=DesignParams(1.0, 1000.0), replicates=5, seed=3)
         report = run_mc(cfg, workers=1)
-        assert len(calls) == 5
+        # One batch of five tables: each table's adjusted fit runs once.
+        assert calls == [5]
         assert [st.n_included for st in report.stats] == [5, 5, 5]
 
     def test_adjcon_reports_the_adjusted_fit_failure(self, canonical):
@@ -243,7 +244,7 @@ class TestRunMC:
         # and AdjCon, which starts from it, reports the same kind.
         w = np.array([[[40.0, 30.0], [0.0, 0.0]], [[25.0, 35.0], [0.0, 0.0]]])
         cfg = SimConfig(params=canonical, design=DesignParams(1.0, 130.0), replicates=1, seed=0)
-        rows = simulate_mod._replicate((cfg, w))
+        (rows,) = simulate_mod._fit_block((cfg, w[None]))
         assert [r[5] for r in rows] == ["", "ZeroMargin", "ZeroMargin"]
         with pytest.raises(ZeroMargin):
             fit_constrained(CaseControlTable(w), canonical.f)
