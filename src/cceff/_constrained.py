@@ -331,6 +331,23 @@ def _solve_lanes(a, b):
         return x, singular
 
 
+def _inv_lanes(a):
+    """inv(a[r]) for every lane by one stacked inverse, lane by lane if one is singular.
+
+    Like ``_solve_lanes``; a singular lane's inverse is all NaN.
+    """
+    try:
+        return np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        x = np.full_like(a, np.nan)
+        for r in range(len(a)):
+            try:
+                x[r] = np.linalg.inv(a[r])
+            except np.linalg.LinAlgError:
+                pass
+        return x
+
+
 def _ascent_directions(g, h):
     """Newton directions solve(-h, g) per lane, and their dot products with g.
 

@@ -101,7 +101,9 @@ def bias_delta(alpha, beta, gamma, theta):
     delta = log[1 + e^alpha (b1 - b2)(1 - e^gamma) /
                 {(1 + e^(alpha+gamma) b1)(1 + e^alpha b2)}],
     evaluated in an exp(-alpha) form for alpha > 0 to avoid overflow.
-    Zero exactly when beta = 0 or gamma = 0.
+    Zero exactly when beta = 0 or gamma = 0.  Raises InvalidInput where the
+    ratio inside the log1p rounds to -1 or below, so that the marginal odds
+    ratio rounds to 0 (only at extreme coefficients).
     """
     b1, b2 = b_factors(beta, theta)
     spread = (b1 - b2) * (-math.expm1(gamma))
@@ -113,7 +115,13 @@ def bias_delta(alpha, beta, gamma, theta):
         r = math.exp(-alpha)
         num = r * spread
         den = (r + math.exp(gamma) * b1) * (r + b2)
-    return math.log1p(num / den)
+    ratio = num / den
+    if ratio <= -1.0:
+        raise InvalidInput(
+            f"marginal odds ratio rounds to 0 at (alpha, beta, gamma, theta) = "
+            f"({alpha!r}, {beta!r}, {gamma!r}, {theta!r})"
+        )
+    return math.log1p(ratio)
 
 
 def attenuation_slope(alpha, beta, theta):
@@ -157,9 +165,15 @@ def sigma_M_sq(params: PopulationParams, nu: float) -> float:
 
 
 def sigma_A_sq(params: PopulationParams, nu: float) -> float:
-    """Asymptotic variance of sqrt(n) gamma_hat_A: Gart's harmonic combination over X-strata."""
+    """Asymptotic variance of sqrt(n) gamma_hat_A: Gart's harmonic combination over X-strata.
+
+    Raises InvalidInput where an exposure probability h_mat rounds to 0 or
+    1, which leaves a stratum's term without a finite value.
+    """
     r = retro_distribution(params)
     d, h = r.d_mat, r.h_mat
+    if np.any((h == 0.0) | (h == 1.0)):
+        raise InvalidInput(f"an exposure probability rounds to 0 or 1 at {params}")
     inv_total = 0.0
     for x in (0, 1):
         v = (1.0 + nu) / (d[x, 0] * h[x, 0] * (1.0 - h[x, 0])) + (1.0 + nu) / (

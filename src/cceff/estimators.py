@@ -28,7 +28,7 @@ import math
 import numpy as np
 from scipy.special import expit, logit
 
-from ._constrained import _solve_lanes, loglik_grad_hess_s, newton_ascent, sandwich_s
+from ._constrained import _inv_lanes, _solve_lanes, loglik_grad_hess_s, newton_ascent, sandwich_s
 from .errors import (
     BoundaryEstimate,
     CCEffError,
@@ -242,9 +242,10 @@ def fit_adjusted_batch(tables) -> list:
     score's max-norm is at most 1e-13 (at most 100 iterations); each step
     is halved up to 50 times until the log-likelihood does not fall by more
     than 1e-14 * (1 + |loglik|).  A singular information or coefficients
-    beyond 50 raise Separation.  The log-likelihood of an accepted step is
-    the one the halving computed, and the information is taken at the last
-    iteration's probabilities.
+    beyond 50 raise Separation, as does a converged fit whose information
+    gives no positive finite variance of gamma.  The log-likelihood of an
+    accepted step is the one the halving computed, and the information is
+    taken at the last iteration's probabilities.
 
     Returns one outcome per table: its FitResult, or the error it raises
     alone.  Lanes iterate together but stop on their own; the reductions,
@@ -322,10 +323,18 @@ def fit_adjusted_batch(tables) -> list:
         out[r] = NonConvergence("adjusted fit did not reach score tolerance in 100 iterations")
 
     ok = np.flatnonzero(converged)
-    info = _adj_info(mt[ok], p_final[ok]) * total[ok, None, None]
-    cov = np.linalg.inv(info) if ok.size else info
+    cov = _inv_lanes(_adj_info(mt[ok], p_final[ok]) * total[ok, None, None])
     cov = 0.5 * (cov + cov.transpose(0, 2, 1))
     for k, r in enumerate(ok):
+        if not 0.0 < cov[k, 2, 2] < math.inf:
+            # The score vanished, but the information is singular (NaN from
+            # _inv_lanes) or rounds indefinite: too few covariate-exposure
+            # patterns are filled to pin the three coefficients.
+            out[r] = Separation(
+                f"no unique finite MLE: information at the estimate gives gamma "
+                f"variance {cov[k, 2, 2]:.2e}"
+            )
+            continue
         out[r] = FitResult(
             method=Method.ADJ,
             gamma_hat=float(t[r, 2]),
@@ -381,9 +390,11 @@ def fit_constrained(
     fit's (beta, gamma) and the sample covariate and exposure fractions (the
     adjusted estimates projected onto the constraint surface).  When the
     adjusted fit fails, this fit raises the same error.  The covariance of
-    (beta, gamma, theta, pi) is the inverse observed information in s.  With
-    f_misspecified the plug-in ``sandwich_s`` on the table's own cells is
-    attached as a robust covariance as well.
+    (beta, gamma, theta, pi) is the inverse observed information in s; an
+    information that is nearly singular, or gives no positive finite
+    variance of gamma, raises SingularInformation.  With f_misspecified the
+    plug-in ``sandwich_s`` on the table's own cells is attached as a robust
+    covariance as well.
 
     Once max|grad| is within 1e-11, a line-search step that shrinks it may
     lower the log-likelihood by up to 1e-14 * (1 + |loglik|), the per-unit
@@ -474,9 +485,15 @@ def fit_constrained_batch(tables, f: float, f_misspecified: bool = False, adjust
         kept = kept[~near]
     if not kept.size:
         return out
-    good = lanes[kept]
-    cov = np.linalg.inv(info[kept]) / total[good, None, None]
+    cov = _inv_lanes(info[kept]) / total[lanes[kept], None, None]
     cov = 0.5 * (cov + cov.transpose(0, 2, 1))
+    usable = (0.0 < cov[:, 1, 1]) & (cov[:, 1, 1] < math.inf)
+    for k, v in zip(kept[~usable], cov[~usable, 1, 1]):
+        out[lanes[k]] = SingularInformation(f"observed information gives gamma variance {v:.2e}")
+    kept, cov = kept[usable], cov[usable]
+    if not kept.size:
+        return out
+    good = lanes[kept]
     cov_sw = [None] * len(good)
     if f_misspecified:
         wk = w[good]

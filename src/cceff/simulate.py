@@ -18,7 +18,7 @@ from statistics import NormalDist
 import time
 
 import numpy as np
-from scipy.stats import binom
+from scipy.special._ufuncs import _binom_ppf
 
 from ._constrained import expected_masses, loglik_grad_hess_s, newton_ascent, sandwich_s
 from .asymptotics import _wald_power, bias_delta, sigma_A_sq, sigma_AC_sq, sigma_M_sq
@@ -133,10 +133,14 @@ def expected_table(params: PopulationParams, design: DesignParams) -> CaseContro
 def _multinomial_invcdf(u, n, probs):
     """Multinomial draws via sequential conditional binomials, one uniform per split.
 
-    u holds one row of len(probs) - 1 uniforms per draw; returns one row of
-    counts per draw.  The conditional probabilities are the same for every
-    draw, so each split is one binom.ppf call over the draws that still
-    have a positive remaining count.
+    u holds one row of len(probs) - 1 uniforms in [0, 1) per draw; returns
+    one row of counts per draw.  The conditional probabilities are the same
+    for every draw, so each split is one inverse-CDF call over the draws
+    that still have a positive remaining count.  That call is the ufunc
+    behind ``scipy.stats.binom.ppf`` (bitwise its value for 0 < u < 1, with
+    n >= 1 and 0 < p < 1 as here), so ``scipy.stats`` and its import cost
+    stay off the runtime import path; at u = 0 it gives 0, the smallest
+    count, where ``binom.ppf`` gives -1.
     """
     k = len(probs)
     counts = np.zeros((len(u), k), dtype=np.int64)
@@ -149,7 +153,7 @@ def _multinomial_invcdf(u, n, probs):
         elif p_cond > 0.0:
             live = remaining > 0
             if live.any():
-                counts[live, idx] = binom.ppf(u[live, idx], remaining[live], p_cond)
+                counts[live, idx] = _binom_ppf(u[live, idx], remaining[live], p_cond)
         remaining -= counts[:, idx]
     counts[:, k - 1] = remaining
     return counts
@@ -236,11 +240,17 @@ def _resolve_workers(workers):
     return os.cpu_count() or 1
 
 
-# Wall time a process pool costs before it saves any.  With two fork workers,
-# a two-replicate run took 20-45 ms longer than in-process, and runs of 10 to
-# 320 Fig. 1 replicates took 55-110 ms longer than half their in-process time
-# (medians of 7 runs each; 2-vCPU Xeon VM, Python 3.11, numpy 2.4, scipy 1.17).
-_POOL_STARTUP_S = 0.05
+# Wall time a process pool costs before it saves any.  Given every replicate
+# of a Fig. 1 run, two fork workers finished later than half the in-process
+# time by 0.06 s at 1000 replicates, 0.08-0.22 s at 2000 (more when the host
+# is busy), 0.23 s at 5000 and 0.43 s at 10,000: start-up plus about 40 us
+# per replicate lost to contention, which this rule does not model.  With
+# 0.2 s, a 2000-replicate run stays in-process; priced at 0.05 s, its pool
+# won 10 of 12 alternated runs in one batch and lost 8 of 10 in another.  A
+# 10,000-replicate run starts the pool after about 0.2 s and took 1.19 s
+# against 1.51 s in-process (medians of 10 alternated runs; 2-vCPU Xeon VM,
+# Python 3.11, numpy 2.4, scipy 1.17).
+_POOL_STARTUP_S = 0.2
 
 # Tables per batch of fits.  Fig. 1 replicates (n = 20000, all three methods)
 # cost 4.2, 0.70, 0.38, 0.22, 0.15, 0.11 and 0.09 ms each in batches of 1, 8,

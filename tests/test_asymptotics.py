@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from cceff import (
+    InvalidInput,
     Method,
     PopulationParams,
     VacuousMinimizer,
@@ -61,6 +62,11 @@ class TestBiasDelta:
         alpha = alpha_from_prevalence(0.3, 1.0, 0.3, 0.4, 0.5)
         want = oracles.enum_marginal_logor(alpha, 1.0, 0.3, 0.4, 0.5)
         assert abs(0.3 + bias_delta(alpha, 1.0, 0.3, 0.4) - want) <= 1e-12
+
+    def test_marginal_odds_ratio_rounding_to_zero_is_invalid_input(self):
+        # Inside the PopulationParams bounds, the log1p argument rounds to -1 or below.
+        with pytest.raises(InvalidInput, match="marginal odds ratio rounds to 0"):
+            bias_delta(-50.0, 50.0, 50.0, 0.5)
 
     def test_shrinks_toward_zero(self):
         rng = np.random.default_rng(11)
@@ -158,6 +164,13 @@ class TestVariances:
             p = params_at(alpha, beta, gamma, theta, pi)
             want = oracles.enum_sigma_A(alpha, beta, gamma, theta, pi, nu)
             assert_allclose(sigma_A_sq(p, nu), want, rtol=1e-12)
+
+    def test_sigma_A_exposure_probability_rounding_to_one_is_invalid_input(self):
+        # h_mat rounds to 1 in one stratum: 1 - h is 0, and the harmonic
+        # combination used to return 1.04e14 after a division by zero.
+        p = PopulationParams(-31.58, 50.0, 50.0, 1e-8, 0.5)
+        with pytest.raises(InvalidInput, match="exposure probability rounds to 0 or 1"):
+            sigma_A_sq(p, 0.5)
 
     def test_adjustment_never_cheaper(self):
         rng = np.random.default_rng(16)

@@ -1,10 +1,15 @@
 import csv
 import math
+import os
+from pathlib import Path
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import cceff
 from cceff import DesignParams, PopulationParams, expected_table, theory_curve
 from cceff.cli import (
     FIT_COLUMNS,
@@ -32,6 +37,16 @@ CANON = ["--beta", "1", "--gamma", "0.3", "--theta", "0.4", "--pi", "0.5"]
 
 
 class TestParser:
+    def test_import_leaves_scipy_stats_out(self):
+        # scipy.stats costs about half a second of every CLI call's start-up.
+        src = str(Path(cceff.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = "import sys, cceff.cli; print('scipy.stats' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout.strip() == "False"
+
     def test_version_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as ei:
             run("--version")

@@ -19,6 +19,7 @@ from cceff import (
     bias_delta,
     expected_table,
     fit_adjusted,
+    fit_adjusted_batch,
     fit_constrained,
     fit_marginal,
     limiting_value,
@@ -159,6 +160,22 @@ class TestAdjusted:
         w[:, :, 0] = 0.0  # exposure stratum E=0 empty
         with pytest.raises(ZeroMargin, match="^an exposure stratum contains no observations$"):
             fit_adjusted(CaseControlTable(w))
+
+    @pytest.mark.parametrize("cells", [
+        [0, 0, 6, 0, 0, 2, 4, 0],  # the inverse information has a negative gamma variance
+        [0, 1, 4, 0, 0, 3, 2, 0],  # the information is exactly singular
+    ])
+    def test_unidentified_table_is_separation_in_any_block(self, cells):
+        # Two filled covariate-exposure patterns cannot pin three coefficients.
+        w = np.array(cells, dtype=float).reshape(2, 2, 2)
+        with pytest.raises(Separation, match="^no unique finite MLE"):
+            fit_adjusted(CaseControlTable(w))
+        good = np.full((2, 2, 2), 5.0)
+        alone = fit_adjusted(CaseControlTable(good))
+        for block, bad in ((np.stack([w, good]), 0), (np.stack([good, w]), 1)):
+            outcomes = fit_adjusted_batch(block)
+            assert isinstance(outcomes[bad], Separation)
+            assert outcomes[1 - bad].cov.tobytes() == alone.cov.tobytes()
 
     def test_separation(self):
         cells = {(1, i, 1): 25.0 for i in (0, 1)}

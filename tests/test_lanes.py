@@ -7,6 +7,8 @@ that mix ordinary lanes with lanes that fail in each typed way and compare
 each lane with the reversed batch and with the one-lane call.
 """
 
+from itertools import product
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -62,6 +64,8 @@ SPECIAL_TABLES = [
     [85, 5, 10, 0, 30, 2, 18, 0],  # and stops short of the endgame
     [40, 0, 30, 0, 0, 25, 0, 35],  # complete separation: Adj and AdjCon Separation
     [499, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5],  # real-valued weights
+    [0, 0, 6, 0, 0, 2, 4, 0],  # two filled patterns: Adj inverse information indefinite,
+    [0, 1, 4, 0, 0, 3, 2, 0],  # or singular (Separation)
 ]
 
 SPARSE_F = PopulationParams(
@@ -114,6 +118,28 @@ class TestFitLanes:
         given_adj = fit_constrained_batch(w, SPARSE_F, adjusted=adjusted)
         own_adj = fit_constrained_batch(w, SPARSE_F)
         assert [_outcome(o) for o in given_adj] == [_outcome(o) for o in own_adj]
+
+
+def _every_table(per_arm):
+    """Every table with per_arm controls and per_arm cases, shape (R, 2, 2, 2)."""
+    arm = [c for c in product(range(per_arm + 1), repeat=4) if sum(c) == per_arm]
+    return np.array([a + b for a in arm for b in arm], dtype=float).reshape(-1, 2, 2, 2)
+
+
+class TestEveryTable:
+    def test_blocks_of_five_per_arm_tables_match_lone_fits(self):
+        # All 56 x 56 = 3,136 tables, among them the unidentified Adj lanes
+        # whose inverse information is singular or indefinite.
+        tables = _every_table(5)
+        for start in range(0, len(tables), 256):
+            block = tables[start : start + 256]
+            for batch, fit in (
+                (fit_marginal_batch, fit_marginal),
+                (fit_adjusted_batch, fit_adjusted),
+            ):
+                for w, out in zip(block, batch(block)):
+                    assert isinstance(out, (FitResult, CCEffError))
+                    assert _outcome(out) == _alone(fit, CaseControlTable(w))
 
 
 FIG1 = PopulationParams(

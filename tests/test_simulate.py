@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.stats import chi2
+from scipy.stats import binom, chi2
 
 import cceff.simulate as simulate_mod
 from cceff import (
@@ -129,6 +129,41 @@ class TestSampleTable:
             exp = probs * n_arm
             x2 += float(((t.w[d] - exp) ** 2 / exp).sum())
         assert x2 < chi2.ppf(0.9999, 6)
+
+
+class TestInverseCDF:
+    """The sampler's binomial inverse CDF is the ufunc behind scipy.stats.binom.ppf."""
+
+    def test_bitwise_equal_to_binom_ppf(self):
+        # If a scipy release renames or changes the private ufunc, this fails.
+        rng = np.random.Generator(np.random.Philox(key=2026))
+        size = 20000
+        q = rng.random(size)
+        q = q[q > 0.0]
+        n = np.floor(10.0 ** rng.uniform(0.0, 7.0, len(q))).astype(np.int64)
+        tiny = rng.uniform(0.0, 1e-15, len(q))
+        p = np.concatenate([rng.random(len(q) - 200), tiny[:100], 1.0 - tiny[100:200]])
+        p = np.clip(p, 5e-324, np.nextafter(1.0, 0.0))
+        got = simulate_mod._binom_ppf(q, n, p)
+        want = binom.ppf(q, n, p)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n, probs", [
+        (10, np.full(4, 0.25)),
+        (1, np.array([0.1, 0.2, 0.3, 0.4])),
+        (20000, np.array([0.5, 0.0, 0.25, 0.25])),
+        (7, np.array([1e-300, 0.5, 0.5 - 1e-300, 1e-16])),
+    ])
+    def test_zero_uniforms_give_a_multinomial_draw(self, n, probs):
+        # Philox random() can return exactly 0.0; binom.ppf(0, n, p) is -1.
+        u = np.zeros((3, 3))
+        u[1, 1:] = 0.5
+        u[2, 0] = 0.999
+        counts = simulate_mod._multinomial_invcdf(u, n, probs)
+        assert counts.dtype == np.int64
+        assert np.all(counts >= 0)
+        assert np.all(counts.sum(axis=1) == n)
 
 
 class TestRunMC:
