@@ -20,6 +20,7 @@ from ._constrained import expected_info_s
 from .errors import CCEffError, InvalidInput, SingularInformation, VacuousMinimizer
 from .estimators import Method
 from .model import (
+    DesignParams,
     PopulationParams,
     _alpha_error,
     alpha_from_prevalence,
@@ -158,9 +159,14 @@ def bias_minimizer(beta, gamma, theta, pi):
 
 
 def sigma_M_sq(params: PopulationParams, nu: float) -> float:
-    """Asymptotic variance of sqrt(n) gamma_hat_M (Woolf form on the exposure margins)."""
+    """Asymptotic variance of sqrt(n) gamma_hat_M (Woolf form on the exposure margins).
+
+    Raises InvalidInput where an exposure margin rounds outside (0, 1).
+    """
     r = retro_distribution(params)
     p1, p0 = r.p1_prime, r.p0_prime
+    if not (0.0 < p1 < 1.0 and 0.0 < p0 < 1.0):
+        raise InvalidInput(f"an exposure margin is not inside (0, 1) at {params}")
     return (1.0 + nu) / (p0 * (1.0 - p0)) + (1.0 + nu) / (nu * p1 * (1.0 - p1))
 
 
@@ -306,23 +312,28 @@ def _wald_power(shift, var, n, level):
     return _std_normal_cdf(-z + m) + _std_normal_cdf(-z - m)
 
 
+def _delta_and_variance(method, params, nu):
+    """The limit of gamma_hat - gamma and the variance of sqrt(n) gamma_hat for one method."""
+    if method is Method.MAR:
+        delta = bias_delta(params.alpha, params.beta, params.gamma, params.theta)
+        return delta, sigma_M_sq(params, nu)
+    if method is Method.ADJ:
+        return 0.0, sigma_A_sq(params, nu)
+    return 0.0, sigma_AC_sq(params, nu)
+
+
 def asymptotic_power(method, params: PopulationParams, nu, n, level=0.05):
     """Limiting rejection probability of the two-sided Wald test at sample size n.
 
     The marginal test is centered at gamma + delta; the adjusted and
-    constrained tests are centered at gamma.
+    constrained tests are centered at gamma.  A design (nu, n) outside
+    ``DesignParams`` or a level outside (0, 1) raises InvalidInput.
     """
-    method = Method(method)
-    if method is Method.MAR:
-        shift = params.gamma + bias_delta(params.alpha, params.beta, params.gamma, params.theta)
-        var = sigma_M_sq(params, nu)
-    elif method is Method.ADJ:
-        shift = params.gamma
-        var = sigma_A_sq(params, nu)
-    else:
-        shift = params.gamma
-        var = sigma_AC_sq(params, nu)
-    return _wald_power(shift, var, n, level)
+    DesignParams(nu=nu, n=n)
+    if not (0.0 < level < 1.0):
+        raise InvalidInput("level must lie in (0, 1)")
+    delta, var = _delta_and_variance(Method(method), params, nu)
+    return _wald_power(params.gamma + delta, var, n, level)
 
 
 def asymptotic_constants(params: PopulationParams, nu: float) -> AsymptoticConstants:
@@ -357,8 +368,13 @@ def theory_curve(f_values, beta, gamma, theta, pi, nu, n, level=0.05):
     gamma = 1e-8, from one batched information (``_sigma_AC_lanes``); each
     row is bitwise what a one-point call gives.  A row that fails raises
     the error it raises alone, the first such row in grid order, with the
-    row's prevalence attached as the error's ``f`` attribute.
+    row's prevalence attached as the error's ``f`` attribute.  A design
+    (nu, n) outside ``DesignParams`` or a level outside (0, 1) raises
+    InvalidInput before any row.
     """
+    DesignParams(nu=nu, n=n)
+    if not (0.0 < level < 1.0):
+        raise InvalidInput("level must lie in (0, 1)")
     try:
         alpha_star, f_star = bias_minimizer(beta, gamma, theta, pi)
     except VacuousMinimizer:

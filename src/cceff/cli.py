@@ -475,15 +475,12 @@ def cmd_misspec(ns, parser):
             parser.error(f"--f1-grid: {exc}")
     else:
         grid = r["f1_list"]
-    mc_confirm = None
-    if ns.mc_confirm is not None:
-        mc_confirm = (int(ns.mc_confirm[0]), int(ns.mc_confirm[1]))
 
     started = _now()
     try:
         rows = misspec_sweep(
             params, design, grid,
-            eps=r["eps"], mc_confirm=mc_confirm, seed=r["seed"], level=r["level"],
+            eps=r["eps"], mc_confirm=ns.mc_confirm, seed=r["seed"], level=r["level"],
         )
     except CCEffError as exc:
         print(f"misspec: {exc}", file=sys.stderr)
@@ -497,8 +494,7 @@ def cmd_misspec(ns, parser):
         )
     _write_csv(r["out"], MISSPEC_COLUMNS, out_rows)
     manifest_params = {k: v for k, v in r.items() if k != "out"}
-    if mc_confirm is not None:
-        manifest_params["mc_confirm"] = f"{mc_confirm[0]},{mc_confirm[1]}"
+    manifest_params["mc_confirm"] = ns.mc_confirm  # N,REPS; an unset value is left out
     write_manifest(
         r["out"], "misspec", manifest_params,
         seed=r["seed"], started=started, finished=_now(),
@@ -578,8 +574,6 @@ def build_parser():
         prog="cceff",
         description="Bias, efficiency, and power of marginal and adjusted "
         "association tests in 2x2x2 case-control data.",
-        epilog="Thread count is controlled by the CCEFF_THREADS environment "
-        "variable (default: machine parallelism).",
     )
     parser.add_argument("--version", action="version", version=f"cceff {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -599,8 +593,8 @@ def build_parser():
             else:
                 p.add_argument(flag, type=parse_fn, default=None, help=option_help)
         if command == "misspec":
-            p.add_argument("--mc-confirm", dest="mc_confirm", nargs=2, metavar=("N", "REPS"),
-                           default=None, help="Monte-Carlo confirmation sample size and replicates")
+            p.add_argument("--mc-confirm", nargs=2, type=int, metavar=("N", "REPS"),
+                           help="Monte-Carlo confirmation sample size and replicates")
         p.add_argument("--config", help="key=value config file (flags take precedence)")
     return parser
 

@@ -33,6 +33,7 @@ from .errors import (
     BoundaryEstimate,
     CCEffError,
     InfeasibleStart,
+    InvalidInput,
     NonConvergence,
     NotConverged,
     Separation,
@@ -521,7 +522,7 @@ def fit_constrained_batch(tables, f: float, f_misspecified: bool = False, adjust
 def wald_test(fit: FitResult, level: float = 0.05) -> TestResult:
     """Two-sided Wald test of gamma = 0 from a fitted result."""
     if not (0.0 < level < 1.0):
-        raise ValueError("level must lie in (0, 1)")
+        raise InvalidInput("level must lie in (0, 1)")
     if not fit.converged or not (fit.se_gamma > 0):
         raise NotConverged("fit did not converge or has no usable standard error")
     z = fit.gamma_hat / fit.se_gamma

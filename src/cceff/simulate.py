@@ -3,25 +3,22 @@
 Sampling draws the case and control (X, E) tables from their exact
 retrospective distributions with a counter-based Philox stream keyed by
 (seed, replicate_index), so results do not depend on execution order or on
-the number of workers.  The deterministic side computes the maximizer
-s*_f of the expected constrained log-likelihood when the supplied
+how the replicates are batched.  The deterministic side computes the
+maximizer s*_f of the expected constrained log-likelihood when the supplied
 prevalence differs from the truth, together with its sandwich covariance.
 """
 
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 import dataclasses
 from dataclasses import dataclass
 import math
-import os
 from statistics import NormalDist
-import time
 
 import numpy as np
 from scipy.special._ufuncs import _binom_ppf
 
 from ._constrained import expected_masses, loglik_grad_hess_s, newton_ascent, sandwich_s
-from .asymptotics import _wald_power, bias_delta, sigma_A_sq, sigma_AC_sq, sigma_M_sq
+from .asymptotics import _delta_and_variance, _wald_power
 from .errors import (
     AllReplicatesFailed,
     CCEffError,
@@ -195,13 +192,12 @@ def sample_table(params, design, seed, replicate_index) -> CaseControlTable:
     return CaseControlTable(sample_tables(params, design, seed, [replicate_index])[0])
 
 
-def _fit_block(args):
-    """Worker: all requested fits of a block of sampled tables, one batch per method.
+def _fit_block(config, tables):
+    """All requested fits of a block of sampled tables, one batch per method.
 
     Returns one row per table, holding one entry per method.  The adjusted
     fits run once and serve both Adj and AdjCon's start.
     """
-    config, tables = args
     fits = {}
     if Method.MAR in config.methods:
         fits[Method.MAR] = fit_marginal(tables)
@@ -228,75 +224,26 @@ def _fit_block(args):
     return rows
 
 
-def _resolve_workers(workers):
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get("CCEFF_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise InvalidInput(f"CCEFF_THREADS must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
-
-
-# Wall time a process pool costs before it saves any.  Given every replicate
-# of a Fig. 1 run, two fork workers finished later than half the in-process
-# time by 0.06 s at 1000 replicates, 0.08-0.22 s at 2000 (more when the host
-# is busy), 0.23 s at 5000 and 0.43 s at 10,000: start-up plus about 40 us
-# per replicate lost to contention, which this rule does not model.  With
-# 0.2 s, a 2000-replicate run stays in-process; priced at 0.05 s, its pool
-# won 10 of 12 alternated runs in one batch and lost 8 of 10 in another.  A
-# 10,000-replicate run starts the pool after about 0.2 s and took 1.19 s
-# against 1.51 s in-process (medians of 10 alternated runs; 2-vCPU Xeon VM,
-# Python 3.11, numpy 2.4, scipy 1.17).
-_POOL_STARTUP_S = 0.2
-
 # Tables per batch of fits.  Fig. 1 replicates (n = 20000, all three methods)
 # cost 4.2, 0.70, 0.38, 0.22, 0.15, 0.11 and 0.09 ms each in batches of 1, 8,
 # 16, 32, 64, 128 and 256 (medians of 5 runs over 512 tables, scaled to the
 # host speed of perfbench/calib.py; 2-vCPU Xeon VM, Python 3.11, numpy 2.4,
-# scipy 1.17).  Past 128 little is left to gain, while a smaller batch lets
-# the pool rule below look at the clock more often; a 40-replicate block is
-# one batch.
+# scipy 1.17).  Past 128 little is left to gain.
 _CHUNK = 128
 
 
-def run_mc(config: SimConfig, workers: int | None = None) -> MCReport:
+def run_mc(config: SimConfig) -> MCReport:
     """Run the Monte Carlo and fold per-replicate rows in index order.
 
-    All tables are sampled first, in one pass (``sample_tables``).  They
-    are then fitted in index order in this process, in batches of
-    ``_CHUNK`` tables, and the rest go to a process pool, in batches too,
-    once it pays: the in-process part has taken longer than the pool's
-    start-up cost, and the replicates left would, at their mean cost so
-    far, take longer in-process than that cost plus their share per
-    worker.  workers defaults to the CCEFF_THREADS environment variable,
-    then to the machine's CPU count; at most one process per remaining
-    replicate and per CPU is started.  Every fit is bitwise independent of
-    the batch it runs in, and the fold is deterministic, so the report is
-    bitwise identical for any worker count.
+    All tables are sampled first, in one pass (``sample_tables``), then
+    fitted in index order in this process, in batches of ``_CHUNK`` tables.
+    Every fit is bitwise independent of the batch it runs in, and the fold
+    is deterministic, so the report does not depend on the batch size.
     """
-    n_workers = min(_resolve_workers(workers), os.cpu_count() or 1)
     tables = sample_tables(config.params, config.design, config.seed, range(config.replicates))
     rows = []
-    start = time.perf_counter()
-    while len(rows) < len(tables):
-        done = len(rows)
-        left = len(tables) - done
-        size = min(n_workers, left)
-        elapsed = time.perf_counter() - start
-        # At the mean cost so far, a pool of size workers would save
-        # elapsed / done * left * (1 - 1 / size) on the replicates left.
-        pays = elapsed * left * (size - 1) >= _POOL_STARTUP_S * done * size
-        if size > 1 and elapsed >= _POOL_STARTUP_S and pays:
-            chunk = min(_CHUNK, -(-left // (4 * size)))
-            blocks = [(config, tables[k : k + chunk]) for k in range(done, len(tables), chunk)]
-            with ProcessPoolExecutor(max_workers=size) as pool:
-                for block_rows in pool.map(_fit_block, blocks):
-                    rows += block_rows
-            break
-        rows += _fit_block((config, tables[done : done + _CHUNK]))
+    for start in range(0, len(tables), _CHUNK):
+        rows += _fit_block(config, tables[start : start + _CHUNK])
 
     params, design = config.params, config.design
     sqrt_n = math.sqrt(design.n)
@@ -324,16 +271,7 @@ def run_mc(config: SimConfig, workers: int | None = None) -> MCReport:
         rej_rate = rejects / total
         cov_rate = covered / n_inc
 
-        if method is Method.MAR:
-            t_delta = bias_delta(params.alpha, params.beta, params.gamma, params.theta)
-            t_var = sigma_M_sq(params, design.nu)
-        elif method is Method.ADJ:
-            t_delta = 0.0
-            t_var = sigma_A_sq(params, design.nu)
-        else:
-            t_delta = 0.0
-            t_var = sigma_AC_sq(params, design.nu)
-
+        t_delta, t_var = _delta_and_variance(method, params, design.nu)
         stats.append(
             MethodStats(
                 method=method,
@@ -394,6 +332,8 @@ def limiting_values(truth: PopulationParams, design: DesignParams, f_values, eps
     Returns one outcome per value, in order: its LimitPoint, or the error
     it raises alone.  Each lane is bitwise what a one-value call gives.
     """
+    if not 0.0 < eps < 1.0:
+        raise InvalidInput(f"eps={eps!r} outside (0, 1)")
     f_values = [float(f) for f in f_values]
     out = [
         None
@@ -450,7 +390,6 @@ def misspec_sweep(
     seed: int = 0,
     level: float = 0.05,
     capture_errors: bool = True,
-    workers: int | None = None,
 ):
     """Theorem-style sweep over supplied prevalences f1 around the true f0.
 
@@ -494,7 +433,7 @@ def misspec_sweep(
                     methods=(Method.ADJCON,),
                     f_supplied=f1,
                 )
-                st = run_mc(cfg, workers=workers).stats[0]
+                st = run_mc(cfg).stats[0]
                 row = dataclasses.replace(
                     row, mc_mean_gamma=st.mean_gamma, mc_mean_gamma_se=st.mean_gamma_mc_se
                 )

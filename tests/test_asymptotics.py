@@ -172,6 +172,17 @@ class TestVariances:
         with pytest.raises(InvalidInput, match="exposure probability rounds to 0 or 1"):
             sigma_A_sq(p, 0.5)
 
+    @pytest.mark.parametrize("point", [
+        # the control law sums to 1 + 1.6e-9, so p0_prime is 1.0000000016
+        # and the Woolf form used to return -6.1e8
+        (0.0, 50.0, -31.58, 1.0 - 1e-8, 1.0 - 1e-8),
+        # p1_prime rounds to 1.0, which used to raise ZeroDivisionError
+        (-50.0, -50.0, 20.0, 1e-8, 1.0 - 1e-8),
+    ])
+    def test_sigma_M_exposure_margin_outside_unit_interval_is_invalid_input(self, point):
+        with pytest.raises(InvalidInput, match="exposure margin is not inside"):
+            sigma_M_sq(PopulationParams(*point), 0.5)
+
     def test_adjustment_never_cheaper(self):
         rng = np.random.default_rng(16)
         for alpha, beta, gamma, theta, pi, nu in draw_params(rng, 300):

@@ -120,6 +120,20 @@ class TestTheory:
         assert err.count("\n") == 1 and "--f-grid" in err and "outside (0, 1)" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--level", "1.5"),
+        ("--level", "2.5"),
+        ("--n", "-5"),
+        ("--nu", "-1"),
+    ])
+    def test_out_of_domain_design_or_level_is_usage_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "x.csv"
+        rc = run("theory", *CANON, "--f-grid", "0.1:0.9:3", flag, value, "--out", out)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("cceff theory: ")
+        assert not out.exists()
+
     def test_failing_row_names_its_prevalence(self, tmp_path, capsys):
         # At beta = 50, gamma = 30, theta = 1 - 1e-8 the constrained
         # information is singular at f = 0.9 and 0.99; the first failing
@@ -225,6 +239,15 @@ class TestFit:
         assert rows[0][7] == ""
         assert rows[1][0] == "adjcon" and rows[1][7].startswith("InfeasibleStart")
 
+    def test_level_outside_unit_interval_is_usage_error(self, tmp_path, capsys):
+        w = [[[10.0] * 2] * 2] * 2
+        out = tmp_path / "fit.csv"
+        rc = run("fit", *self.cells(w), "--methods", "mar", "--level", "1.5", "--out", out)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("cceff fit: ")
+        assert not out.exists()
+
     def test_cell_list_must_cover_all_cells(self):
         w = [[[10.0] * 2] * 2] * 2
         argv = self.cells(w)[:-2]  # drop the last cell
@@ -303,16 +326,6 @@ class TestSimulate:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
-    def test_non_integer_thread_count_is_usage_error(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("CCEFF_THREADS", "abc")
-        out = tmp_path / "sim.csv"
-        rc = run("simulate", *self.TRUTH, "--n", "400", "--replicates", "4",
-                 "--methods", "mar", "--out", out)
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "CCEFF_THREADS" in err and "'abc'" in err
-        assert not out.exists()
-
     @pytest.mark.parametrize("flag, value", [
         ("--replicates", "0"),
         ("--level", "1.5"),
@@ -380,6 +393,23 @@ class TestMisspec:
             run("misspec", *self.TRUTH, "--f1-list", "0.2",
                 "--f1-grid", "0.2:0.4:3", "--out", out)
         assert ei.value.code == 2
+
+    def test_non_integer_mc_confirm_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "mis.csv"
+        with pytest.raises(SystemExit) as ei:
+            run("misspec", *self.TRUTH, "--f1-list", "0.35", "--mc-confirm", "abc", "5",
+                "--out", out)
+        assert ei.value.code == 2
+        assert "--mc-confirm" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_eps_outside_unit_interval_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "mis.csv"
+        rc = run("misspec", *self.TRUTH, "--f1-list", "0.35", "--eps", "2", "--out", out)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("cceff misspec: ") and "eps" in err
+        assert not out.exists()
 
     def test_mc_confirm_and_rebuild(self, tmp_path):
         out = tmp_path / "mis.csv"

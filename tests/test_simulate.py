@@ -174,7 +174,7 @@ class TestRunMC:
             replicates=120,
             seed=20260815,
         )
-        report = run_mc(cfg, workers=1)
+        report = run_mc(cfg)
         by = {s.method: s for s in report.stats}
 
         gpd = 0.3 + bias_delta(-2.0, 1.0, 0.3, 0.4)
@@ -191,7 +191,7 @@ class TestRunMC:
         cfg = SimConfig(
             params=canonical, design=DesignParams(1.0, 2000.0), replicates=4, seed=1
         )
-        report = run_mc(cfg, workers=1)
+        report = run_mc(cfg)
         by = {s.method: s for s in report.stats}
         assert by[Method.MAR].theory_delta == bias_delta(-2.0, 1.0, 0.3, 0.4)
         assert by[Method.ADJ].theory_delta == 0.0
@@ -210,7 +210,7 @@ class TestRunMC:
             seed=0,
             methods=(Method.MAR,),
         )
-        s = run_mc(cfg, workers=1).stats[0]
+        s = run_mc(cfg).stats[0]
         assert 0 < s.n_failed < 20
         assert s.failures == {"ZeroCell": s.n_failed}
         assert s.n_included + s.n_failed == 20
@@ -223,8 +223,8 @@ class TestRunMC:
             seed=0,
             methods=(Method.MAR,),
         )
-        s_drop = run_mc(SimConfig(**base), workers=1).stats[0]
-        s_rej = run_mc(SimConfig(**base, failures_reject=True), workers=1).stats[0]
+        s_drop = run_mc(SimConfig(**base)).stats[0]
+        s_rej = run_mc(SimConfig(**base, failures_reject=True)).stats[0]
         assert_allclose(
             s_rej.rejection_rate, s_drop.rejection_rate + s_drop.n_failed / 20.0, rtol=1e-12
         )
@@ -238,26 +238,16 @@ class TestRunMC:
             methods=(Method.MAR,),
         )
         with pytest.raises(AllReplicatesFailed, match="ZeroCell"):
-            run_mc(cfg, workers=1)
+            run_mc(cfg)
 
-    def test_worker_count_does_not_change_the_report(self, canonical, monkeypatch):
-        # With no start-up cost to recover, the pool takes every replicate.
-        monkeypatch.setattr(simulate_mod, "_POOL_STARTUP_S", 0.0)
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_batch_size_does_not_change_the_report(self, canonical, monkeypatch, chunk):
         cfg = SimConfig(
             params=canonical, design=DesignParams(1.0, 1000.0), replicates=30, seed=11
         )
-        assert run_mc(cfg, workers=1) == run_mc(cfg, workers=2)
-
-    def test_small_runs_stay_in_process(self, canonical, monkeypatch):
-        def no_pool(max_workers):
-            raise AssertionError("a pool was started")
-
-        monkeypatch.setattr(simulate_mod, "ProcessPoolExecutor", no_pool)
-        monkeypatch.setattr(simulate_mod, "_POOL_STARTUP_S", 60.0)
-        cfg = SimConfig(
-            params=canonical, design=DesignParams(1.0, 1000.0), replicates=6, seed=11
-        )
-        run_mc(cfg, workers=2)
+        default = run_mc(cfg)
+        monkeypatch.setattr(simulate_mod, "_CHUNK", chunk)
+        assert run_mc(cfg) == default
 
     def test_one_adjusted_fit_per_replicate(self, canonical, monkeypatch):
         fit_adjusted = simulate_mod.fit_adjusted
@@ -269,7 +259,7 @@ class TestRunMC:
 
         monkeypatch.setattr(simulate_mod, "fit_adjusted", count)
         cfg = SimConfig(params=canonical, design=DesignParams(1.0, 1000.0), replicates=5, seed=3)
-        report = run_mc(cfg, workers=1)
+        report = run_mc(cfg)
         # One batch of five tables: each table's adjusted fit runs once.
         assert calls == [5]
         assert [st.n_included for st in report.stats] == [5, 5, 5]
@@ -279,39 +269,10 @@ class TestRunMC:
         # and AdjCon, which starts from it, reports the same kind.
         w = np.array([[[40.0, 30.0], [0.0, 0.0]], [[25.0, 35.0], [0.0, 0.0]]])
         cfg = SimConfig(params=canonical, design=DesignParams(1.0, 130.0), replicates=1, seed=0)
-        (rows,) = simulate_mod._fit_block((cfg, w[None]))
+        (rows,) = simulate_mod._fit_block(cfg, w[None])
         assert [r[5] for r in rows] == ["", "ZeroMargin", "ZeroMargin"]
         with pytest.raises(ZeroMargin):
             fit_constrained(CaseControlTable(w), canonical.f)
-
-    @pytest.mark.parametrize("cpus, replicates, expected", [(4, 6, 4), (64, 6, 6)])
-    def test_worker_count_is_capped(self, canonical, monkeypatch, cpus, replicates, expected):
-        # A process pool forks all of its workers at the first submit, so the
-        # cap must hold before the pool exists; this fake pool starts none.
-        started = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, args, chunksize=1):
-                return map(fn, args)
-
-        monkeypatch.setattr(simulate_mod, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(simulate_mod, "_POOL_STARTUP_S", 0.0)
-        monkeypatch.setattr(simulate_mod.os, "cpu_count", lambda: cpus)
-        monkeypatch.setenv("CCEFF_THREADS", "5000")
-        cfg = SimConfig(
-            params=canonical, design=DesignParams(1.0, 1000.0), replicates=replicates, seed=11
-        )
-        assert run_mc(cfg) == run_mc(cfg, workers=1)
-        assert started == [expected]
 
 
 class TestLimitingValue:
@@ -371,7 +332,6 @@ class TestMisspecSweep:
             [canonical.f + 0.05],
             mc_confirm=(2000.0, 60),
             seed=3,
-            workers=1,
         )
         (row,) = rows
         gamma_star = row.s_star[1]
