@@ -6,162 +6,26 @@ for, or adjusted for under a known-prevalence constraint: closed-form
 asymptotics (``asymptotics``), finite-sample fitting (``estimators``),
 exact expected tables and seeded Monte Carlo (``simulate``), and a CLI
 (``cli``).
+
+The package's public names are those listed in the ``__all__`` of
+``errors``, ``model``, ``estimators``, ``asymptotics`` and ``simulate``,
+plus ``__version__``; each is declared once, in its module's list.
 """
 
 __version__ = "0.1.0"
 
-from .errors import (
-    AllReplicatesFailed,
-    BoundaryEstimate,
-    BracketFailure,
-    CCEffError,
-    DegenerateConstraint,
-    InfeasiblePrevalence,
-    InfeasibleStart,
-    InvalidInput,
-    NonConvergence,
-    NotConverged,
-    Separation,
-    SingularInformation,
-    VacuousMinimizer,
-    ZeroCell,
-    ZeroMargin,
-)
-from .model import (
-    DesignParams,
-    PopulationParams,
-    RetroDistribution,
-    alpha_from_prevalence,
-    cell_prob,
-    cell_probs,
-    mixture_weights,
-    prevalence,
-    prevalence_at,
-    retro_distribution,
-    theta_from_constraint,
-)
-from .estimators import (
-    CaseControlTable,
-    FitResult,
-    Method,
-    TestResult,
-    fit_adjusted,
-    fit_adjusted_batch,
-    fit_constrained,
-    fit_constrained_batch,
-    fit_marginal,
-    fit_marginal_batch,
-    wald_test,
-)
-from .asymptotics import (
-    AsymptoticConstants,
-    PowerPoint,
-    asymptotic_constants,
-    asymptotic_power,
-    attenuation_slope,
-    b_factors,
-    bias_delta,
-    bias_minimizer,
-    lambda0,
-    lambda_ratio,
-    pitman_are_M_vs_A,
-    pitman_are_M_vs_AC,
-    pitman_tau,
-    sigma0_sq,
-    sigma_A_sq,
-    sigma_AC_sq,
-    sigma_M_sq,
-    theory_curve,
-)
-from .simulate import (
-    DEFAULT_EPS,
-    LimitPoint,
-    MCReport,
-    MethodStats,
-    MisspecRow,
-    SimConfig,
-    expected_table,
-    limiting_value,
-    limiting_values,
-    misspec_sweep,
-    run_mc,
-    sample_table,
-    sample_tables,
-)
+from . import errors, model, estimators, asymptotics, simulate
+from .errors import *
+from .model import *
+from .estimators import *
+from .asymptotics import *
+from .simulate import *
 
 __all__ = [
     "__version__",
-    # errors
-    "CCEffError",
-    "DegenerateConstraint",
-    "InfeasiblePrevalence",
-    "BracketFailure",
-    "ZeroCell",
-    "ZeroMargin",
-    "Separation",
-    "NonConvergence",
-    "InfeasibleStart",
-    "BoundaryEstimate",
-    "SingularInformation",
-    "NotConverged",
-    "VacuousMinimizer",
-    "AllReplicatesFailed",
-    "InvalidInput",
-    # model
-    "PopulationParams",
-    "DesignParams",
-    "RetroDistribution",
-    "cell_prob",
-    "cell_probs",
-    "mixture_weights",
-    "prevalence",
-    "prevalence_at",
-    "theta_from_constraint",
-    "alpha_from_prevalence",
-    "retro_distribution",
-    # estimators
-    "Method",
-    "CaseControlTable",
-    "FitResult",
-    "TestResult",
-    "fit_marginal",
-    "fit_adjusted",
-    "fit_constrained",
-    "fit_marginal_batch",
-    "fit_adjusted_batch",
-    "fit_constrained_batch",
-    "wald_test",
-    # asymptotics
-    "AsymptoticConstants",
-    "PowerPoint",
-    "b_factors",
-    "bias_delta",
-    "attenuation_slope",
-    "bias_minimizer",
-    "sigma_M_sq",
-    "sigma_A_sq",
-    "sigma0_sq",
-    "sigma_AC_sq",
-    "lambda_ratio",
-    "lambda0",
-    "pitman_are_M_vs_A",
-    "pitman_are_M_vs_AC",
-    "pitman_tau",
-    "asymptotic_power",
-    "asymptotic_constants",
-    "theory_curve",
-    # simulate
-    "DEFAULT_EPS",
-    "SimConfig",
-    "MethodStats",
-    "MCReport",
-    "LimitPoint",
-    "MisspecRow",
-    "expected_table",
-    "sample_table",
-    "sample_tables",
-    "run_mc",
-    "limiting_value",
-    "limiting_values",
-    "misspec_sweep",
+    *errors.__all__,
+    *model.__all__,
+    *estimators.__all__,
+    *asymptotics.__all__,
+    *simulate.__all__,
 ]

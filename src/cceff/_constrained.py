@@ -29,7 +29,7 @@ import math
 import numpy as np
 from scipy.special import expit
 
-from .model import PopulationParams, _alpha_error, alpha_from_prevalence, retro_distribution
+from .model import _alpha_error, alpha_from_prevalence, retro_distribution
 
 # flattened cell order matches CaseControlTable.w.ravel(): (d, i, j) C-order
 _D8 = np.array([0, 0, 0, 0, 1, 1, 1, 1], dtype=float)
@@ -247,18 +247,25 @@ def expected_masses(params, nu):
 
 
 def expected_info_s(params, nu):
-    """Per-unit-n expected information in s at the truth.
+    """Per-unit-n expected information in s at the truth of each of a sequence of points.
 
-    params is one PopulationParams, giving a (4, 4) matrix, or a sequence
-    of them, giving one (4, 4) lane each from a single batched likelihood
-    evaluation.  A lane whose intercept cannot be inverted is NaN.
+    params is a sequence of PopulationParams; each gives one (4, 4) lane of
+    a single batched likelihood evaluation.  A lane whose intercept cannot
+    be inverted is NaN.
     """
-    one = isinstance(params, PopulationParams)
-    group = [params] if one else list(params)
-    masses = np.stack([expected_masses(p, nu) for p in group])
-    s = np.array([(p.beta, p.gamma, p.theta, p.pi) for p in group])
-    _, _, _, hess = loglik_grad_hess_s(masses, np.array([p.f for p in group]), s)
-    return -hess[0] if one else -hess
+    masses = np.stack([expected_masses(p, nu) for p in params])
+    s = np.array([(p.beta, p.gamma, p.theta, p.pi) for p in params])
+    _, _, _, hess = loglik_grad_hess_s(masses, np.array([p.f for p in params]), s)
+    return -hess
+
+
+def nearly_singular(info):
+    """Least eigenvalue of each (4, 4) lane of info, and where it is below 1e-12 * trace.
+
+    A lane so marked is numerically singular: it gives no covariance.
+    """
+    eig = np.linalg.eigvalsh(info)[:, 0]
+    return eig, eig < 1e-12 * np.trace(info, axis1=1, axis2=2)
 
 
 def sandwich_s(masses, p_case, p_ctrl, nu, f, s):

@@ -16,7 +16,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from ._constrained import expected_info_s
+from ._constrained import expected_info_s, nearly_singular
 from .errors import CCEffError, InvalidInput, SingularInformation, VacuousMinimizer
 from .estimators import Method
 from .model import (
@@ -221,14 +221,12 @@ def _sigma_AC_lanes(params_list, nu):
     for k in np.flatnonzero(bad):
         out[k] = _alpha_error(params_list[k].f)
     good = np.flatnonzero(~bad)
-    eig = np.linalg.eigvalsh(info[good])[:, 0] if good.size else np.empty(0)
-    near = eig < 1e-12 * np.trace(info[good], axis1=1, axis2=2)
+    eig, near = nearly_singular(info[good])
     for k, e in zip(good[near], eig[near]):
         out[k] = SingularInformation(f"constrained information nearly singular (min eig {e:.3e})")
     good = good[~near]
-    if good.size:
-        for k, var in zip(good, np.linalg.inv(info[good])[:, 1, 1]):
-            out[k] = float(var)
+    for k, var in zip(good, np.linalg.inv(info[good])[:, 1, 1]):
+        out[k] = float(var)
     return out
 
 

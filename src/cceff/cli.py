@@ -75,39 +75,40 @@ def _fmt(value):
         return value.value
     if isinstance(value, (list, tuple)):
         return ",".join(_fmt(v) for v in value)
+    if isinstance(value, dict):
+        return ";".join(f"{k}={_fmt(v)}" for k, v in sorted(value.items()))
     return str(value)
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
 
 
 def manifest_path(out_path):
     return out_path + ".manifest"
 
 
-def write_manifest(out_path, command, params, seed=None, started=None, finished=None):
+def _emit(r, command, header, rows, started, seed=None, **extra):
+    """Write rows to the CSV r["out"], then its manifest of every resolved option but --out.
+
+    extra holds the manifest values that OPTIONS does not declare (--cell,
+    --mc-confirm).  A None value is left out of the manifest.
+    """
+    out = r["out"]
+    with open(out, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt(v) for v in row])
     lines = [
         f"command={command}",
         f"version={__version__}",
-        f"out={out_path}",
+        f"out={out}",
     ]
     if seed is not None:
         lines.append(f"seed={seed}")
-    if started is not None:
-        lines.append(f"started_utc={started}")
-    if finished is not None:
-        lines.append(f"finished_utc={finished}")
+    lines += [f"started_utc={started}", f"finished_utc={_now()}"]
+    params = {**r, **extra}
     for key in sorted(params):
-        value = params[key]
-        if value is None:
-            continue
-        lines.append(f"param.{key}={_fmt(value)}")
-    with open(manifest_path(out_path), "w") as fh:
+        if key != "out" and params[key] is not None:
+            lines.append(f"param.{key}={_fmt(params[key])}")
+    with open(manifest_path(out), "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -272,12 +273,7 @@ def cmd_theory(ns, parser):
         ]
         for point in points
     ]
-    _write_csv(r["out"], THEORY_COLUMNS, rows)
-    write_manifest(
-        r["out"], "theory",
-        {k: v for k, v in r.items() if k != "out"},
-        started=started, finished=_now(),
-    )
+    _emit(r, "theory", THEORY_COLUMNS, rows, started)
     print(f"theory: wrote {len(rows)} rows to {r['out']}")
     return 0
 
@@ -357,6 +353,7 @@ def cmd_fit(ns, parser):
         print(f"invalid table: {exc}", file=sys.stderr)
         return 2
 
+    started = _now()
     out_rows = []
     any_error = False
     print(f"{'method':<8} {'gamma_hat':>12} {'se':>12} {'z':>10} {'p':>12} converged")
@@ -385,15 +382,10 @@ def cmd_fit(ns, parser):
                  f"{type(exc).__name__}: {exc}"]
             )
     if r["out"]:
-        started = _now()
-        _write_csv(r["out"], FIT_COLUMNS, out_rows)
-        manifest_params = {k: v for k, v in r.items() if k != "out"}
-        manifest_params["methods"] = ",".join(m.value for m in methods)
-        if ns.cell is not None:
-            manifest_params["cell"] = ";".join(
-                f"{d},{i},{j},{_fmt(c)}" for d, i, j, c in ns.cell
-            )
-        write_manifest(r["out"], "fit", manifest_params, started=started, finished=_now())
+        cell = None if ns.cell is None else ";".join(
+            f"{d},{i},{j},{_fmt(c)}" for d, i, j, c in ns.cell
+        )
+        _emit(r, "fit", FIT_COLUMNS, out_rows, started, cell=cell)
     return 3 if any_error else 0
 
 
@@ -405,16 +397,13 @@ def cmd_simulate(ns, parser):
     params = _truth_params(parser, r)
     design = DesignParams(nu=r["nu"], n=r["n"])
     started = _now()
-    manifest_params = {k: v for k, v in r.items() if k != "out"}
-    manifest_params["methods"] = ",".join(m.value for m in r["methods"])
 
     if r["emit_expected"]:
         table = expected_table(params, design)
         rows = [
             [d, i, j, table.w[d, i, j]] for d in (0, 1) for i in (0, 1) for j in (0, 1)
         ]
-        _write_csv(r["out"], ["d", "i", "j", "count"], rows)
-        write_manifest(r["out"], "simulate", manifest_params, started=started, finished=_now())
+        _emit(r, "simulate", ["d", "i", "j", "count"], rows, started)
         print(f"simulate: wrote expected table to {r['out']}")
         return 0
 
@@ -433,29 +422,15 @@ def cmd_simulate(ns, parser):
     except AllReplicatesFailed as exc:
         print(f"simulate: {exc}", file=sys.stderr)
         return 1
-    rows = []
     for st in report.stats:
-        failures = ";".join(f"{k}={v}" for k, v in sorted(st.failures.items()))
-        rows.append(
-            [st.method, st.n_included, st.n_failed,
-             st.mean_gamma, st.mean_gamma_mc_se,
-             st.sd_root_n, st.sd_root_n_mc_se,
-             st.mean_se_root_n, st.mean_se_root_n_mc_se,
-             st.rejection_rate, st.rejection_rate_mc_se,
-             st.coverage, st.coverage_mc_se,
-             st.theory_delta, st.theory_sigma, st.theory_power, failures]
-        )
         print(
             f"simulate[{st.method.value}]: mean_gamma={st.mean_gamma:.6g} "
             f"sd_root_n={st.sd_root_n:.6g} (theory sigma {st.theory_sigma:.6g}) "
             f"reject={st.rejection_rate:.4g} (theory power {st.theory_power:.4g}) "
             f"failed={st.n_failed}"
         )
-    _write_csv(r["out"], SIM_COLUMNS, rows)
-    write_manifest(
-        r["out"], "simulate", manifest_params,
-        seed=r["seed"], started=started, finished=_now(),
-    )
+    rows = [[getattr(st, c) for c in SIM_COLUMNS] for st in report.stats]
+    _emit(r, "simulate", SIM_COLUMNS, rows, started, seed=r["seed"])
     return 0
 
 
@@ -492,13 +467,8 @@ def cmd_misspec(ns, parser):
              row.dev_s, row.dev_sigma, row.ratio_s, row.ratio_sigma,
              row.mc_mean_gamma, row.mc_mean_gamma_se, row.error]
         )
-    _write_csv(r["out"], MISSPEC_COLUMNS, out_rows)
-    manifest_params = {k: v for k, v in r.items() if k != "out"}
-    manifest_params["mc_confirm"] = ns.mc_confirm  # N,REPS; an unset value is left out
-    write_manifest(
-        r["out"], "misspec", manifest_params,
-        seed=r["seed"], started=started, finished=_now(),
-    )
+    _emit(r, "misspec", MISSPEC_COLUMNS, out_rows, started, seed=r["seed"],
+          mc_confirm=ns.mc_confirm)
     n_err = sum(1 for row in rows if row.error)
     print(f"misspec: wrote {len(rows)} rows to {r['out']}" + (f", {n_err} failed" if n_err else ""))
     return 1 if n_err else 0

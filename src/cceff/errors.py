@@ -6,6 +6,24 @@ Arguments outside their declared domain raise :class:`InvalidInput`, a
 ``ValueError``, which the CLI reports as a usage error with exit code 2.
 """
 
+__all__ = [
+    "CCEffError",
+    "DegenerateConstraint",
+    "InfeasiblePrevalence",
+    "BracketFailure",
+    "ZeroCell",
+    "ZeroMargin",
+    "Separation",
+    "NonConvergence",
+    "InfeasibleStart",
+    "BoundaryEstimate",
+    "SingularInformation",
+    "NotConverged",
+    "VacuousMinimizer",
+    "AllReplicatesFailed",
+    "InvalidInput",
+]
+
 
 class InvalidInput(ValueError):
     """A parameter, design or Monte Carlo setting lies outside its declared domain."""

@@ -28,7 +28,14 @@ import math
 import numpy as np
 from scipy.special import expit, logit
 
-from ._constrained import _inv_lanes, _solve_lanes, loglik_grad_hess_s, newton_ascent, sandwich_s
+from ._constrained import (
+    _inv_lanes,
+    _solve_lanes,
+    loglik_grad_hess_s,
+    nearly_singular,
+    newton_ascent,
+    sandwich_s,
+)
 from .errors import (
     BoundaryEstimate,
     CCEffError,
@@ -476,14 +483,12 @@ def fit_constrained_batch(tables, f: float, f_misspecified: bool = False, adjust
             ok[k] = True
     # alpha_hat, ll and h_s are those of the last accepted evaluation, at s_hat.
     kept = np.flatnonzero(ok)
-    if kept.size:
-        eig = np.linalg.eigvalsh(info[kept])[:, 0]
-        near = eig < 1e-12 * np.trace(info[kept], axis1=1, axis2=2)
-        for k, e in zip(kept[near], eig[near]):
-            out[lanes[k]] = SingularInformation(
-                f"observed information nearly singular (min eig {e:.2e})"
-            )
-        kept = kept[~near]
+    eig, near = nearly_singular(info[kept])
+    for k, e in zip(kept[near], eig[near]):
+        out[lanes[k]] = SingularInformation(
+            f"observed information nearly singular (min eig {e:.2e})"
+        )
+    kept = kept[~near]
     if not kept.size:
         return out
     cov = _inv_lanes(info[kept]) / total[lanes[kept], None, None]

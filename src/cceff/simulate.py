@@ -36,6 +36,7 @@ from .estimators import fit_marginal_batch as fit_marginal
 from .model import DesignParams, PopulationParams, _alpha_error, retro_distribution
 
 __all__ = [
+    "DEFAULT_EPS",
     "SimConfig",
     "MethodStats",
     "MCReport",
@@ -389,7 +390,6 @@ def misspec_sweep(
     mc_confirm: tuple | None = None,
     seed: int = 0,
     level: float = 0.05,
-    capture_errors: bool = True,
 ):
     """Theorem-style sweep over supplied prevalences f1 around the true f0.
 
@@ -397,10 +397,13 @@ def misspec_sweep(
     ||Sigma_{f1} - Sigma_{f0}||_F, and those deviations divided by |f1 - f0|.
     mc_confirm = (n, replicates) adds a Monte-Carlo check that the
     constrained fit with the misspecified prevalence concentrates on
-    gamma*_{f1}.  With capture_errors per-row failures land in the row's
-    error field instead of propagating.  The limit at the true f0 and every
-    f1 are lanes of one ``limiting_values`` call.
+    gamma*_{f1}.  A row that fails records its error in the row's error
+    field.  The limit at the true f0 and every f1 are lanes of one
+    ``limiting_values`` call.  A level outside (0, 1) raises InvalidInput
+    before any row is computed.
     """
+    if not (0.0 < level < 1.0):
+        raise InvalidInput("level must lie in (0, 1)")
     f_grid = [float(f1) for f1 in f_grid]
     base, *limits = limiting_values(truth, design, [truth.f, *f_grid], eps)
     if isinstance(base, CCEffError):
@@ -439,8 +442,6 @@ def misspec_sweep(
                 )
             rows.append(row)
         except CCEffError as exc:
-            if not capture_errors:
-                raise
             rows.append(
                 MisspecRow(
                     f1=f1,

@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 
+import cceff.simulate
 import conftest
 import oracles
 from _grids import draw_params
@@ -315,10 +316,10 @@ def test_criterion_10_manifest_reproducibility(tmp_path, monkeypatch):
     args = ["simulate", "--f", "0.3", "--beta", "1", "--gamma", "0.3",
             "--theta", "0.4", "--pi", "0.5", "--n", "2000",
             "--replicates", "60", "--seed", "17", "--out", str(sim_out)]
-    monkeypatch.setenv("CCEFF_THREADS", "1")
+    monkeypatch.setattr(cceff.simulate, "_CHUNK", 1)
     ok = ok and main(args) == 0
     first = sim_out.read_bytes()
-    monkeypatch.setenv("CCEFF_THREADS", "2")
+    monkeypatch.setattr(cceff.simulate, "_CHUNK", 7)
     ok = ok and main(manifest_to_argv(manifest_path(str(sim_out)))) == 0
     sim_same = sim_out.read_bytes() == first
     ok = ok and sim_same
@@ -329,14 +330,14 @@ def test_criterion_10_manifest_reproducibility(tmp_path, monkeypatch):
             "--mc-confirm", "500", "20", "--seed", "3", "--out", str(mis_out)]
     ok = ok and main(args) == 0
     first = mis_out.read_bytes()
-    monkeypatch.setenv("CCEFF_THREADS", "3")
+    monkeypatch.setattr(cceff.simulate, "_CHUNK", 1)
     ok = ok and main(manifest_to_argv(manifest_path(str(mis_out)))) == 0
     mis_same = mis_out.read_bytes() == first
     ok = ok and mis_same
 
     verdict(
         10, time.perf_counter() - t0, 60.0, ok,
-        f"simulate CSV bitwise stable across manifest rebuild and thread counts: "
+        f"simulate CSV bitwise stable across manifest rebuild and batch sizes: "
         f"{'yes' if sim_same else 'no'}; misspec with mc-confirm: "
         f"{'yes' if mis_same else 'no'}",
     )

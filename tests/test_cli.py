@@ -248,6 +248,26 @@ class TestFit:
         assert err.count("\n") == 1 and err.startswith("cceff fit: ")
         assert not out.exists()
 
+    def test_manifest_start_time_is_taken_before_the_fits(self, tmp_path, monkeypatch):
+        events = []
+
+        def now():
+            events.append("now")
+            return f"t{len(events)}"
+
+        def fit_adjusted(table):
+            events.append("fit")
+            return cceff.fit_adjusted(table)
+
+        monkeypatch.setattr(cceff.cli, "_now", now)
+        monkeypatch.setattr(cceff.cli, "fit_adjusted", fit_adjusted)
+        w = [[[10.0] * 2] * 2] * 2
+        out = tmp_path / "fit.csv"
+        assert run("fit", *self.cells(w), "--methods", "adj", "--out", out) == 0
+        assert events == ["now", "fit", "now"]
+        entries = parse_manifest(manifest_path(str(out)))
+        assert (entries["started_utc"], entries["finished_utc"]) == ("t1", "t3")
+
     def test_cell_list_must_cover_all_cells(self):
         w = [[[10.0] * 2] * 2] * 2
         argv = self.cells(w)[:-2]  # drop the last cell
@@ -317,9 +337,9 @@ class TestSimulate:
 
     def test_worker_count_does_not_change_output(self, tmp_path, monkeypatch):
         outs = []
-        for threads in ("1", "2"):
-            monkeypatch.setenv("CCEFF_THREADS", threads)
-            out = tmp_path / f"sim{threads}.csv"
+        for chunk in (1, 7):
+            monkeypatch.setattr(cceff.simulate, "_CHUNK", chunk)
+            out = tmp_path / f"sim{chunk}.csv"
             rc = run("simulate", *self.TRUTH, "--n", "400", "--replicates", "8",
                      "--seed", "9", "--methods", "mar,adj", "--out", out)
             assert rc == 0
@@ -403,12 +423,13 @@ class TestMisspec:
         assert "--mc-confirm" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_eps_outside_unit_interval_is_usage_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flag, value", [("--eps", "2"), ("--level", "1.5")])
+    def test_eps_outside_unit_interval_is_usage_error(self, tmp_path, capsys, flag, value):
         out = tmp_path / "mis.csv"
-        rc = run("misspec", *self.TRUTH, "--f1-list", "0.35", "--eps", "2", "--out", out)
+        rc = run("misspec", *self.TRUTH, "--f1-list", "0.35", flag, value, "--out", out)
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("cceff misspec: ") and "eps" in err
+        assert err.count("\n") == 1 and err.startswith("cceff misspec: ") and flag[2:] in err
         assert not out.exists()
 
     def test_mc_confirm_and_rebuild(self, tmp_path):

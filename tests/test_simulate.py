@@ -322,8 +322,6 @@ class TestMisspecSweep:
         assert rows[0].error == "" and not math.isnan(rows[0].dev_s)
         assert rows[1].error.startswith("InfeasiblePrevalence")
         assert math.isnan(rows[1].dev_s)
-        with pytest.raises(InfeasiblePrevalence):
-            misspec_sweep(canonical, d, [0.9995], capture_errors=False)
 
     def test_mc_confirms_the_limit(self, canonical):
         rows = misspec_sweep(
