@@ -187,7 +187,7 @@ def _lane_cells(x, cells):
     x = np.asarray(x, dtype=float)
     k = len(cells)
     if x.shape[x.ndim - k:] == cells:
-        x = x.reshape(x.shape[: x.ndim - k] + (-1,))
+        x = x.reshape(x.shape[: x.ndim - k] + (math.prod(cells),))
     return x
 
 
@@ -238,25 +238,27 @@ def loglik_grad_hess_s(weights, f, s):
 
 
 def expected_masses(params, nu):
-    """Exact per-unit-n cell masses E(n_dij)/n under retrospective sampling, shape (2,2,2)."""
-    r = retro_distribution(params)
-    m = np.empty((2, 2, 2))
-    m[0] = r.p_ctrl / (1.0 + nu)
-    m[1] = r.p_case * nu / (1.0 + nu)
-    return m
+    """Exact per-unit-n cell masses E(n_dij)/n under retrospective sampling, shape (2,2,2).
 
-
-def expected_info_s(params, nu):
-    """Per-unit-n expected information in s at the truth of each of a sequence of points.
-
-    params is a sequence of PopulationParams; each gives one (4, 4) lane of
-    a single batched likelihood evaluation.  A lane whose intercept cannot
-    be inverted is NaN.
+    The batch of one of ``_mass_lanes``.
     """
-    masses = np.stack([expected_masses(p, nu) for p in params])
-    s = np.array([(p.beta, p.gamma, p.theta, p.pi) for p in params])
-    _, _, _, hess = loglik_grad_hess_s(masses, np.array([p.f for p in params]), s)
-    return -hess
+    r = retro_distribution(params)
+    return _mass_lanes(r.p_case, r.p_ctrl, nu)
+
+
+def _mass_lanes(p_case, p_ctrl, nu):
+    """``expected_masses`` from the case and control laws (..., 2, 2) of each lane."""
+    return np.stack([p_ctrl / (1.0 + nu), p_case * nu / (1.0 + nu)], axis=-3)
+
+
+def expected_info_s(f, s, p_case, p_ctrl, nu):
+    """Per-unit-n expected information in s at the truth, one (4, 4) lane per prevalence.
+
+    f (k,), s (k, 4) and the laws p_case and p_ctrl (k, 2, 2) of each lane
+    (``_retro_lanes``) make one batched, lane-exact likelihood evaluation.
+    A lane whose intercept cannot be inverted is NaN.
+    """
+    return -loglik_grad_hess_s(_mass_lanes(p_case, p_ctrl, nu), f, s)[3]
 
 
 def nearly_singular(info):

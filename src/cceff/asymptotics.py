@@ -20,9 +20,11 @@ from ._constrained import expected_info_s, nearly_singular
 from .errors import CCEffError, InvalidInput, SingularInformation, VacuousMinimizer
 from .estimators import Method
 from .model import (
+    _COEF_BOUND,
     DesignParams,
     PopulationParams,
     _alpha_error,
+    _retro_lanes,
     alpha_from_prevalence,
     prevalence_at,
     retro_distribution,
@@ -162,31 +164,43 @@ def sigma_M_sq(params: PopulationParams, nu: float) -> float:
     """Asymptotic variance of sqrt(n) gamma_hat_M (Woolf form on the exposure margins).
 
     Raises InvalidInput where an exposure margin rounds outside (0, 1).
+    The batch of one of ``_variance_lanes``.
     """
-    r = retro_distribution(params)
-    p1, p0 = r.p1_prime, r.p0_prime
-    if not (0.0 < p1 < 1.0 and 0.0 < p0 < 1.0):
+    var_m, _, bad_m, _ = _variance_lanes(retro_distribution(params), nu)
+    if bad_m:
         raise InvalidInput(f"an exposure margin is not inside (0, 1) at {params}")
-    return (1.0 + nu) / (p0 * (1.0 - p0)) + (1.0 + nu) / (nu * p1 * (1.0 - p1))
+    return float(var_m)
 
 
 def sigma_A_sq(params: PopulationParams, nu: float) -> float:
     """Asymptotic variance of sqrt(n) gamma_hat_A: Gart's harmonic combination over X-strata.
 
     Raises InvalidInput where an exposure probability h_mat rounds to 0 or
-    1, which leaves a stratum's term without a finite value.
+    1, which leaves a stratum's term without a finite value.  The batch of
+    one of ``_variance_lanes``.
     """
-    r = retro_distribution(params)
-    d, h = r.d_mat, r.h_mat
-    if np.any((h == 0.0) | (h == 1.0)):
+    _, var_a, _, bad_a = _variance_lanes(retro_distribution(params), nu)
+    if bad_a:
         raise InvalidInput(f"an exposure probability rounds to 0 or 1 at {params}")
-    inv_total = 0.0
-    for x in (0, 1):
-        v = (1.0 + nu) / (d[x, 0] * h[x, 0] * (1.0 - h[x, 0])) + (1.0 + nu) / (
-            nu * d[x, 1] * h[x, 1] * (1.0 - h[x, 1])
+    return float(var_a)
+
+
+def _variance_lanes(r, nu):
+    """sigma_M_sq and sigma_A_sq of the lanes of r (``_retro_lanes``), and where each raises.
+
+    Lane-exact: each lane takes the one-lane operations in their order.
+    """
+    p1, p0, d, h = r.p1_prime, r.p0_prime, r.d_mat, r.h_mat
+    bad_m = ~((0.0 < p1) & (p1 < 1.0) & (0.0 < p0) & (p0 < 1.0))
+    bad_a = np.any((h == 0.0) | (h == 1.0), axis=(-2, -1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        var_m = (1.0 + nu) / (p0 * (1.0 - p0)) + (1.0 + nu) / (nu * p1 * (1.0 - p1))
+        # One term per X-stratum, on the last axis.
+        v = (1.0 + nu) / (d[..., 0] * h[..., 0] * (1.0 - h[..., 0])) + (1.0 + nu) / (
+            nu * d[..., 1] * h[..., 1] * (1.0 - h[..., 1])
         )
-        inv_total += 1.0 / v
-    return 1.0 / inv_total
+        var_a = 1.0 / (1.0 / v[..., 0] + 1.0 / v[..., 1])
+    return var_m, var_a, bad_m, bad_a
 
 
 def sigma0_sq(nu: float, pi: float) -> float:
@@ -202,32 +216,30 @@ def sigma_AC_sq(params: PopulationParams, nu: float) -> float:
     the prevalence identity; the frame is smooth through beta = 0.  The
     batch of one of ``_sigma_AC_lanes``.
     """
-    (out,) = _sigma_AC_lanes([params], nu)
-    if isinstance(out, Exception):
-        raise out
-    return out
+    r = retro_distribution(params)
+    s = [[params.beta, params.gamma, params.theta, params.pi]]
+    (var,), (eig,) = _sigma_AC_lanes(np.array([params.f]), np.array(s), r.p_case, r.p_ctrl, nu)
+    if math.isnan(eig):
+        raise _alpha_error(params.f)
+    if math.isnan(var):
+        raise SingularInformation(f"constrained information nearly singular (min eig {eig:.3e})")
+    return float(var)
 
 
-def _sigma_AC_lanes(params_list, nu):
-    """``sigma_AC_sq`` of every parameter point, from one batched information.
+def _sigma_AC_lanes(f, s, p_case, p_ctrl, nu):
+    """``sigma_AC_sq`` of every lane (``expected_info_s``'s arguments), and its least eigenvalue.
 
-    Returns one outcome per point: the variance, or the error it raises
-    alone.  The stacked eigenvalues and inverses round each lane as a
-    one-point call does.
+    Both are NaN where the intercept cannot be inverted, and the variance
+    also where the information is nearly singular.  The stacked eigenvalues
+    and inverses round each lane as a one-lane call does.
     """
-    out = [None] * len(params_list)
-    info = expected_info_s(params_list, nu) if params_list else np.empty((0, 4, 4))
-    bad = np.isnan(info).any(axis=(1, 2))
-    for k in np.flatnonzero(bad):
-        out[k] = _alpha_error(params_list[k].f)
-    good = np.flatnonzero(~bad)
-    eig, near = nearly_singular(info[good])
-    for k, e in zip(good[near], eig[near]):
-        out[k] = SingularInformation(f"constrained information nearly singular (min eig {e:.3e})")
+    info = expected_info_s(f, s, p_case.reshape(-1, 2, 2), p_ctrl.reshape(-1, 2, 2), nu)
+    var, eig = np.full(len(f), np.nan), np.full(len(f), np.nan)
+    good = np.flatnonzero(~np.isnan(info).any(axis=(1, 2)))
+    eig[good], near = nearly_singular(info[good])
     good = good[~near]
-    for k, var in zip(good, np.linalg.inv(info[good])[:, 1, 1]):
-        out[k] = float(var)
-    return out
+    var[good] = np.linalg.inv(info[good])[:, 1, 1]
+    return var, eig
 
 
 def lambda_ratio(alpha, beta, theta, nu):
@@ -303,9 +315,13 @@ def _std_normal_cdf(x):
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
-def _wald_power(shift, var, n, level):
-    """Two-sided Wald power at sample size n for a per-unit-n variance var."""
-    z = NormalDist().inv_cdf(1.0 - level / 2.0)
+def _z_half(level):
+    """The two-sided Wald test's critical value at the given level."""
+    return NormalDist().inv_cdf(1.0 - level / 2.0)
+
+
+def _wald_power(shift, var, n, z):
+    """Two-sided Wald power at sample size n for a per-unit-n variance var and critical value z."""
     m = math.sqrt(n) * shift / math.sqrt(var)
     return _std_normal_cdf(-z + m) + _std_normal_cdf(-z - m)
 
@@ -331,7 +347,7 @@ def asymptotic_power(method, params: PopulationParams, nu, n, level=0.05):
     if not (0.0 < level < 1.0):
         raise InvalidInput("level must lie in (0, 1)")
     delta, var = _delta_and_variance(Method(method), params, nu)
-    return _wald_power(params.gamma + delta, var, n, level)
+    return _wald_power(params.gamma + delta, var, n, _z_half(level))
 
 
 def asymptotic_constants(params: PopulationParams, nu: float) -> AsymptoticConstants:
@@ -361,52 +377,53 @@ def asymptotic_constants(params: PopulationParams, nu: float) -> AsymptoticConst
 def theory_curve(f_values, beta, gamma, theta, pi, nu, n, level=0.05):
     """One PowerPoint row per prevalence value, deterministic in the grid order.
 
-    The intercepts of all rows come from one batched ``alpha_from_prevalence``
-    and every row's constrained variance, at gamma and at the ARE's
-    gamma = 1e-8, from one batched information (``_sigma_AC_lanes``); each
-    row is bitwise what a one-point call gives.  A row that fails raises
-    the error it raises alone, the first such row in grid order, with the
-    row's prevalence attached as the error's ``f`` attribute.  A design
-    (nu, n) outside ``DesignParams`` or a level outside (0, 1) raises
+    The grid runs as lanes of ``alpha_from_prevalence``, ``_retro_lanes`` (at
+    gamma and at the ARE's gamma = 1e-8), ``_variance_lanes`` and
+    ``_sigma_AC_lanes``; only delta, the slopes, lambda, the AREs and the
+    powers are scalar closed forms per row.  The kernels are lane-exact, so
+    each row is bitwise what a one-point call gives.  The first failing row
+    in grid order, run alone through the one-point functions, raises its
+    error with the row's prevalence as the error's ``f`` attribute.  A
+    design (nu, n) outside ``DesignParams``, a level outside (0, 1) or
+    (beta, gamma, theta, pi) outside ``PopulationParams`` raises
     InvalidInput before any row.
     """
     DesignParams(nu=nu, n=n)
     if not (0.0 < level < 1.0):
         raise InvalidInput("level must lie in (0, 1)")
+    PopulationParams(0.0, beta, gamma, theta, pi)
     try:
         alpha_star, f_star = bias_minimizer(beta, gamma, theta, pi)
     except VacuousMinimizer:
         alpha_star, f_star = math.nan, math.nan
+    z = _z_half(level)
     f_values = [float(f) for f in f_values]
+    k = len(f_values)
     alphas = alpha_from_prevalence(np.array(f_values, dtype=float), beta, gamma, theta, pi)
-    staged = []
-    for f, alpha in zip(f_values, alphas):
-        try:
-            if math.isnan(alpha):
-                raise _alpha_error(f)
-            alpha = float(alpha)
-            params = PopulationParams(alpha, beta, gamma, theta, pi)
-            delta = bias_delta(alpha, beta, gamma, theta)
-            staged.append((params, delta, sigma_M_sq(params, nu), sigma_A_sq(params, nu)))
-        except (CCEffError, InvalidInput) as exc:
-            staged.append(exc)
-    points = [row[0] for row in staged if not isinstance(row, Exception)]
-    # The ARE needs the constrained variance at gamma = 1e-8 too, unless beta = 0.
-    near_null = [] if beta == 0.0 else [
-        PopulationParams(p.alpha, beta, 1e-8, theta, pi) for p in points
-    ]
-    variances = _sigma_AC_lanes(points + near_null, nu)
-    var_ac = iter(variances[: len(points)])
-    var_ac0 = iter(variances[len(points) :])
+    # Lanes: every row at gamma, then, unless beta = 0, every row at gamma = 1e-8.
+    sets = 1 if beta == 0.0 else 2
+    lane_gamma = np.repeat([gamma, 1e-8][:sets], k)
+    prev, invalid, laws = _retro_lanes(np.tile(alphas, sets), beta, lane_gamma, theta, pi)
+    var_m, var_a, bad_m, bad_a = (x[:k] for x in _variance_lanes(laws, nu))
+    # A lane's information is evaluated where its laws exist and its row has
+    # passed the earlier stages; a lane left out keeps a NaN variance.
+    ok = np.tile((np.abs(alphas) <= _COEF_BOUND) & ~bad_m & ~bad_a, sets) & ~invalid
+    s = np.stack(np.broadcast_arrays(beta, lane_gamma, theta, pi), axis=-1)
+    var_ac = np.full(len(lane_gamma), np.nan)
+    var_ac[ok] = _sigma_AC_lanes(prev[ok], s[ok], laws.p_case[ok], laws.p_ctrl[ok], nu)[0]
+    var_ac = var_ac.reshape(sets, k)
+    failed = np.isnan(var_ac).any(axis=0)
     rows = []
-    for f, row in zip(f_values, staged):
-        if not isinstance(row, Exception):
-            params, delta, var_m, var_a = row
-            alpha, v, v0 = params.alpha, next(var_ac), next(var_ac0, None)
-            row = next((x for x in (v, v0) if isinstance(x, Exception)), None)
-        if row is not None:
-            row.f = f
-            raise row
+    # Per row: its variances, and the constrained one at gamma = 1e-8 unless beta = 0.
+    lanes = zip(f_values, alphas.tolist(), failed, var_m.tolist(), var_a.tolist(), *var_ac.tolist())
+    for f, alpha, fails, vm, va, v, *v0 in lanes:
+        try:
+            if fails:
+                _raise_alone(f, beta, gamma, theta, pi, nu)
+            delta = bias_delta(alpha, beta, gamma, theta)
+        except (CCEffError, InvalidInput) as exc:
+            exc.f = f
+            raise
         rows.append(
             PowerPoint(
                 f=f,
@@ -415,16 +432,26 @@ def theory_curve(f_values, beta, gamma, theta, pi, nu, n, level=0.05):
                 alpha=alpha,
                 delta=delta,
                 gamma_plus_delta=gamma + delta,
-                sigma_M_sq=var_m,
-                sigma_A_sq=var_a,
+                sigma_M_sq=vm,
+                sigma_A_sq=va,
                 sigma_AC_sq=v,
-                power_mar=_wald_power(gamma + delta, var_m, n, level),
-                power_adj=_wald_power(gamma, var_a, n, level),
-                power_adjcon=_wald_power(gamma, v, n, level),
+                power_mar=_wald_power(gamma + delta, vm, n, z),
+                power_adj=_wald_power(gamma, va, n, z),
+                power_adjcon=_wald_power(gamma, v, n, z),
                 ep_M_vs_A=pitman_are_M_vs_A(alpha, beta, theta, nu),
-                ep_M_vs_AC=1.0 if v0 is None else _are_M_vs_AC(alpha, beta, theta, pi, nu, v0),
+                ep_M_vs_AC=_are_M_vs_AC(alpha, beta, theta, pi, nu, *v0) if v0 else 1.0,
                 f_star=f_star,
                 alpha_star=alpha_star,
             )
         )
     return rows
+
+
+def _raise_alone(f, beta, gamma, theta, pi, nu):
+    """Raise the error of the theory row at f through the one-point functions, stage by stage."""
+    alpha = alpha_from_prevalence(f, beta, gamma, theta, pi)
+    params = PopulationParams(alpha, beta, gamma, theta, pi)
+    bias_delta(alpha, beta, gamma, theta)
+    sigma_M_sq(params, nu), sigma_A_sq(params, nu), sigma_AC_sq(params, nu)
+    pitman_are_M_vs_AC(alpha, beta, theta, pi, nu)
+    raise AssertionError(f"theory row at f={f!r} is flagged by its lanes but computes alone")

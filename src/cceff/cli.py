@@ -261,7 +261,9 @@ def cmd_theory(ns, parser):
         points = theory_curve(
             grid, r["beta"], r["gamma"], r["theta"], r["pi"], r["nu"], r["n"], r["level"]
         )
-    except CCEffError as exc:
+    except (CCEffError, InvalidInput) as exc:
+        if not hasattr(exc, "f"):  # the design, level or panel, before any row
+            raise
         print(f"theory failed at f={exc.f:.17g}: {exc}", file=sys.stderr)
         return 1
     rows = [

@@ -103,7 +103,8 @@ class RetroDistribution:
     p1_prime and p0_prime are the exposure margins pr(E=1 | D=1) and
     pr(E=1 | D=0).  d_mat[i][d] = pr(X=i | D=d) and h_mat[i][d] =
     pr(E=1 | X=i, D=d) are the pieces the covariate-stratified variance
-    formulas consume.
+    formulas consume.  From ``_retro_lanes`` every field carries the lane
+    shape in front.
     """
 
     p_case: np.ndarray
@@ -127,10 +128,11 @@ def cell_probs(alpha, beta, gamma):
 
 
 def mixture_weights(theta, pi):
-    """Joint covariate-exposure weights theta^i (1-theta)^(1-i) pi^j (1-pi)^(1-j)."""
-    tx = np.array([1.0 - theta, theta])
-    te = np.array([1.0 - pi, pi])
-    return np.outer(tx, te)
+    """Joint covariate-exposure weights theta^i (1-theta)^(1-i) pi^j (1-pi)^(1-j), at [..., i, j]."""
+    theta, pi = (np.asarray(x, dtype=float)[..., None] for x in (theta, pi))
+    tx = np.concatenate([1.0 - theta, theta], axis=-1)
+    te = np.concatenate([1.0 - pi, pi], axis=-1)
+    return tx[..., :, None] * te[..., None, :]
 
 
 def prevalence_at(alpha, beta, gamma, theta, pi):
@@ -354,6 +356,32 @@ def alpha_from_prevalence(f, beta, gamma, theta, pi):
     return out.reshape(shape)
 
 
+def _retro_lanes(alpha, beta, gamma, theta, pi):
+    """The retrospective laws on lanes: prevalence f, invalid-lane mask and RetroDistribution.
+
+    The arguments broadcast, one lane per element, and every field of the
+    RetroDistribution has the lane shape in front.  A lane is invalid
+    exactly where ``retro_distribution``, its batch of one, raises
+    InvalidInput.  Lane-exact: each lane takes the one-lane operations
+    elementwise (``expit``, ``*``, ``/``, ``1 - p``) and sums its four cells
+    left to right, as np.sum sums a (2, 2) array.
+    """
+    p = cell_probs(*(np.asarray(x, dtype=float)[..., None, None] for x in (alpha, beta, gamma)))
+    w = mixture_weights(theta, pi)
+    joint_case = p * w
+    joint_ctrl = (1.0 - p) * w
+    f = joint_case.sum(axis=(-2, -1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p_case = joint_case / f[..., None, None]
+        p_ctrl = joint_ctrl / (1.0 - f)[..., None, None]
+        d_mat = np.stack([p_ctrl.sum(axis=-1), p_case.sum(axis=-1)], axis=-1)
+        h_mat = np.stack([p_ctrl[..., 1], p_case[..., 1]], axis=-1) / d_mat
+    # Both laws are finite once 0 < f < 1; a law that sums to zero has empty strata.
+    invalid = ~((0.0 < f) & (f < 1.0)) | ~np.all(d_mat > 0.0, axis=(-2, -1))
+    p1, p0 = p_case[..., 1].sum(axis=-1), p_ctrl[..., 1].sum(axis=-1)
+    return f, invalid, RetroDistribution(p_case, p_ctrl, p1, p0, d_mat, h_mat)
+
+
 def retro_distribution(params: PopulationParams) -> RetroDistribution:
     """Joint and conditional laws of (X, E) within cases and within controls.
 
@@ -362,31 +390,14 @@ def retro_distribution(params: PopulationParams) -> RetroDistribution:
     control law is empty, so that pr(E=1 | X=i, D=d) is 0/0 (a control law
     that underflows to all zeros has both strata empty).  Inside the
     PopulationParams bounds this happens when alpha + beta*i + gamma*j is
-    large enough that expit rounds to 1.0.
+    large enough that expit rounds to 1.0.  The batch of one of
+    ``_retro_lanes``.
     """
-    p = cell_probs(params.alpha, params.beta, params.gamma)
-    w = mixture_weights(params.theta, params.pi)
-    joint_case = p * w
-    joint_ctrl = (1.0 - p) * w
-    f = joint_case.sum()
+    f, invalid, r = _retro_lanes(params.alpha, params.beta, params.gamma, params.theta, params.pi)
     if not (0.0 < f < 1.0):
         raise InvalidInput(f"prevalence {f!r} rounds to 0 or 1 at {params}")
-    p_case = joint_case / f
-    p_ctrl = joint_ctrl / (1.0 - f)
-    p1_prime = float(p_case[:, 1].sum())
-    p0_prime = float(p_ctrl[:, 1].sum())
-    d_mat = np.column_stack([p_ctrl.sum(axis=1), p_case.sum(axis=1)])
-    # Both laws are finite once 0 < f < 1; a law that sums to zero has empty strata.
-    if not np.all(d_mat > 0.0):
+    if invalid:
         raise InvalidInput(
             f"the case or control law of (X, E) has an empty covariate stratum at {params}"
         )
-    h_mat = np.column_stack([p_ctrl[:, 1], p_case[:, 1]]) / d_mat
-    return RetroDistribution(
-        p_case=p_case,
-        p_ctrl=p_ctrl,
-        p1_prime=p1_prime,
-        p0_prime=p0_prime,
-        d_mat=d_mat,
-        h_mat=h_mat,
-    )
+    return r

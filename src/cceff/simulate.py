@@ -12,13 +12,12 @@ from collections import Counter
 import dataclasses
 from dataclasses import dataclass
 import math
-from statistics import NormalDist
 
 import numpy as np
 from scipy.special._ufuncs import _binom_ppf
 
 from ._constrained import expected_masses, loglik_grad_hess_s, newton_ascent, sandwich_s
-from .asymptotics import _delta_and_variance, _wald_power
+from .asymptotics import _delta_and_variance, _wald_power, _z_half
 from .errors import (
     AllReplicatesFailed,
     CCEffError,
@@ -193,11 +192,12 @@ def sample_table(params, design, seed, replicate_index) -> CaseControlTable:
     return CaseControlTable(sample_tables(params, design, seed, [replicate_index])[0])
 
 
-def _fit_block(config, tables):
+def _fit_block(config, tables, z_half):
     """All requested fits of a block of sampled tables, one batch per method.
 
-    Returns one row per table, holding one entry per method.  The adjusted
-    fits run once and serve both Adj and AdjCon's start.
+    Returns one row per table, holding one entry per method; z_half is the
+    Wald critical value of the coverage check.  The adjusted fits run once
+    and serve both Adj and AdjCon's start.
     """
     fits = {}
     if Method.MAR in config.methods:
@@ -207,7 +207,6 @@ def _fit_block(config, tables):
     if Method.ADJCON in config.methods:
         f = config.f_supplied if config.f_supplied is not None else config.params.f
         fits[Method.ADJCON] = fit_constrained(tables, f, adjusted=fits[Method.ADJ])
-    z_half = NormalDist().inv_cdf(1.0 - config.level / 2.0)
     rows = []
     for r in range(len(tables)):
         row = []
@@ -242,9 +241,10 @@ def run_mc(config: SimConfig) -> MCReport:
     is deterministic, so the report does not depend on the batch size.
     """
     tables = sample_tables(config.params, config.design, config.seed, range(config.replicates))
+    z_half = _z_half(config.level)
     rows = []
     for start in range(0, len(tables), _CHUNK):
-        rows += _fit_block(config, tables[start : start + _CHUNK])
+        rows += _fit_block(config, tables[start : start + _CHUNK], z_half)
 
     params, design = config.params, config.design
     sqrt_n = math.sqrt(design.n)
@@ -293,9 +293,7 @@ def run_mc(config: SimConfig) -> MCReport:
                 coverage_mc_se=math.sqrt(cov_rate * (1.0 - cov_rate) / n_inc),
                 theory_delta=t_delta,
                 theory_sigma=math.sqrt(t_var),
-                theory_power=_wald_power(
-                    params.gamma + t_delta, t_var, design.n, config.level
-                ),
+                theory_power=_wald_power(params.gamma + t_delta, t_var, design.n, z_half),
             )
         )
     return MCReport(config=config, stats=tuple(stats))

@@ -8,7 +8,8 @@ max|grad| 1.56e-8 against a 1e-8 bar), where a last-ulp change could flip
 a NonConvergence.  The kernels are therefore compared bit for bit with the
 frozen array forms in ``oracles``, and the stalled fits and limits with
 digests of their outputs.  The batch sampler is compared bit for bit with
-the frozen one-table sampler.
+the frozen one-table sampler, and the theory curves of the benchmark's
+panels with digests of every field.
 """
 
 from itertools import combinations
@@ -35,6 +36,7 @@ from cceff import (
     retro_distribution,
     sample_table,
     sample_tables,
+    theory_curve,
 )
 from cceff._constrained import expected_masses, f_derivs, loglik_grad_hess_s
 
@@ -284,3 +286,24 @@ class TestBatchSampler:
         tables = sample_tables(params, DesignParams(1.0, 2.0), 3, range(12))
         first_split = tables[:, :, 0, 0]  # cell (i, j) = (0, 0) of controls and cases
         assert np.any(first_split == 1) and np.any(first_split == 0)
+
+
+class TestTheoryCurves:
+    # The closed_form benchmark panels (beta, gamma, theta, pi, nu) on the
+    # grid 0.01:0.99:99 at the CLI's default n = 50000: a digest of every
+    # PowerPoint field of every row.
+    @pytest.mark.parametrize(
+        "panel, expected",
+        [
+            ((1.0, 0.3, 0.4, 0.5, 1.0), "0a0199790d2836e3"),
+            ((1.0, 0.05, 0.4, 0.5, 1.0), "c72f7c277d75e9d7"),
+            ((5e-4, 0.3, 0.4, 0.5, 1.0), "77db9a2abd628b67"),
+            ((2.0, 0.3, 0.2, 0.3, 3.0), "bc1363216ea232b6"),
+            ((-1.5, 0.5, 0.6, 0.2, 0.5), "9e80b393e1eb8cab"),
+        ],
+    )
+    def test_panel_rows_keep_their_bits(self, panel, expected):
+        grid = [float(x) for x in np.linspace(0.01, 0.99, 99)]
+        rows = theory_curve(grid, *panel, 50000.0)
+        fields = [getattr(r, name) for r in rows for name in r.__dataclass_fields__]
+        assert _digest(*fields) == expected

@@ -125,6 +125,7 @@ class TestTheory:
         ("--level", "2.5"),
         ("--n", "-5"),
         ("--nu", "-1"),
+        ("--theta", "0"),
     ])
     def test_out_of_domain_design_or_level_is_usage_error(self, tmp_path, capsys, flag, value):
         out = tmp_path / "x.csv"
@@ -144,6 +145,23 @@ class TestTheory:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("theory failed at f=0.90000000000000002: constrained information")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, f, message", [
+        # Every flag lies inside its domain; the row's exposure margin rounds to 0.
+        (["--beta", "-20", "--gamma", "39.8", "--theta", "0.39", "--pi", "0.5", "--nu", "1000",
+          "--f-grid", "0.05:0.95:10"], "0.050000000000000003", "an exposure margin is not inside"),
+        # The row's intercept lies outside [-50, 50].
+        (["--beta", "50", "--gamma", "30", "--theta", "0.99999999", "--pi", "0.5",
+          "--f-grid", "0.5:0.99:8"], "0.5", "alpha=-64.98"),
+    ])
+    def test_row_outside_the_domain_is_a_row_failure(self, tmp_path, capsys, flags, f, message):
+        out = tmp_path / "x.csv"
+        rc = run("theory", *flags, "--out", out)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"theory failed at f={f}: {message}")
         assert err.count("\n") == 1
         assert not out.exists()
 

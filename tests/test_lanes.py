@@ -18,6 +18,7 @@ from cceff import (
     CCEffError,
     DesignParams,
     FitResult,
+    InvalidInput,
     PopulationParams,
     alpha_from_prevalence,
     fit_adjusted,
@@ -29,8 +30,10 @@ from cceff import (
     limiting_value,
     limiting_values,
     misspec_sweep,
+    retro_distribution,
     theory_curve,
 )
+from cceff.model import _retro_lanes
 
 from test_bitwise import BRANCH_CASES
 
@@ -192,6 +195,16 @@ class TestTheoryLanes:
         panel=st.sampled_from(PANELS),
     )
     @example(grid=[0.5, 0.9, 0.99], panel=PANELS[4])
+    # The first failing row lies inside the grid: InvalidInput at f = 0.98,
+    # SingularInformation at f = 0.9.
+    @example(
+        grid=[0.02, 0.1, 0.3, 0.5, 0.7, 0.9, 0.98],
+        panel=(21.021182562130463, 17.434819286984137, 0.5, 0.8373637166030036, 1000.0),
+    )
+    @example(
+        grid=[0.02, 0.1, 0.3, 0.5, 0.7, 0.9, 0.98],
+        panel=(5.0, -26.018234178568356, 0.35725291755417643, 0.2904179516189237, 1000.0),
+    )
     def test_grid_rows_are_computed_as_alone(self, grid, panel):
         alone = [_point(f, panel) for f in grid]
         try:
@@ -231,3 +244,30 @@ class TestAlphaLanes:
                 assert np.isnan(value)
             else:
                 assert np.float64(alone).tobytes() == value.tobytes()
+
+
+params = st.tuples(
+    st.floats(-50.0, 50.0), st.floats(-50.0, 50.0), st.floats(-50.0, 50.0),
+    st.floats(1e-8, 1.0 - 1e-8), st.floats(1e-8, 1.0 - 1e-8),
+)
+# The prevalence rounds to 1.0; the control law underflows to all zeros.
+INVALID_LAWS = [(50.0, 50.0, 50.0, 0.5, 0.5), (37.0, 13.0, 0.0, 1e-8, 0.5)]
+
+
+class TestRetroLanes:
+    @given(lanes=st.lists(st.one_of(st.sampled_from(INVALID_LAWS), params), min_size=1,
+                          max_size=10))
+    @example(lanes=INVALID_LAWS + [(-2.0, 1.0, 0.3, 0.4, 0.5)])
+    def test_each_lane_is_the_law_alone(self, lanes):
+        f, invalid, laws = _retro_lanes(*np.array(lanes).T)
+        for k, args in enumerate(lanes):
+            params = PopulationParams(*args)
+            try:
+                alone = retro_distribution(params)
+            except InvalidInput:
+                assert invalid[k]
+                continue
+            assert not invalid[k]
+            assert np.float64(params.f).tobytes() == f[k].tobytes()
+            for name in ("p_case", "p_ctrl", "p1_prime", "p0_prime", "d_mat", "h_mat"):
+                assert np.asarray(getattr(alone, name)).tobytes() == getattr(laws, name)[k].tobytes()

@@ -269,7 +269,7 @@ class TestRunMC:
         # and AdjCon, which starts from it, reports the same kind.
         w = np.array([[[40.0, 30.0], [0.0, 0.0]], [[25.0, 35.0], [0.0, 0.0]]])
         cfg = SimConfig(params=canonical, design=DesignParams(1.0, 130.0), replicates=1, seed=0)
-        (rows,) = simulate_mod._fit_block(cfg, w[None])
+        (rows,) = simulate_mod._fit_block(cfg, w[None], simulate_mod._z_half(cfg.level))
         assert [r[5] for r in rows] == ["", "ZeroMargin", "ZeroMargin"]
         with pytest.raises(ZeroMargin):
             fit_constrained(CaseControlTable(w), canonical.f)
