@@ -382,7 +382,7 @@ def _ascent_directions(g, h):
 _SPECULATE = 32
 
 
-def newton_ascent(evaluate, x, in_box, gtol, max_iter):
+def newton_ascent(evaluate, x, in_box, gtol, max_iter, accept=None):
     """Maximize by damped Newton steps with backtracking, one lane per row of x.
 
     evaluate(x, lanes) returns the state at the rows of x, which belong to
@@ -403,13 +403,19 @@ def newton_ascent(evaluate, x, in_box, gtol, max_iter):
     In the endgame, once that max-norm is within 100 * gtol, "does not
     lower" allows a drop of 1e-14 * (1 + |ll|): the predicted gain of a step
     there is below the objective's rounding, so only the gradient can judge
-    progress.  Farther out the objective still resolves a step's gain, so a
-    lower objective there marks a worse step.  A flat step must shrink the
-    max-norm in either case, so flat steps cannot cycle.  A lane ends at
-    the gradient tolerance, after max_iter iterations, when no candidate is
-    accepted, when the accepted candidate is bitwise equal to its point
-    (an exact fixed point, where every later iteration would repeat this
-    one), or when an evaluation fails.
+    progress.  The same holds wherever the max-norm is within accept (the
+    bar under which the caller takes a lane as converged; default 100 *
+    gtol) and the direction's predicted gain g . d is below that rounding:
+    there a full Newton step that would reach the tolerance is otherwise
+    refused for a few units of rounding in ll, and the lane stops short at
+    a point that its last rounding decides.  Farther out the objective
+    still resolves a step's gain, so a lower objective there marks a worse
+    step.  A flat step must shrink the max-norm in either case, so flat
+    steps cannot cycle.  A lane ends at the gradient tolerance, after
+    max_iter iterations, when no candidate is accepted, when the accepted
+    candidate is bitwise equal to its point (an exact fixed point, where
+    every later iteration would repeat this one), or when an evaluation
+    fails.
 
     Lanes share the iteration counter and are evaluated together, but each
     follows exactly the path it would follow alone: the directions come
@@ -420,6 +426,8 @@ def newton_ascent(evaluate, x, in_box, gtol, max_iter):
     accepted evaluation of each lane, the iteration at which each lane
     stopped, and a mask of the lanes whose evaluation failed.
     """
+    if accept is None:
+        accept = 100.0 * gtol
     x = np.array(x, dtype=float)
     state = list(evaluate(x, np.arange(len(x))))
     iterations = np.zeros(len(x), dtype=int)
@@ -434,8 +442,10 @@ def newton_ascent(evaluate, x, in_box, gtol, max_iter):
         if not active.size:
             break
         ll = state[0][active]
-        ll_floor = np.where(stop_norm <= 100.0 * gtol, ll - 1e-14 * (1.0 + np.abs(ll)), ll)
         direction, gd = _ascent_directions(state[2][active], state[3][active])
+        rounding = 1e-14 * (1.0 + np.abs(ll))
+        endgame = (stop_norm <= 100.0 * gtol) | ((stop_norm <= accept) & (gd <= rounding))
+        ll_floor = np.where(endgame, ll - rounding, ll)
         moved = np.zeros(len(active), dtype=bool)
         searching = np.arange(len(active))  # positions in active
         halvings = 0

@@ -64,7 +64,7 @@ SPECIAL_TABLES = [
     [40, 30, 0, 0, 25, 35, 0, 0],  # no covariate: Adj and AdjCon ZeroMargin
     [81, 11, 7, 1, 35, 3, 11, 1],  # sparse-design tables: AdjCon converges,
     [91, 5, 3, 1, 34, 2, 14, 0],  # stalls (NonConvergence),
-    [85, 5, 10, 0, 30, 2, 18, 0],  # and stops short of the endgame
+    [85, 5, 10, 0, 30, 2, 18, 0],  # and reaches the tolerance from a rounding-level step
     [40, 0, 30, 0, 0, 25, 0, 35],  # complete separation: Adj and AdjCon Separation
     [499, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5],  # real-valued weights
     [0, 0, 6, 0, 0, 2, 4, 0],  # two filled patterns: Adj inverse information indefinite,
