@@ -15,21 +15,19 @@ log-likelihood
            + i*log(theta) + (1-i)*log(1-theta)
            + j*log(pi) + (1-j)*log(1-pi) ],    eta_ij = alpha(f, s) + beta*i + gamma*j.
 
-Every kernel works on lanes: a leading axis of tables, parameter points or
-prevalences, evaluated together.  Lane-exactness holds throughout: a lane
-goes through exactly the floating-point operations a one-lane call does,
-in the same order (elementwise ufuncs, four-cell sums left to right,
-stacked matmul, einsum, solve, inv and eigvalsh, which reduce each lane as
-the one-lane call does), so its results are bitwise independent of the
-other lanes.  A one-lane call is a batch of one.
+Every kernel takes flat lanes, one row per table or parameter point: cell
+weights (n, 8) ordered as CaseControlTable.w.ravel(), s (n, 4), and f a
+scalar or (n,).  Lane-exactness holds throughout: a lane goes through
+exactly the floating-point operations a one-lane call does, in the same
+order (elementwise ufuncs, four-cell sums left to right, stacked matmul,
+einsum, solve, inv and eigvalsh, which reduce each lane as the one-lane call
+does), so its results are bitwise independent of the other lanes.
 """
-
-import math
 
 import numpy as np
 from scipy.special import expit
 
-from .model import _alpha_error, alpha_from_prevalence, retro_distribution
+from .model import alpha_from_prevalence, retro_distribution
 
 # flattened cell order matches CaseControlTable.w.ravel(): (d, i, j) C-order
 _D8 = np.array([0, 0, 0, 0, 1, 1, 1, 1], dtype=float)
@@ -46,17 +44,15 @@ def f_derivs(alpha, beta, gamma, theta, pi):
     """Gradient and Hessian of F = prevalence in (alpha, beta, gamma, theta, pi).
 
     F = sum_ij p_ij tx_i te_j with p_ij = expit(alpha + beta*i + gamma*j),
-    tx = (1 - theta, theta) and te = (1 - pi, pi).  The arguments broadcast
-    against each other, one lane per element; the results have shapes
-    (..., 5) and (..., 5, 5).  Every entry is bitwise 0.0 plus its nonzero
-    per-cell terms added in C order (00, 01, 10, 11), as accumulating
-    per-cell arrays gives, lane by lane, so each lane is bitwise what a
-    one-lane call gives.
+    tx = (1 - theta, theta) and te = (1 - pi, pi).  The arguments share one
+    shape, one lane per element; the results have shapes (..., 5) and
+    (..., 5, 5).  Every entry is bitwise 0.0 plus its nonzero per-cell terms
+    added in C order (00, 01, 10, 11), as accumulating per-cell arrays
+    gives, lane by lane, so each lane is bitwise what a one-lane call gives.
     """
-    args = [np.asarray(x, dtype=float) for x in (alpha, beta, gamma, theta, pi)]
-    if len({x.shape for x in args}) > 1:
-        args = np.broadcast_arrays(*args)
-    alpha, beta, gamma, theta, pi = args
+    alpha, beta, gamma, theta, pi = (
+        np.asarray(x, dtype=float) for x in (alpha, beta, gamma, theta, pi)
+    )
     cells = alpha.shape + (4,)
     p = np.empty(cells)  # eta of cells 00, 01, 10, 11; cell 11 is (alpha + beta) + gamma
     p[..., 0] = alpha
@@ -135,18 +131,15 @@ def alpha_derivs(alpha, beta, gamma, theta, pi):
 def profile_parts(f, s):
     """Per-cell log-likelihood, gradient, and Hessian in s at prevalence f.
 
-    s has shape (..., 4) and f broadcasts against its leading shape; each
-    leading index is a lane.  Returns (alpha, l8, g8, H8) with shapes
-    (...), (..., 8), (..., 8, 4) and (..., 8, 4, 4), cells ordered as
-    CaseControlTable.w.ravel().  A lane whose intercept cannot be inverted
-    has alpha NaN (a single s raises the BracketFailure instead).  Every
-    operation is elementwise per lane (squares by ``np.float_power``, which
-    rounds as Python's ``**`` does), so each lane is bitwise what a
-    one-lane call gives.
+    s has shape (n, 4) and f is a scalar or (n,), one lane per row.  Returns
+    (alpha, l8, g8, H8) with shapes (n,), (n, 8), (n, 8, 4) and (n, 8, 4, 4),
+    cells ordered as CaseControlTable.w.ravel().  A lane whose intercept
+    cannot be inverted has alpha NaN.  Every operation is elementwise per
+    lane (squares by ``np.float_power``, which rounds as Python's ``**``
+    does), so each lane is bitwise what a one-lane call gives.
     """
-    s = np.asarray(s, dtype=float)
     beta, gamma, theta, pi = (s[..., k] for k in range(4))
-    alpha = np.asarray(alpha_from_prevalence(f, beta, gamma, theta, pi))
+    alpha = alpha_from_prevalence(f, beta, gamma, theta, pi)
     a_s, a_ss = alpha_derivs(alpha, beta, gamma, theta, pi)
     eta = alpha[..., None] + beta[..., None] * _I8 + gamma[..., None] * _J8
     p = expit(eta)
@@ -179,62 +172,26 @@ def profile_parts(f, s):
     tp2 = np.float_power(tp, 2.0)
     otp2 = np.float_power(1.0 - tp, 2.0)
     H8[..., (2, 3), (2, 3)] -= _IJ8 / tp2 + _NIJ8 / otp2
-    return (alpha if alpha.ndim else float(alpha)), l8, g8, H8
-
-
-def _lane_cells(x, cells):
-    """x with its trailing cells (shape (2, 2, 2) or (2, 2), or flat) flattened."""
-    x = np.asarray(x, dtype=float)
-    k = len(cells)
-    if x.shape[x.ndim - k:] == cells:
-        x = x.reshape(x.shape[: x.ndim - k] + (math.prod(cells),))
-    return x
-
-
-def _lanes(*items):
-    """Broadcast (array, trailing ndim) pairs to one flat lane axis.
-
-    Returns the arrays as (n, *trailing) and the broadcast lane shape.
-    """
-    shape = np.broadcast_shapes(*(a.shape[: a.ndim - nd] for a, nd in items))
-    out = []
-    for a, nd in items:
-        tail = a.shape[a.ndim - nd :]
-        if a.shape != shape + tail:
-            a = np.broadcast_to(a, shape + tail)
-        out.append(np.ascontiguousarray(a).reshape((math.prod(shape),) + tail))
-    return out, shape
+    return alpha, l8, g8, H8
 
 
 def loglik_grad_hess_s(weights, f, s):
     """Weighted log-likelihood with gradient and Hessian in s.
 
-    weights has shape (..., 2, 2, 2) or (..., 8) (cell masses), s (..., 4),
-    and f broadcasts; the leading shapes broadcast to the lanes.  Returns
-    (alpha, loglik, grad, hess) with shapes (...), (...), (..., 4) and
-    (..., 4, 4); one lane (no leading shape) gives floats for alpha and
-    loglik and raises BracketFailure where the intercept cannot be inverted,
-    while a lane of a batch gets NaN there.  The weighted sums are stacked
-    matmul and einsum, which reduce each lane as the one-lane ``w @ l8``
-    and ``einsum("k,kij->ij")`` do, so every lane is bitwise independent of
-    the others.
+    weights (n, 8) holds the cell masses of each lane, s (n, 4) its point
+    and f, a scalar or (n,), its prevalence.  Returns (alpha, loglik, grad,
+    hess) with shapes (n,), (n,), (n, 4) and (n, 4, 4); a lane whose
+    intercept cannot be inverted has NaN there.  The weighted sums are
+    stacked matmul and einsum, which reduce each lane as the one-lane
+    ``w @ l8`` and ``einsum("k,kij->ij")`` do, so every lane is bitwise
+    independent of the others.
     """
-    (w, f_l, s_l), shape = _lanes(
-        (_lane_cells(weights, (2, 2, 2)), 1), (np.asarray(f, dtype=float), 0),
-        (np.asarray(s, dtype=float), 1),
-    )
-    alpha, l8, g8, H8 = profile_parts(f_l, s_l)
-    hess = np.einsum("rk,rkij->rij", w, H8)
-    loglik = (w[:, None, :] @ l8[:, :, None])[:, 0, 0]
-    grad = (w[:, None, :] @ g8)[:, 0, :]
+    alpha, l8, g8, H8 = profile_parts(f, s)
+    hess = np.einsum("rk,rkij->rij", weights, H8)
+    loglik = (weights[:, None, :] @ l8[:, :, None])[:, 0, 0]
+    grad = (weights[:, None, :] @ g8)[:, 0, :]
     hess = 0.5 * (hess + hess.transpose(0, 2, 1))
-    if shape == ():
-        if math.isnan(alpha[0]):
-            raise _alpha_error(f_l[0])
-        return float(alpha[0]), float(loglik[0]), grad[0], hess[0]
-    return alpha.reshape(shape), loglik.reshape(shape), grad.reshape(shape + (4,)), hess.reshape(
-        shape + (4, 4)
-    )
+    return alpha, loglik, grad, hess
 
 
 def expected_masses(params, nu):
@@ -258,7 +215,7 @@ def expected_info_s(f, s, p_case, p_ctrl, nu):
     (``_retro_lanes``) make one batched, lane-exact likelihood evaluation.
     A lane whose intercept cannot be inverted is NaN.
     """
-    return -loglik_grad_hess_s(_mass_lanes(p_case, p_ctrl, nu), f, s)[3]
+    return -loglik_grad_hess_s(_mass_lanes(p_case, p_ctrl, nu).reshape(-1, 8), f, s)[3]
 
 
 def nearly_singular(info):
@@ -280,36 +237,24 @@ def sandwich_s(masses, p_case, p_ctrl, nu, f, s):
     distributions; a fitted table passes its own normalized cells, so the
     same routine gives the plug-in robust covariance per unit total weight.
 
-    Every argument may carry leading lane dimensions (masses (..., 2, 2, 2)
-    or (..., 8), p_case and p_ctrl (..., 2, 2) or (..., 4), s (..., 4));
-    they broadcast, and each lane's (4, 4) result is bitwise what a
-    one-lane call gives (stacked einsum, matmul and inverse).
+    Each row is a lane: masses (n, 8), p_case and p_ctrl (n, 4), nu (n,)
+    and s (n, 4), with f a scalar or (n,).  Returns (n, 4, 4); each lane is
+    bitwise what a one-lane call gives (stacked einsum, matmul and inverse).
     """
-    (m, pc, p0, nu, f, s), shape = _lanes(
-        (_lane_cells(masses, (2, 2, 2)), 1), (_lane_cells(p_case, (2, 2)), 1),
-        (_lane_cells(p_ctrl, (2, 2)), 1), (np.asarray(nu, dtype=float), 0),
-        (np.asarray(f, dtype=float), 0), (np.asarray(s, dtype=float), 1),
-    )
     _, _, g8, H8 = profile_parts(f, s)
-    A = np.einsum("rk,rkij->rij", m, H8)
+    A = np.einsum("rk,rkij->rij", masses, H8)
     A = 0.5 * (A + A.transpose(0, 2, 1))
 
-    g_case = g8[:, 4:]
-    g_ctrl = g8[:, :4]
-    mean_case = (pc[:, None, :] @ g_case)[:, 0]
-    mean_ctrl = (p0[:, None, :] @ g_ctrl)[:, 0]
-    cov_case = np.einsum("rk,rki,rkj->rij", pc, g_case, g_case) - (
-        mean_case[:, :, None] * mean_case[:, None, :]
-    )
-    cov_ctrl = np.einsum("rk,rki,rkj->rij", p0, g_ctrl, g_ctrl) - (
-        mean_ctrl[:, :, None] * mean_ctrl[:, None, :]
-    )
-    B = (nu[:, None, None] * cov_case + cov_ctrl) / (1.0 + nu)[:, None, None]
+    cov = []  # of the case scores, then the control scores
+    for p, g in ((p_case, g8[:, 4:]), (p_ctrl, g8[:, :4])):
+        mean = (p[:, None, :] @ g)[:, 0]
+        cov.append(np.einsum("rk,rki,rkj->rij", p, g, g) - mean[:, :, None] * mean[:, None, :])
+    B = (nu[:, None, None] * cov[0] + cov[1]) / (1.0 + nu)[:, None, None]
     B = 0.5 * (B + B.transpose(0, 2, 1))
 
     a_inv = np.linalg.inv(A)
     sigma = a_inv @ B @ a_inv
-    return (0.5 * (sigma + sigma.transpose(0, 2, 1))).reshape(shape + (4, 4))
+    return 0.5 * (sigma + sigma.transpose(0, 2, 1))
 
 
 def _max_abs(x):

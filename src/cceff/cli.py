@@ -26,8 +26,9 @@ from .errors import AllReplicatesFailed, CCEffError, InvalidInput
 from .estimators import (
     CaseControlTable,
     Method,
-    fit_adjusted,
-    fit_constrained,
+    _one,
+    fit_adjusted_batch,
+    fit_constrained_batch,
     fit_marginal,
     wald_test,
 )
@@ -199,6 +200,7 @@ def _resolve(ns, parser):
 
     Flags are declared with default=None so an unset flag falls through to
     the config file, then to the command's own default or the OPTIONS one.
+    A config key that the command does not take raises InvalidInput.
     """
     config = {}
     if getattr(ns, "config", None):
@@ -207,6 +209,9 @@ def _resolve(ns, parser):
         except (OSError, ValueError) as exc:
             parser.error(str(exc))
     _, _, names, defaults = COMMANDS[ns.command]
+    for key in config:
+        if key not in names:
+            raise InvalidInput(f"{ns.config}: {ns.command} takes no config key {key!r}")
     resolved = {}
     for name in names:
         parse_fn, default, _ = OPTIONS[name]
@@ -282,17 +287,26 @@ def cmd_theory(ns, parser):
 
 # ---------------------------------------------------------------- fit
 
+def _parse_row(fields):
+    """(d, i, j, count) of a d,i,j,count row or a d,x,e subject (count 1), as strings.
+
+    Raises ValueError where a field does not parse, ArgumentTypeError where one is out of range.
+    """
+    d, i, j = (int(c) for c in fields[:3])
+    count = float(fields[3]) if len(fields) == 4 else 1.0
+    if d not in (0, 1) or i not in (0, 1) or j not in (0, 1):
+        names = "d, i, j" if len(fields) == 4 else "d, x, e"
+        raise argparse.ArgumentTypeError(f"{names} must each be 0 or 1 (got {d},{i},{j})")
+    if not (count >= 0 and math.isfinite(count)):
+        raise argparse.ArgumentTypeError("count must be finite and nonnegative")
+    return d, i, j, count
+
+
 def _parse_cell(text):
     parts = text.split(",")
     if len(parts) != 4:
         raise argparse.ArgumentTypeError("expected d,i,j,count")
-    d, i, j = (int(p) for p in parts[:3])
-    count = float(parts[3])
-    if d not in (0, 1) or i not in (0, 1) or j not in (0, 1):
-        raise argparse.ArgumentTypeError("d, i, j must each be 0 or 1")
-    if not (count >= 0 and math.isfinite(count)):
-        raise argparse.ArgumentTypeError("count must be finite and nonnegative")
-    return d, i, j, count
+    return _parse_row(parts)
 
 
 def _read_table_file(path, columns):
@@ -309,17 +323,11 @@ def _read_table_file(path, columns):
             if len(row) != columns:
                 raise ValueError(f"{where}: expected {columns} columns {names}")
             try:
-                d, i, j = (int(c) for c in row[:3])
-                count = float(row[3]) if columns == 4 else 1.0
+                d, i, j, count = _parse_row(row)
             except ValueError:
                 raise ValueError(f"{where}: could not parse {names}") from None
-            if d not in (0, 1) or i not in (0, 1) or j not in (0, 1):
-                raise ValueError(
-                    f"{where}: {names[:5].replace(',', ', ')} must each be 0 or 1 "
-                    f"(got {d},{i},{j})"
-                )
-            if not (count >= 0 and math.isfinite(count)):
-                raise ValueError(f"{where}: count must be finite and nonnegative")
+            except argparse.ArgumentTypeError as exc:
+                raise ValueError(f"{where}: {exc}") from None
             w[d, i, j] += count
     return w
 
@@ -356,6 +364,9 @@ def cmd_fit(ns, parser):
         return 2
 
     started = _now()
+    # The adjusted fit serves both Adj and AdjCon's start, so it runs once.
+    if Method.ADJ in methods or Method.ADJCON in methods:
+        adjusted = fit_adjusted_batch(table.w[None])
     out_rows = []
     any_error = False
     print(f"{'method':<8} {'gamma_hat':>12} {'se':>12} {'z':>10} {'p':>12} converged")
@@ -364,9 +375,9 @@ def cmd_fit(ns, parser):
             if method is Method.MAR:
                 fit = fit_marginal(table, continuity_correction=r["continuity_correction"])
             elif method is Method.ADJ:
-                fit = fit_adjusted(table)
+                fit = _one(adjusted)
             else:
-                fit = fit_constrained(table, r["prevalence"])
+                fit = _one(fit_constrained_batch(table.w[None], r["prevalence"], adjusted=adjusted))
             test = wald_test(fit, r["level"])
             print(
                 f"{method.value:<8} {fit.gamma_hat:>12.6g} {fit.se_gamma:>12.6g} "

@@ -505,9 +505,8 @@ def fit_constrained_batch(tables, f: float, f_misspecified: bool = False, adjust
     good = lanes[kept]
     cov_sw = [None] * len(good)
     if f_misspecified:
-        wk = w[good]
-        p_case = wk[:, 1] / wk[:, 1].reshape(-1, 4).sum(axis=1)[:, None, None]
-        p_ctrl = wk[:, 0] / wk[:, 0].reshape(-1, 4).sum(axis=1)[:, None, None]
+        wk = w[good].reshape(-1, 8)
+        p_ctrl, p_case = (x / x.sum(axis=1)[:, None] for x in (wk[:, :4], wk[:, 4:]))
         nu = n_cases[good] / n_controls[good]
         cov_sw = sandwich_s(wk, p_case, p_ctrl, nu, f, s_hat[kept]) / total[good, None, None]
     for j, k in enumerate(kept):

@@ -343,11 +343,15 @@ def limiting_values(truth: PopulationParams, design: DesignParams, f_values, eps
     lanes = np.array([k for k, o in enumerate(out) if o is None], dtype=int)
     if not lanes.size:
         return out
-    masses = expected_masses(truth, design.nu)
+    # The kernels take one row per lane, so the shared truth is tiled once.
+    rd = retro_distribution(truth)
+    masses = np.tile(expected_masses(truth, design.nu).reshape(8), (len(lanes), 1))
+    p_case, p_ctrl = (np.tile(p.reshape(4), (len(lanes), 1)) for p in (rd.p_case, rd.p_ctrl))
+    nu = np.full(len(lanes), design.nu)
     f_lane = np.array(f_values)[lanes]
 
     def evaluate(s, k):
-        _, ll, grad, hess = loglik_grad_hess_s(masses, f_lane[k], s)
+        _, ll, grad, hess = loglik_grad_hess_s(masses[k], f_lane[k], s)
         return ll, grad, grad, hess
 
     def in_box(s):
@@ -368,8 +372,7 @@ def limiting_values(truth: PopulationParams, design: DesignParams, f_values, eps
         else:
             good.append(k)
     if good:
-        rd = retro_distribution(truth)
-        sandwich = sandwich_s(masses, rd.p_case, rd.p_ctrl, design.nu, f_lane[good], s[good])
+        sandwich = sandwich_s(*(x[good] for x in (masses, p_case, p_ctrl, nu, f_lane, s)))
         for j, k in enumerate(good):
             out[lanes[k]] = LimitPoint(
                 f_used=f_values[lanes[k]],

@@ -73,7 +73,7 @@ def _digest(*values):
 
 
 def _max_grad(weights, f, s):
-    return np.max(np.abs(loglik_grad_hess_s(weights, f, s)[2]))
+    return np.max(np.abs(loglik_grad_hess_s(weights.reshape(1, 8), f, np.array([s]))[2][0]))
 
 
 def _outcome(fn, *args):

@@ -273,18 +273,33 @@ class TestFit:
             events.append("now")
             return f"t{len(events)}"
 
-        def fit_adjusted(table):
+        def fit_adjusted_batch(tables):
             events.append("fit")
-            return cceff.fit_adjusted(table)
+            return cceff.fit_adjusted_batch(tables)
 
         monkeypatch.setattr(cceff.cli, "_now", now)
-        monkeypatch.setattr(cceff.cli, "fit_adjusted", fit_adjusted)
+        monkeypatch.setattr(cceff.cli, "fit_adjusted_batch", fit_adjusted_batch)
         w = [[[10.0] * 2] * 2] * 2
         out = tmp_path / "fit.csv"
         assert run("fit", *self.cells(w), "--methods", "adj", "--out", out) == 0
         assert events == ["now", "fit", "now"]
         entries = parse_manifest(manifest_path(str(out)))
         assert (entries["started_utc"], entries["finished_utc"]) == ("t1", "t3")
+
+    def test_adj_and_adjcon_share_one_adjusted_fit(self, monkeypatch):
+        calls = []
+        fit_adjusted_batch = cceff.estimators.fit_adjusted_batch
+
+        def counted(tables):
+            calls.append(len(tables))
+            return fit_adjusted_batch(tables)
+
+        monkeypatch.setattr(cceff.estimators, "fit_adjusted_batch", counted)
+        monkeypatch.setattr(cceff.cli, "fit_adjusted_batch", counted)
+        w = [[[30, 12], [18, 25]], [[20, 22], [10, 40]]]
+        argv = self.cells(w) + ["--methods", "adj,adjcon", "--prevalence", "0.1"]
+        assert run("fit", *argv) == 0
+        assert calls == [1]
 
     def test_cell_list_must_cover_all_cells(self):
         w = [[[10.0] * 2] * 2] * 2
@@ -396,6 +411,17 @@ class TestSimulate:
                  "--methods", "mar", "--out", tmp_path / "x.csv")
         assert rc == 1
         assert "replicates failed" in capsys.readouterr().err
+
+    def test_config_key_the_command_does_not_take_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("replicate = 7\n")
+        out = tmp_path / "s.csv"
+        rc = run("simulate", *CANON, "--f", "0.1", "--n", "500", "--config", cfg, "--out", out)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "'replicate'" in err and "simulate" in err
+        assert not out.exists()
 
 
 class TestMisspec:

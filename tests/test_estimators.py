@@ -237,22 +237,23 @@ class TestConstrained:
 
         t = sample_table(canonical, DesignParams(nu=1.0, n=4000), seed=3, replicate_index=1)
         fit = fit_constrained(t, canonical.f)
-        _, _, _, hess = loglik_grad_hess_s(t.w / t.n, canonical.f, np.asarray(fit.params))
-        eigs = np.linalg.eigvalsh(-hess)
+        w = (t.w / t.n).reshape(1, 8)
+        _, _, _, hess = loglik_grad_hess_s(w, canonical.f, np.array([fit.params]))
+        eigs = np.linalg.eigvalsh(-hess[0])
         assert eigs.min() > 0.0
 
     def test_analytic_gradient_matches_finite_differences(self, canonical):
         from cceff._constrained import loglik_grad_hess_s
 
         t = sample_table(canonical, DesignParams(nu=1.0, n=4000), seed=13, replicate_index=0)
-        w = t.w / t.n
+        w = (t.w / t.n).reshape(1, 8)
         s = np.array([0.9, 0.25, 0.42, 0.51])
-        _, _, grad, _ = loglik_grad_hess_s(w, canonical.f, s)
+        grad = loglik_grad_hess_s(w, canonical.f, s[None])[2][0]
         for k in range(4):
             def slice_k(x, k=k):
                 sk = s.copy()
                 sk[k] = x
-                return loglik_grad_hess_s(w, canonical.f, sk)[1]
+                return loglik_grad_hess_s(w, canonical.f, sk[None])[1][0]
 
             fd = oracles.fd_derivative(slice_k, s[k], h=1e-6 * (1.0 + abs(s[k])))
             assert abs(grad[k] - fd) <= 1e-6 * (1.0 + abs(fd))
