@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 numeric/runtime failure, 2 usage error,
 import argparse
 import csv
 from datetime import datetime, timezone
+import functools
 import math
 import sys
 
@@ -313,11 +314,11 @@ def _read_table_file(path, columns):
     """Sum a CSV of d,i,j,count rows (columns=4) or of d,x,e subjects (columns=3) into w."""
     names = "d,i,j,count" if columns == 4 else "d,x,e"
     w = np.zeros((2, 2, 2))
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:  # drops a byte-order mark
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row or all(not c.strip() for c in row):
                 continue
-            if lineno == 1 and not row[0].strip().lstrip("+-").isdigit():
+            if lineno == 1 and [c.strip() for c in row] == names.split(","):
                 continue  # header row
             where = f"{path}:{lineno}"
             if len(row) != columns:
@@ -552,7 +553,9 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser():
+    """The parser of every command, built on first use and shared by later ``main`` calls."""
     parser = argparse.ArgumentParser(
         prog="cceff",
         description="Bias, efficiency, and power of marginal and adjusted "

@@ -191,13 +191,16 @@ def _alpha_error(f):
 # Bisection midpoints evaluated ahead in one batch by a lane still iterating
 # after _CHAIN_AFTER steps, see alpha_from_prevalence.  Safeguarded Newton
 # converges in about 7 steps; a lane whose Newton step rounds onto the
-# bracket end bisects back from the far end, about 50 steps.  On the
-# mc_sparse fits (3 blocks of 6 tables) chains of 16, 32 and 48 points took
-# 69, 43 and 27 batched steps, and 48 points cost about 11 % fewer array
-# operations than 32 in all; starting chains after 6 or 10 steps instead
-# of 8 cost more.
+# bracket end bisects back from the far end, about 50 steps.  Over the 26
+# inversions of the mc_sparse fits (3 blocks of 6 tables), chains of 32
+# points took 7 % more time than 48 and 64 points 2 % less (inside the
+# noise); starting them after 6 or 10 steps instead of 8 took 4-6 % more.
+# Over 125 inversions of 128-table blocks at that point, those four took
+# 12 %, 8 %, 20 % and 7 % more (paired medians of 30 runs, 2-vCPU VM,
+# Python 3.11, numpy 2.4).
 _CHAIN = 48
 _CHAIN_AFTER = 8
+_POW2 = 2.0 ** np.arange(_CHAIN)
 
 
 def _newton_step(a, ga, slope, lo, hi):
@@ -243,10 +246,10 @@ def alpha_from_prevalence(f, beta, gamma, theta, pi):
     result.
     """
     args = [np.asarray(x, dtype=float) for x in (f, beta, gamma, theta, pi)]
-    if len({x.shape for x in args}) > 1:
-        args = np.broadcast_arrays(*args)
-    shape = args[0].shape
-    f, beta, gamma, theta, pi = (x.ravel() for x in args)
+    shape = np.broadcast(*args).shape
+    f, beta, gamma, theta, pi = (
+        x.ravel() if x.shape == shape else np.full(shape, x).ravel() for x in args
+    )
     if not f.size:
         return np.empty(shape)
     bad = ~((0.0 < f) & (f < 1.0))
@@ -318,13 +321,19 @@ def alpha_from_prevalence(f, beta, gamma, theta, pi):
                 # evaluates the next _CHAIN - 1 midpoints toward it, in the
                 # same batch; its steps are replayed in order up to the first
                 # that leaves the chain.  0.5 * (lo + hi) with the other end
-                # fixed is 0.5 * (point + fixed end): + is commutative.
+                # e fixed is x_k = (x_{k-1} + e) * 0.5: + is commutative.
+                # Scaled by 2^k that is y_k = y_{k-1} + 2^(k-1) e, with the
+                # same roundings (a power of two scales exactly: every y is
+                # finite for |alpha| <= 750, and a used step moves more than
+                # 1e-15, so no used midpoint is subnormal), and one
+                # sequential add.accumulate builds every chain.  Any other
+                # lane takes one step, from column 0.
                 fixed = np.where(chain > 0, hi, lo)
                 c = np.empty((len(a), _CHAIN))
                 c[:, 0] = a
-                for k in range(1, _CHAIN):
-                    np.add(c[:, k - 1], fixed, out=c[:, k])
-                    c[:, k] *= 0.5
+                np.multiply(fixed[:, None], _POW2[:-1], out=c[:, 1:])
+                np.add.accumulate(c, axis=1, out=c)
+                c /= _POW2
                 ga, slope = g(c, lane)
                 prev = np.concatenate([c[:, :1], c[:, :-1]], axis=1)
                 lo_k = np.where(chain[:, None] > 0, prev, lo[:, None])

@@ -12,11 +12,14 @@ from collections import Counter
 import dataclasses
 from dataclasses import dataclass
 import math
+import operator
 
 import numpy as np
 from scipy.special._ufuncs import _binom_ppf
 
-from ._constrained import expected_masses, loglik_grad_hess_s, newton_ascent, sandwich_s
+from ._constrained import (
+    _mass_lanes, expected_masses, loglik_grad_hess_s, newton_ascent, sandwich_s,
+)
 from .asymptotics import _delta_and_variance, _wald_power, _z_half
 from .errors import (
     AllReplicatesFailed,
@@ -163,8 +166,13 @@ def sample_tables(params, design, seed, replicate_indices) -> np.ndarray:
     uniforms for the case multinomial, then three for the control one, so
     any replicate can be drawn independently of the others and of execution
     order.  Row m is bitwise the table ``sample_table`` gives for
-    replicate_indices[m].
+    replicate_indices[m]; a seed or index that is not an integer raises InvalidInput.
     """
+    try:
+        seed = operator.index(seed)
+        replicate_indices = [operator.index(index) for index in replicate_indices]
+    except TypeError as exc:
+        raise InvalidInput(f"seed and replicate indices must be integers: {exc}") from None
     n = design.n
     if abs(n - round(n)) > 1e-9:
         raise InvalidInput("sampling requires an integer total sample size")
@@ -345,7 +353,7 @@ def limiting_values(truth: PopulationParams, design: DesignParams, f_values, eps
         return out
     # The kernels take one row per lane, so the shared truth is tiled once.
     rd = retro_distribution(truth)
-    masses = np.tile(expected_masses(truth, design.nu).reshape(8), (len(lanes), 1))
+    masses = np.tile(_mass_lanes(rd.p_case, rd.p_ctrl, design.nu).reshape(8), (len(lanes), 1))
     p_case, p_ctrl = (np.tile(p.reshape(4), (len(lanes), 1)) for p in (rd.p_case, rd.p_ctrl))
     nu = np.full(len(lanes), design.nu)
     f_lane = np.array(f_values)[lanes]

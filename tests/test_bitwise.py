@@ -23,6 +23,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.special import logit
 
+import cceff.model as model_mod
 import cceff.simulate as simulate_mod
 from cceff import (
     CCEffError,
@@ -94,6 +95,27 @@ class TestFloatKernels:
         assert _outcome(alpha_from_prevalence, *args) == _outcome(
             oracles.alpha_from_prevalence, *args
         )
+
+    def test_chained_lanes_match_frozen_reference(self, monkeypatch):
+        # Perturbations of the bisection point: about a third keep bisecting
+        # toward a bracket end past _CHAIN_AFTER steps, so they evaluate
+        # chains of midpoints ahead; the rest converge by Newton.
+        rng = np.random.default_rng(11)
+        lanes = np.array(BRANCH_CASES["bisection"]) * (1.0 + rng.uniform(-2e-5, 2e-5, (160, 5)))
+        batch = alpha_from_prevalence(*lanes.T)
+        evaluations = []
+        evaluate = oracles._prevalence_and_slope
+
+        def count(*args):
+            evaluations[-1] += 1
+            return evaluate(*args)
+
+        monkeypatch.setattr(oracles, "_prevalence_and_slope", count)
+        for value, args in zip(batch, lanes):
+            evaluations.append(0)
+            assert _bits(value) == _bits(oracles.alpha_from_prevalence(*args))
+        chained = sum(n > 3 * model_mod._CHAIN_AFTER for n in evaluations)
+        assert chained >= 32 and len(lanes) - chained >= 32
 
     @given(alpha=st.floats(-750.0, 750.0), beta=coef, gamma=coef, theta=prob, pi=prob)
     @example(alpha=0.0, beta=0.0, gamma=0.0, theta=0.5, pi=0.5)

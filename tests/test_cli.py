@@ -16,6 +16,7 @@ from cceff.cli import (
     MISSPEC_COLUMNS,
     SIM_COLUMNS,
     THEORY_COLUMNS,
+    build_parser,
     main,
     manifest_path,
     manifest_to_argv,
@@ -62,6 +63,62 @@ class TestParser:
         with pytest.raises(SystemExit) as ei:
             run("fit", "--counts-file", tmp_path / "x.csv", "--methods", "bogus")
         assert ei.value.code == 2
+
+    def test_import_builds_no_parser(self):
+        src = str(Path(cceff.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = "import cceff.cli as c; print(c.build_parser.cache_info().currsize)"
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout.strip() == "0"
+
+    def test_shared_parser_gives_what_a_fresh_one_gives(self, tmp_path, capsys):
+        counts = tmp_path / "counts.csv"
+        counts.write_text("d,i,j,count\n" + "".join(
+            f"{d},{i},{j},{10 + 3 * d + 2 * i + j}\n" for d in (0, 1) for i in (0, 1) for j in (0, 1)
+        ))
+        out = tmp_path / "out.csv"
+        calls = [
+            ["theory", *CANON, "--f-grid", "0.1:0.5:3"],
+            ["simulate", "--f", "0.3", *CANON],  # no --n: a usage error
+            ["fit", "--counts-file", str(counts), "--methods", "mar,adj"],
+            ["simulate", "--f", "0.3", *CANON, "--n", "400", "--replicates", "4", "--seed", "2"],
+        ]
+
+        def outcome(argv):
+            out.unlink(missing_ok=True)
+            try:
+                rc = run(*argv, "--out", out)
+            except SystemExit as exc:
+                rc = exc.code
+            return rc, capsys.readouterr().err, out.read_bytes() if out.exists() else None
+
+        build_parser.cache_clear()
+        shared = [outcome(argv) for argv in calls]
+        assert build_parser.cache_info().misses == 1
+        fresh = []
+        for argv in calls:
+            build_parser.cache_clear()
+            fresh.append(outcome(argv))
+        assert [rc for rc, _, _ in shared] == [0, 2, 0, 0]
+        assert "--n is required" in shared[1][1]
+        assert shared == fresh
+
+    @pytest.mark.parametrize("command", ["", "theory", "fit", "simulate", "misspec"])
+    def test_help_text_of_the_shared_parser(self, command, tmp_path, capsys):
+        def help_text():
+            with pytest.raises(SystemExit) as ei:
+                run(*command.split(), "--help")
+            assert ei.value.code == 0
+            return capsys.readouterr().out
+
+        build_parser.cache_clear()
+        fresh = help_text()
+        run("theory", *CANON, "--f-grid", "0.2:0.4:2", "--out", tmp_path / "t.csv")
+        capsys.readouterr()
+        assert help_text() == fresh
+        assert fresh.startswith("usage: cceff " + command)
 
 
 class TestTheory:
@@ -238,6 +295,28 @@ class TestFit:
             run("fit", *self.cells(w), "--methods", "adjcon")
         assert ei.value.code == 2
         assert "--prevalence" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("first, error", [
+        ("1.0,0,0,5", "could not parse d,i,j,count"),
+        ("d,i,j,5", "could not parse d,i,j,count"),
+        ("1,0,0", "expected 4 columns d,i,j,count"),
+    ])
+    def test_first_line_that_is_not_the_header_is_data(self, tmp_path, capsys, first, error):
+        counts = tmp_path / "counts.csv"
+        counts.write_text(first + "\n" + "".join(
+            f"{d},{i},{j},5\n" for d in (0, 1) for i in (0, 1) for j in (0, 1)
+        ))
+        assert run("fit", "--counts-file", counts, "--methods", "mar") == 2
+        assert capsys.readouterr().err == f"{counts}:1: {error}\n"
+
+    @pytest.mark.parametrize("header", [" d , x ,e", "\ufeffd,x,e"])
+    def test_header_may_carry_spaces(self, tmp_path, header):
+        # A byte-order mark, as spreadsheet "CSV UTF-8" exports write it, is no field.
+        subjects = tmp_path / "subjects.csv"
+        subjects.write_text(header + "\n" + "".join(
+            f"{d},{x},{e}\n" for d in (0, 1) for x in (0, 1) for e in (0, 1) for _ in range(4)
+        ), encoding="utf-8")
+        assert run("fit", "--subjects-file", subjects, "--methods", "mar") == 0
 
     def test_bad_counts_line_reports_line_number(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

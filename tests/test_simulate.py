@@ -11,6 +11,7 @@ from cceff import (
     CaseControlTable,
     DesignParams,
     InfeasiblePrevalence,
+    InvalidInput,
     Method,
     PopulationParams,
     SimConfig,
@@ -24,6 +25,7 @@ from cceff import (
     retro_distribution,
     run_mc,
     sample_table,
+    sample_tables,
     sigma_A_sq,
     sigma_AC_sq,
     sigma_M_sq,
@@ -101,6 +103,19 @@ class TestSampleTable:
         assert t.w[0].sum() == 300.0
         assert np.all(t.w == np.floor(t.w))
         assert np.all(t.w >= 0.0)
+
+    def test_numpy_integer_seeds_and_indices(self, canonical):
+        d = DesignParams(1.0, 1000.0)
+        ref = sample_tables(canonical, d, 7, range(5))
+        for seed, indices in [(np.int64(7), np.arange(5)), (np.uint64(7), range(5)),
+                              (7, np.arange(5, dtype=np.int32))]:
+            assert sample_tables(canonical, d, seed, indices).tobytes() == ref.tobytes()
+        assert np.array_equal(sample_table(canonical, d, np.int64(7), np.int64(3)).w, ref[3])
+
+    @pytest.mark.parametrize("seed, index", [(1.5, 0), (1.0, 0), (1, 0.0), ("1", 0)])
+    def test_non_integer_seed_or_index_is_invalid(self, canonical, seed, index):
+        with pytest.raises(InvalidInput):
+            sample_table(canonical, DesignParams(1.0, 1000.0), seed, index)
 
     def test_rejects_fractional_or_tiny_n(self, canonical):
         with pytest.raises(ValueError):
