@@ -69,7 +69,7 @@ MISSPEC_COLUMNS = [
 
 
 def _fmt(value):
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, float):
         return format(value, ".17g")

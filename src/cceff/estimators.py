@@ -192,17 +192,19 @@ def fit_marginal_batch(tables, continuity_correction: bool = False) -> list:
     col = m.sum(axis=1)
     loglik = (m * np.log(m / col[:, None, :])).reshape(len(m), 4).sum(axis=1)
     odds1, odds0, base = m[:, 1, 1] / m[:, 1, 0], m[:, 0, 1] / m[:, 0, 0], m[:, 1, 0] / m[:, 0, 0]
-    for k, r in enumerate(live):
-        gamma_hat = math.log(odds1[k]) - math.log(odds0[k])
+    results = zip(live, odds1.tolist(), odds0.tolist(), base.tolist(),
+                np.sqrt(var_gamma).tolist(), loglik.tolist(), cov)
+    for r, o1, o0, b, se, ll, c in results:
+        gamma_hat = math.log(o1) - math.log(o0)
         out[r] = FitResult(
             method=Method.MAR,
             gamma_hat=gamma_hat,
-            se_gamma=math.sqrt(var_gamma[k]),
-            params=(math.log(base[k]), gamma_hat),
-            loglik=float(loglik[k]),
+            se_gamma=se,
+            params=(math.log(b), gamma_hat),
+            loglik=ll,
             converged=True,
             iterations=0,
-            cov=cov[k],
+            cov=c,
             corrected=continuity_correction,
         )
     return out
@@ -333,25 +335,27 @@ def fit_adjusted_batch(tables) -> list:
     ok = np.flatnonzero(converged)
     cov = _inv_lanes(_adj_info(mt[ok], p_final[ok]) * total[ok, None, None])
     cov = 0.5 * (cov + cov.transpose(0, 2, 1))
-    for k, r in enumerate(ok):
-        if not 0.0 < cov[k, 2, 2] < math.inf:
-            # The score vanished, but the information is singular (NaN from
-            # _inv_lanes) or rounds indefinite: too few covariate-exposure
-            # patterns are filled to pin the three coefficients.
-            out[r] = Separation(
-                f"no unique finite MLE: information at the estimate gives gamma "
-                f"variance {cov[k, 2, 2]:.2e}"
-            )
-            continue
+    usable = (0.0 < cov[:, 2, 2]) & (cov[:, 2, 2] < math.inf)
+    for r, v in zip(ok[~usable], cov[~usable, 2, 2]):
+        # The score vanished, but the information is singular (NaN from
+        # _inv_lanes) or rounds indefinite: too few covariate-exposure
+        # patterns are filled to pin the three coefficients.
+        out[r] = Separation(
+            f"no unique finite MLE: information at the estimate gives gamma variance {v:.2e}"
+        )
+    ok, cov = ok[usable], cov[usable]
+    results = zip(ok, t[ok].tolist(), np.sqrt(cov[:, 2, 2]).tolist(),
+                (ll[ok] * total[ok]).tolist(), iterations[ok].tolist(), cov)
+    for r, coef, se, loglik, its, c in results:
         out[r] = FitResult(
             method=Method.ADJ,
-            gamma_hat=float(t[r, 2]),
-            se_gamma=math.sqrt(cov[k, 2, 2]),
-            params=(float(t[r, 0]), float(t[r, 1]), float(t[r, 2])),
-            loglik=float(ll[r] * total[r]),
+            gamma_hat=coef[2],
+            se_gamma=se,
+            params=tuple(coef),
+            loglik=loglik,
             converged=True,
-            iterations=int(iterations[r]),
-            cov=cov[k],
+            iterations=its,
+            cov=c,
         )
     return out
 
@@ -465,27 +469,25 @@ def fit_constrained_batch(tables, f: float, f_misspecified: bool = False, adjust
     s_hat = _zeta_to_s(zeta)
     gmax = np.abs(g_s).max(axis=1)
     info = -h_s
-    ok = np.zeros(len(lanes), dtype=bool)
-    for k, r in enumerate(lanes):
+    # Verdicts in priority order: failed inversion, stalled gradient, boundary.
+    stalled = ~failed & (gmax > _ACCEPT)
+    edge = (np.abs(s_hat[:, :2]).max(axis=1) > 50.0) | ~(
+        (_PROB_EDGE < s_hat[:, 2:]) & (s_hat[:, 2:] < 1.0 - _PROB_EDGE)
+    ).all(axis=1)
+    for k in np.flatnonzero(failed | stalled | edge):
         if failed[k]:
-            out[r] = _alpha_error(f)
-        elif gmax[k] > _ACCEPT:
-            out[r] = NonConvergence(
+            out[lanes[k]] = _alpha_error(f)
+        elif stalled[k]:
+            out[lanes[k]] = NonConvergence(
                 f"constrained fit gradient max-norm {gmax[k]:.2e} "
                 f"after {iterations[k]} iterations"
             )
-        elif (
-            np.max(np.abs(s_hat[k, :2])) > 50.0
-            or not (_PROB_EDGE < s_hat[k, 2] < 1.0 - _PROB_EDGE)
-            or not (_PROB_EDGE < s_hat[k, 3] < 1.0 - _PROB_EDGE)
-        ):
-            out[r] = BoundaryEstimate(
+        else:
+            out[lanes[k]] = BoundaryEstimate(
                 f"constrained estimate pinned at the parameter-space edge: s = {tuple(s_hat[k])}"
             )
-        else:
-            ok[k] = True
     # alpha_hat, ll and h_s are those of the last accepted evaluation, at s_hat.
-    kept = np.flatnonzero(ok)
+    kept = np.flatnonzero(~(failed | stalled | edge))
     eig, near = nearly_singular(info[kept])
     for k, e in zip(kept[near], eig[near]):
         out[lanes[k]] = SingularInformation(
@@ -509,29 +511,39 @@ def fit_constrained_batch(tables, f: float, f_misspecified: bool = False, adjust
         p_ctrl, p_case = (x / x.sum(axis=1)[:, None] for x in (wk[:, :4], wk[:, 4:]))
         nu = n_cases[good] / n_controls[good]
         cov_sw = sandwich_s(wk, p_case, p_ctrl, nu, f, s_hat[kept]) / total[good, None, None]
-    for j, k in enumerate(kept):
-        out[lanes[k]] = FitResult(
+    results = zip(good, s_hat[kept].tolist(), np.sqrt(cov[:, 1, 1]).tolist(),
+                (ll[kept] * total[good]).tolist(), iterations[kept].tolist(),
+                alpha_hat[kept].tolist(), cov, cov_sw)
+    for r, s, se, loglik, its, alpha, c, c_sw in results:
+        out[r] = FitResult(
             method=Method.ADJCON,
-            gamma_hat=float(s_hat[k, 1]),
-            se_gamma=math.sqrt(cov[j, 1, 1]),
-            params=tuple(float(x) for x in s_hat[k]),
-            loglik=float(ll[k] * total[lanes[k]]),
+            gamma_hat=s[1],
+            se_gamma=se,
+            params=tuple(s),
+            loglik=loglik,
             converged=True,
-            iterations=int(iterations[k]),
-            cov=cov[j],
-            alpha_hat=float(alpha_hat[k]),
+            iterations=its,
+            cov=c,
+            alpha_hat=alpha,
             f=float(f),
-            cov_sandwich=cov_sw[j],
+            cov_sandwich=c_sw,
         )
     return out
 
 
+def _wald_lanes(gamma_hat, se, level):
+    """Two-sided Wald test of gamma = 0 per lane: z, p = erfc(|z|/sqrt(2)) and p < level."""
+    z = gamma_hat / se
+    p = np.array([math.erfc(x) for x in (np.abs(z) / math.sqrt(2.0)).tolist()])
+    return z, p, p < level
+
+
 def wald_test(fit: FitResult, level: float = 0.05) -> TestResult:
-    """Two-sided Wald test of gamma = 0 from a fitted result."""
+    """Two-sided Wald test of gamma = 0 from a fit; the batch of one of ``_wald_lanes``."""
     if not (0.0 < level < 1.0):
         raise InvalidInput("level must lie in (0, 1)")
     if not fit.converged or not (fit.se_gamma > 0):
         raise NotConverged("fit did not converge or has no usable standard error")
-    z = fit.gamma_hat / fit.se_gamma
-    p = math.erfc(abs(z) / math.sqrt(2.0))
-    return TestResult(z=z, p_value=p, reject=p < level, level=level)
+    lanes = _wald_lanes(np.array([fit.gamma_hat]), np.array([fit.se_gamma]), level)
+    z, p, reject = (x.item() for x in lanes)
+    return TestResult(z=z, p_value=p, reject=reject, level=level)

@@ -263,21 +263,22 @@ def alpha_from_prevalence(f, beta, gamma, theta, pi):
         np.multiply(tx, te, out=w[:, 0, k])
     shift = np.zeros((len(f), 1, 3))
     shift[:, 0, 1], shift[:, 0, 2] = gamma, beta
-    lane = {"f": f[:, None], "gamma": gamma[:, None], "w": w, "shift": shift}
+    lane = (f[:, None], gamma[:, None], w, shift)
 
     def g(a, lane):
         # Prevalence minus f, and its alpha-slope, at points a of shape (n,)
         # or (n, k), k points per lane: cells 00, 01, 10 are
         # a + (0, gamma, beta) and cell 11 is (a + beta) + gamma.
+        f, gamma, w, shift = lane
         at = a.reshape(len(a), -1, 1)
         eta = np.empty(at.shape[:2] + (4,))
-        np.add(at, lane["shift"], out=eta[..., :3])
-        np.add(eta[..., 2], lane["gamma"], out=eta[..., 3])
+        np.add(at, shift, out=eta[..., :3])
+        np.add(eta[..., 2], gamma, out=eta[..., 3])
         p = expit(eta)
-        pw = p * lane["w"]
+        pw = p * w
         vw = p * (1.0 - p)
-        vw *= lane["w"]
-        val = np.add.reduce(pw, axis=-1) - lane["f"]
+        vw *= w
+        val = np.add.reduce(pw, axis=-1) - f
         return val.reshape(a.shape), np.add.reduce(vw, axis=-1).reshape(a.shape)
 
     # The bracket logit(f) -/+ spread holds logit(f), where Newton starts:
@@ -287,23 +288,26 @@ def alpha_from_prevalence(f, beta, gamma, theta, pi):
     lo, hi = center - spread, center + spread
     g_start, slope_start = g(np.stack([lo, hi, center], axis=1), lane)
     failed = bad.copy()
-    for end, sign, g_end in ((lo, 1.0, g_start[:, 0]), (hi, -1.0, g_start[:, 1])):
-        # Widen this end of the bracket (lo, then hi) in doubling steps while
-        # the root lies beyond it; past |alpha| = 750 the lane fails.
-        width = np.maximum(hi - lo, 1.0)
-        grow = ~failed & (sign * g_end > 0.0)
-        while grow.any():
-            end -= np.where(grow, sign * width, 0.0)
-            width = np.where(grow, width * 2.0, width)
-            over = grow & (sign * end < -750.0)
-            failed |= over
-            grow &= ~over & (sign * g(end, lane)[0] > 0.0)
+    # Widening is needed only where an end of the start bracket misses the root.
+    if np.any((g_start[:, 0] > 0.0) | (g_start[:, 1] < 0.0)):
+        for end, sign, g_end in ((lo, 1.0, g_start[:, 0]), (hi, -1.0, g_start[:, 1])):
+            # Widen this end of the bracket (lo, then hi) in doubling steps
+            # while the root lies beyond it; past |alpha| = 750 the lane fails.
+            width = np.maximum(hi - lo, 1.0)
+            grow = ~failed & (sign * g_end > 0.0)
+            while grow.any():
+                end -= np.where(grow, sign * width, 0.0)
+                width = np.where(grow, width * 2.0, width)
+                over = grow & (sign * end < -750.0)
+                failed |= over
+                grow &= ~over & (sign * g(end, lane)[0] > 0.0)
 
     out = np.full(f.shape, np.nan)
     idx = np.flatnonzero(~failed)
-    a, lo, hi = center[idx], lo[idx], hi[idx]
-    ga, slope = g_start[idx, 2], slope_start[idx, 2]
-    lane = {key: value[idx] for key, value in lane.items()}
+    a, ga, slope = center, g_start[:, 2], slope_start[:, 2]
+    if len(idx) < len(f):
+        a, lo, hi, ga, slope = (x[idx] for x in (a, lo, hi, ga, slope))
+        lane = tuple(x[idx] for x in lane)
     chain = np.zeros(len(idx), dtype=np.int8)  # +1/-1: last step bisected toward hi/lo
     iterations = np.zeros(len(idx), dtype=int)
     passes = 0
@@ -356,7 +360,7 @@ def alpha_from_prevalence(f, beta, gamma, theta, pi):
                 keep = ~end
                 idx, a, lo, hi = idx[keep], a[keep], lo[keep], hi[keep]
                 chain, iterations = chain[keep], iterations[keep]
-                lane = {key: value[keep] for key, value in lane.items()}
+                lane = tuple(x[keep] for x in lane)
     out[idx] = a
     if shape == ():
         if math.isnan(out[0]):

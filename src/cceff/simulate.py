@@ -20,7 +20,8 @@ from scipy.special._ufuncs import _binom_ppf
 from ._constrained import (
     _mass_lanes, expected_masses, loglik_grad_hess_s, newton_ascent, sandwich_s,
 )
-from .asymptotics import _delta_and_variance, _wald_power, _z_half
+from .asymptotics import _delta_and_variance, _sigma_AC_lanes, _variance_lanes, _wald_power
+from .asymptotics import _z_half, bias_delta
 from .errors import (
     AllReplicatesFailed,
     CCEffError,
@@ -28,7 +29,7 @@ from .errors import (
     InvalidInput,
     NonConvergence,
 )
-from .estimators import CaseControlTable, Method, wald_test
+from .estimators import CaseControlTable, Method, _wald_lanes
 
 # The batch entry points, bound under the one-table names so that the layer
 # trace (perfbench/spans.py) counts each batch as one call of that fit.
@@ -165,8 +166,8 @@ def sample_tables(params, design, seed, replicate_indices) -> np.ndarray:
     Replicate r draws from a Philox stream keyed by (seed, r): three
     uniforms for the case multinomial, then three for the control one, so
     any replicate can be drawn independently of the others and of execution
-    order.  Row m is bitwise the table ``sample_table`` gives for
-    replicate_indices[m]; a seed or index that is not an integer raises InvalidInput.
+    order, and no OS entropy is drawn.  Row m is bitwise ``sample_table``'s
+    table for replicate_indices[m]; a seed or index that is not an integer raises InvalidInput.
     """
     try:
         seed = operator.index(seed)
@@ -181,12 +182,19 @@ def sample_tables(params, design, seed, replicate_indices) -> np.ndarray:
     if n1 < 1 or n0 < 1:
         raise InvalidInput("both case and control counts must be at least 1")
     r = retro_distribution(params)
-    u = np.empty((len(replicate_indices), 2, 3))
-    for row, index in zip(u, replicate_indices):
-        key = np.array([seed % 2**64, index % 2**64], dtype=np.uint64)
-        rng = np.random.Generator(np.random.Philox(key=key))
-        row[0] = rng.random(3)
-        row[1] = rng.random(3)
+    # Philox is counter-based, so one bit generator re-keyed per replicate (at
+    # counter 0) gives the words of a fresh Philox(key=...) without the OS
+    # entropy each of those draws for its SeedSequence.
+    bits = np.random.Philox(0)
+    state = bits.state
+    key = state["state"]["key"] = [seed % 2**64, 0]
+    raw = []
+    for index in replicate_indices:
+        key[1] = index % 2**64
+        bits.state = state
+        raw.append(bits.random_raw(6))
+    # Generator.random's double from a Philox word: its top 53 bits times 2^-53.
+    u = (np.array(raw, dtype=np.uint64).reshape(-1, 2, 3) >> 11) * 2.0**-53
     cases = _multinomial_invcdf(u[:, 0], n1, r.p_case.ravel())
     ctrls = _multinomial_invcdf(u[:, 1], n0, r.p_ctrl.ravel())
     return np.concatenate([ctrls, cases], axis=1).reshape(-1, 2, 2, 2).astype(float)
@@ -200,12 +208,12 @@ def sample_table(params, design, seed, replicate_index) -> CaseControlTable:
     return CaseControlTable(sample_tables(params, design, seed, [replicate_index])[0])
 
 
-def _fit_block(config, tables, z_half):
+def _fit_block(config, tables):
     """All requested fits of a block of sampled tables, one batch per method.
 
-    Returns one row per table, holding one entry per method; z_half is the
-    Wald critical value of the coverage check.  The adjusted fits run once
-    and serve both Adj and AdjCon's start.
+    Returns, per method of config.methods, each table's outcome: its
+    FitResult or the error it raised.  The adjusted fits run once and serve
+    both Adj and AdjCon's start.
     """
     fits = {}
     if Method.MAR in config.methods:
@@ -215,21 +223,7 @@ def _fit_block(config, tables, z_half):
     if Method.ADJCON in config.methods:
         f = config.f_supplied if config.f_supplied is not None else config.params.f
         fits[Method.ADJCON] = fit_constrained(tables, f, adjusted=fits[Method.ADJ])
-    rows = []
-    for r in range(len(tables)):
-        row = []
-        for method in config.methods:
-            fit = fits[method][r]
-            try:
-                if isinstance(fit, CCEffError):
-                    raise fit
-                test = wald_test(fit, config.level)
-                covered = abs(fit.gamma_hat - config.params.gamma) <= z_half * fit.se_gamma
-                row.append((True, fit.gamma_hat, fit.se_gamma, test.reject, covered, ""))
-            except CCEffError as exc:
-                row.append((False, math.nan, math.nan, False, False, type(exc).__name__))
-        rows.append(row)
-    return rows
+    return [fits[method] for method in config.methods]
 
 
 # Tables per batch of fits.  Fig. 1 replicates (n = 20000, all three methods)
@@ -241,38 +235,47 @@ _CHUNK = 128
 
 
 def run_mc(config: SimConfig) -> MCReport:
-    """Run the Monte Carlo and fold per-replicate rows in index order.
+    """Run the Monte Carlo and fold per-replicate outcomes in index order.
 
     All tables are sampled first, in one pass (``sample_tables``), then
     fitted in index order in this process, in batches of ``_CHUNK`` tables.
     Every fit is bitwise independent of the batch it runs in, and the fold
-    is deterministic, so the report does not depend on the batch size.
+    is deterministic, so the report does not depend on the batch size; the
+    Wald tests and coverage checks run on arrays, one lane per replicate.
     """
     tables = sample_tables(config.params, config.design, config.seed, range(config.replicates))
     z_half = _z_half(config.level)
-    rows = []
+    outcomes = [[] for _ in config.methods]
     for start in range(0, len(tables), _CHUNK):
-        rows += _fit_block(config, tables[start : start + _CHUNK], z_half)
+        for per, block in zip(outcomes, _fit_block(config, tables[start : start + _CHUNK])):
+            per += block
 
     params, design = config.params, config.design
     sqrt_n = math.sqrt(design.n)
+    rd = retro_distribution(params)
+    var_m, var_a, bad_m, bad_a = _variance_lanes(rd, design.nu)
+    theory = {Method.MAR: (bad_m, var_m), Method.ADJ: (bad_a, var_a)}
+    if Method.ADJCON in config.methods:
+        s = np.array([[params.beta, params.gamma, params.theta, params.pi]])
+        (var_ac,), _ = _sigma_AC_lanes(np.array([params.f]), s, rd.p_case, rd.p_ctrl, design.nu)
+        theory[Method.ADJCON] = (math.isnan(var_ac), var_ac)
     stats = []
-    for k, method in enumerate(config.methods):
-        per = [r[k] for r in rows]
-        ok = [r for r in per if r[0]]
-        failures = Counter(r[5] for r in per if not r[0])
+    for method, per in zip(config.methods, outcomes):
+        ok = [fit for fit in per if not isinstance(fit, CCEffError)]
+        failures = Counter(type(fit).__name__ for fit in per if isinstance(fit, CCEffError))
         n_inc = len(ok)
         total = config.replicates
         if n_inc == 0:
             raise AllReplicatesFailed(
                 f"all {total} replicates failed for method {method.value}: {dict(failures)}"
             )
-        gammas = np.array([r[1] for r in ok])
-        ses = np.array([r[2] for r in ok])
-        rejects = sum(1 for r in ok if r[3])
+        # Every FitResult of the batch fits is converged with se_gamma > 0.
+        gammas = np.array([fit.gamma_hat for fit in ok])
+        ses = np.array([fit.se_gamma for fit in ok])
+        rejects = int(np.count_nonzero(_wald_lanes(gammas, ses, config.level)[2]))
         if config.failures_reject:
             rejects += total - n_inc
-        covered = sum(1 for r in ok if r[4])
+        covered = int(np.count_nonzero(np.abs(gammas - params.gamma) <= z_half * ses))
 
         mean_gamma = float(gammas.mean())
         sd_gamma = float(gammas.std(ddof=1)) if n_inc > 1 else math.nan
@@ -280,7 +283,12 @@ def run_mc(config: SimConfig) -> MCReport:
         rej_rate = rejects / total
         cov_rate = covered / n_inc
 
-        t_delta, t_var = _delta_and_variance(method, params, design.nu)
+        bad, t_var = theory[method]
+        if bad:  # the one-point functions raise this point's error
+            _delta_and_variance(method, params, design.nu)
+        t_delta = 0.0
+        if method is Method.MAR:
+            t_delta = bias_delta(params.alpha, params.beta, params.gamma, params.theta)
         stats.append(
             MethodStats(
                 method=method,

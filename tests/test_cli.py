@@ -16,6 +16,7 @@ from cceff.cli import (
     MISSPEC_COLUMNS,
     SIM_COLUMNS,
     THEORY_COLUMNS,
+    _fmt,
     build_parser,
     main,
     manifest_path,
@@ -379,6 +380,16 @@ class TestFit:
         argv = self.cells(w) + ["--methods", "adj,adjcon", "--prevalence", "0.1"]
         assert run("fit", *argv) == 0
         assert calls == [1]
+
+    def test_reject_and_converged_columns_read_true_or_false(self, tmp_path):
+        # gamma_hat = log 4 with |z| > 4: Mar and Adj reject; a failed fit is false in both.
+        w = [[[20, 20], [20, 20]], [[10, 40], [10, 40]]]
+        out = tmp_path / "fit.csv"
+        run("fit", *self.cells(w), "--methods", "mar,adj,adjcon", "--prevalence", "1.5",
+            "--out", out)
+        _, rows = read_csv(out)
+        assert [r[5:7] for r in rows] == [["true", "true"], ["true", "true"], ["false", "false"]]
+        assert _fmt(np.True_) == "true" and _fmt(np.False_) == "false"
 
     def test_cell_list_must_cover_all_cells(self):
         w = [[[10.0] * 2] * 2] * 2

@@ -8,6 +8,7 @@ each lane with the reversed batch and with the one-lane call.
 """
 
 from itertools import product
+from statistics import NormalDist
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -19,6 +20,7 @@ from cceff import (
     DesignParams,
     FitResult,
     InvalidInput,
+    Method,
     PopulationParams,
     alpha_from_prevalence,
     fit_adjusted,
@@ -31,8 +33,11 @@ from cceff import (
     limiting_values,
     misspec_sweep,
     retro_distribution,
+    sample_tables,
     theory_curve,
+    wald_test,
 )
+from cceff.estimators import _wald_lanes
 from cceff.model import _retro_lanes
 
 from test_bitwise import BRANCH_CASES
@@ -70,6 +75,9 @@ SPECIAL_TABLES = [
     [0, 0, 6, 0, 0, 2, 4, 0],  # two filled patterns: Adj inverse information indefinite,
     [0, 1, 4, 0, 0, 3, 2, 0],  # or singular (Separation)
 ]
+
+# Exposure fraction 7e-9 / 180: the AdjCon estimate of pi is pinned at the edge (BoundaryEstimate).
+BOUNDARY_TABLE = [50, 1e-9, 40, 2e-9, 30, 3e-9, 60, 1e-9]
 
 SPARSE_F = PopulationParams(
     alpha_from_prevalence(0.02, 1.5, 0.0, 0.1, 0.08), beta=1.5, gamma=0.0, theta=0.1, pi=0.08
@@ -121,6 +129,60 @@ class TestFitLanes:
         given_adj = fit_constrained_batch(w, SPARSE_F, adjusted=adjusted)
         own_adj = fit_constrained_batch(w, SPARSE_F)
         assert [_outcome(o) for o in given_adj] == [_outcome(o) for o in own_adj]
+
+    def test_constrained_verdicts_of_mixed_lanes_are_the_lone_fits(self):
+        # The mc_sparse tables of seeds 5 and 7 hold a NonConvergence and a
+        # SingularInformation lane among converged ones.
+        sparse = PopulationParams(
+            alpha_from_prevalence(0.02, 1.5, 0.0, 0.1, 0.08), 1.5, 0.0, 0.1, 0.08
+        )
+        design = DesignParams(0.5, 150.0)
+        w = np.concatenate(
+            [sample_tables(sparse, design, seed, range(6)) for seed in (5, 7)]
+            + [np.reshape(BOUNDARY_TABLE, (1, 2, 2, 2))]
+        )
+        batch = fit_constrained_batch(w, sparse.f)
+        kinds = {type(o).__name__ for o in batch}
+        assert kinds == {"FitResult", "NonConvergence", "SingularInformation", "BoundaryEstimate"}
+        alone = [_alone(fit_constrained, CaseControlTable(t), sparse.f) for t in w]
+        assert [_outcome(o) for o in batch] == alone
+
+    def test_fit_fields_are_python_numbers(self):
+        w = np.array(SPECIAL_TABLES + [BOUNDARY_TABLE], dtype=float).reshape(-1, 2, 2, 2)
+        for method, batch in (
+            (Method.MAR, fit_marginal_batch(w)),
+            (Method.ADJ, fit_adjusted_batch(w)),
+            (Method.ADJCON, fit_constrained_batch(w, SPARSE_F, f_misspecified=True)),
+        ):
+            fits = [o for o in batch if isinstance(o, FitResult)]
+            assert fits and all(fit.method is method for fit in fits)
+            for fit in fits:
+                numbers = [fit.gamma_hat, fit.se_gamma, fit.loglik, *fit.params]
+                if method is Method.ADJCON:
+                    numbers += [fit.alpha_hat, fit.f]
+                assert all(type(x) is float for x in numbers)
+                assert type(fit.iterations) is int and type(fit.converged) is bool
+
+
+class TestWaldLanes:
+    def test_each_lane_is_the_one_fit_test(self):
+        rng = np.random.default_rng(2026)
+        level = 0.05
+        se = rng.uniform(0.01, 2.0, 1000)
+        z = rng.normal(0.0, 3.0, 1000)
+        # The last 200 |z| lie within 8e-12 of the critical value, so that p
+        # is within 1e-12 of level on either side.
+        z_crit = NormalDist().inv_cdf(1.0 - level / 2.0)
+        z[-200:] = np.sign(z[-200:]) * (z_crit + rng.uniform(-8e-12, 8e-12, 200))
+        gamma = z * se
+        z_lane, p_lane, reject_lane = _wald_lanes(gamma, se, level)
+        assert np.all(np.abs(p_lane[-200:] - level) < 1e-12)
+        assert 0 < np.count_nonzero(reject_lane[-200:]) < 200
+        for g, s, z1, p1, r1 in zip(gamma.tolist(), se.tolist(), z_lane, p_lane, reject_lane):
+            fit = FitResult(Method.ADJ, g, s, (0.0, 0.0, g), 0.0, True, 1, np.eye(3))
+            test = wald_test(fit, level)
+            assert (test.z, test.p_value, test.reject) == (z1, p1, r1)
+            assert (type(test.z), type(test.p_value), type(test.reject)) == (float, float, bool)
 
 
 def _every_table(per_arm):

@@ -10,6 +10,7 @@ from cceff import (
     AllReplicatesFailed,
     CaseControlTable,
     DesignParams,
+    FitResult,
     InfeasiblePrevalence,
     InvalidInput,
     Method,
@@ -111,6 +112,24 @@ class TestSampleTable:
                               (7, np.arange(5, dtype=np.int32))]:
             assert sample_tables(canonical, d, seed, indices).tobytes() == ref.tobytes()
         assert np.array_equal(sample_table(canonical, d, np.int64(7), np.int64(3)).w, ref[3])
+
+    @pytest.mark.parametrize("seed", [0, 1, -1, 2**63, 2**64 - 1, 12345678901234567890, np.int64(7)])
+    def test_equals_the_per_replicate_philox_stream(self, canonical, seed):
+        indices = [0, 1, 2, 17, 2**32, 2**63, 2**64 - 1, 10**19, -1]
+        for design in (DesignParams(1.0, 1000.0), DesignParams(0.5, 150.0)):
+            got = sample_tables(canonical, design, seed, indices)
+            want = [oracles.sample_table(canonical, design, int(seed), i) for i in indices]
+            assert got.tobytes() == np.array(want).tobytes()
+
+    def test_draws_no_os_entropy(self, canonical, monkeypatch):
+        # SeedSequence(None) takes its entropy from this function.
+        def no_entropy(*args):
+            raise AssertionError("OS entropy drawn")
+
+        monkeypatch.setattr(np.random.bit_generator, "randbits", no_entropy)
+        with pytest.raises(AssertionError):
+            np.random.Philox(key=[1, 2])
+        sample_tables(canonical, DesignParams(1.0, 1000.0), 3, range(4))
 
     @pytest.mark.parametrize("seed, index", [(1.5, 0), (1.0, 0), (1, 0.0), ("1", 0)])
     def test_non_integer_seed_or_index_is_invalid(self, canonical, seed, index):
@@ -284,8 +303,9 @@ class TestRunMC:
         # and AdjCon, which starts from it, reports the same kind.
         w = np.array([[[40.0, 30.0], [0.0, 0.0]], [[25.0, 35.0], [0.0, 0.0]]])
         cfg = SimConfig(params=canonical, design=DesignParams(1.0, 130.0), replicates=1, seed=0)
-        (rows,) = simulate_mod._fit_block(cfg, w[None], simulate_mod._z_half(cfg.level))
-        assert [r[5] for r in rows] == ["", "ZeroMargin", "ZeroMargin"]
+        outcomes = [o for (o,) in simulate_mod._fit_block(cfg, w[None])]
+        kinds = ["" if isinstance(o, FitResult) else type(o).__name__ for o in outcomes]
+        assert kinds == ["", "ZeroMargin", "ZeroMargin"]
         with pytest.raises(ZeroMargin):
             fit_constrained(CaseControlTable(w), canonical.f)
 
