@@ -38,6 +38,8 @@ _NIJ8 = 1.0 - _IJ8
 # Per cell, the index into (log theta, log pi, log(1 - theta), log(1 - pi)).
 _LOG_X8 = np.where(_I8 == 1.0, 0, 2)
 _LOG_E8 = np.where(_J8 == 1.0, 1, 3)
+# A per-unit log-likelihood ll is taken to round at _LL_ROUNDING * (1 + |ll|).
+_LL_ROUNDING = 1e-14
 
 
 def f_derivs(alpha, beta, gamma, theta, pi):
@@ -157,7 +159,8 @@ def profile_parts(f, s):
     logs = np.empty(s.shape)
     np.log(s[..., 2:], out=logs[..., :2])
     np.log1p(-s[..., 2:], out=logs[..., 2:])
-    l8 = _D8 * eta - np.logaddexp(0.0, eta) + logs[..., _LOG_X8] + logs[..., _LOG_E8]
+    with np.errstate(invalid="ignore"):  # logaddexp warns at a NaN alpha
+        l8 = _D8 * eta - np.logaddexp(0.0, eta) + logs[..., _LOG_X8] + logs[..., _LOG_E8]
 
     # Columns 2 and 3 take the theta and pi terms side by side; every element
     # sees the same operations as a column-at-a-time update.
@@ -327,7 +330,7 @@ def _ascent_directions(g, h):
 _SPECULATE = 32
 
 
-def newton_ascent(evaluate, x, in_box, gtol, max_iter, accept=None):
+def newton_ascent(evaluate, x, in_box, gtol, max_iter, accept):
     """Maximize by damped Newton steps with backtracking, one lane per row of x.
 
     evaluate(x, lanes) returns the state at the rows of x, which belong to
@@ -349,8 +352,8 @@ def newton_ascent(evaluate, x, in_box, gtol, max_iter, accept=None):
     lower" allows a drop of 1e-14 * (1 + |ll|): the predicted gain of a step
     there is below the objective's rounding, so only the gradient can judge
     progress.  The same holds wherever the max-norm is within accept (the
-    bar under which the caller takes a lane as converged; default 100 *
-    gtol) and the direction's predicted gain g . d is below that rounding:
+    bar under which the caller takes a lane as converged) and the
+    direction's predicted gain g . d is below that rounding:
     there a full Newton step that would reach the tolerance is otherwise
     refused for a few units of rounding in ll, and the lane stops short at
     a point that its last rounding decides.  Farther out the objective
@@ -371,8 +374,6 @@ def newton_ascent(evaluate, x, in_box, gtol, max_iter, accept=None):
     accepted evaluation of each lane, the iteration at which each lane
     stopped, and a mask of the lanes whose evaluation failed.
     """
-    if accept is None:
-        accept = 100.0 * gtol
     x = np.array(x, dtype=float)
     state = list(evaluate(x, np.arange(len(x))))
     iterations = np.zeros(len(x), dtype=int)
@@ -388,7 +389,7 @@ def newton_ascent(evaluate, x, in_box, gtol, max_iter, accept=None):
             break
         ll = state[0][active]
         direction, gd = _ascent_directions(state[2][active], state[3][active])
-        rounding = 1e-14 * (1.0 + np.abs(ll))
+        rounding = _LL_ROUNDING * (1.0 + np.abs(ll))
         endgame = (stop_norm <= 100.0 * gtol) | ((stop_norm <= accept) & (gd <= rounding))
         ll_floor = np.where(endgame, ll - rounding, ll)
         moved = np.zeros(len(active), dtype=bool)

@@ -28,15 +28,13 @@ from .estimators import (
     CaseControlTable,
     Method,
     _one,
-    fit_adjusted_batch,
-    fit_constrained_batch,
-    fit_marginal,
     wald_test,
 )
 from .model import DesignParams, PopulationParams, alpha_from_prevalence
 from .simulate import (
     DEFAULT_EPS,
     SimConfig,
+    _fit_block,
     expected_table,
     misspec_sweep,
     run_mc,
@@ -365,20 +363,13 @@ def cmd_fit(ns, parser):
         return 2
 
     started = _now()
-    # The adjusted fit serves both Adj and AdjCon's start, so it runs once.
-    if Method.ADJ in methods or Method.ADJCON in methods:
-        adjusted = fit_adjusted_batch(table.w[None])
+    fits = _fit_block(methods, table.w[None], r["prevalence"], r["continuity_correction"])
     out_rows = []
     any_error = False
     print(f"{'method':<8} {'gamma_hat':>12} {'se':>12} {'z':>10} {'p':>12} converged")
-    for method in methods:
+    for method, outcomes in zip(methods, fits):
         try:
-            if method is Method.MAR:
-                fit = fit_marginal(table, continuity_correction=r["continuity_correction"])
-            elif method is Method.ADJ:
-                fit = _one(adjusted)
-            else:
-                fit = _one(fit_constrained_batch(table.w[None], r["prevalence"], adjusted=adjusted))
+            fit = _one(outcomes)
             test = wald_test(fit, r["level"])
             print(
                 f"{method.value:<8} {fit.gamma_hat:>12.6g} {fit.se_gamma:>12.6g} "

@@ -38,7 +38,7 @@ class DegenerateConstraint(CCEffError):
 
 
 class InfeasiblePrevalence(CCEffError):
-    """The requested prevalence cannot be attained by any theta in [0, 1]."""
+    """No theta in [0, 1] attains f, or ``limiting_values`` got an f outside (0, 1 - eps]."""
 
 
 class BracketFailure(CCEffError):
@@ -74,11 +74,11 @@ class SingularInformation(CCEffError):
 
 
 class NotConverged(CCEffError):
-    """A root search for a limiting value failed to converge."""
+    """``wald_test`` was handed an unconverged fit or one without a usable standard error."""
 
 
 class VacuousMinimizer(CCEffError):
-    """A least-false parameter search has no interior solution."""
+    """``bias_minimizer``: delta vanishes identically (beta = 0 or gamma = 0)."""
 
 
 class AllReplicatesFailed(CCEffError):

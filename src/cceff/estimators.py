@@ -29,6 +29,7 @@ import numpy as np
 from scipy.special import expit, logit
 
 from ._constrained import (
+    _LL_ROUNDING,
     _inv_lanes,
     _solve_lanes,
     loglik_grad_hess_s,
@@ -48,7 +49,7 @@ from .errors import (
     ZeroCell,
     ZeroMargin,
 )
-from .model import _alpha_error, alpha_from_prevalence
+from .model import _COEF_BOUND, _PROB_MARGIN, _alpha_error
 
 __all__ = [
     "Method",
@@ -81,11 +82,7 @@ class CaseControlTable:
         w = np.asarray(self.w, dtype=float)
         if w.shape != (2, 2, 2):
             raise ValueError(f"table must have shape (2, 2, 2), got {w.shape}")
-        if not np.all(np.isfinite(w)) or np.any(w < 0):
-            raise ValueError("cell weights must be finite and nonnegative")
-        if w[1].sum() <= 0 or w[0].sum() <= 0:
-            raise ValueError("both case and control margins must be positive")
-        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "w", _cells(w[None])[0])
 
     @property
     def n(self) -> float:
@@ -135,7 +132,7 @@ class TestResult:
 
 
 def _cells(tables):
-    """Cell weights of a batch, shape (R, 2, 2, 2), under CaseControlTable's checks per lane."""
+    """Cell weights (R, 2, 2, 2) of a batch; each table finite, nonnegative, margins positive."""
     w = np.asarray(tables, dtype=float)
     if w.ndim != 4 or w.shape[1:] != (2, 2, 2):
         raise ValueError(f"tables must have shape (R, 2, 2, 2), got {w.shape}")
@@ -304,7 +301,7 @@ def fit_adjusted_batch(tables) -> list:
             out[r] = Separation("information matrix singular during Newton iteration")
         active, step = active[~singular], step[~singular]
         c1_a, mt_a, t_a, ll_a = c1[active], mt[active], t[active], ll[active]
-        floor = ll_a - 1e-14 * (1.0 + np.abs(ll_a))
+        floor = ll_a - _LL_ROUNDING * (1.0 + np.abs(ll_a))
         scale = np.ones(len(active))
         ll_new = np.full(len(active), np.nan)
         searching = np.arange(len(active))
@@ -323,12 +320,12 @@ def fit_adjusted_batch(tables) -> list:
             ll_new[searching] = _adj_loglik(c1_a[searching], mt_a[searching], t_a[searching])
         t[active], ll[active] = t_a, ll_new
         coef = np.abs(t_a).max(axis=1)
-        for k in np.flatnonzero(coef > 50.0):
+        for k in np.flatnonzero(coef > _COEF_BOUND):
             out[active[k]] = Separation(
                 f"estimates diverged (max |coef| = {coef[k]:.1f}); "
                 "the MLE appears to be infinite"
             )
-        active = active[coef <= 50.0]
+        active = active[coef <= _COEF_BOUND]
     for r in active:
         out[r] = NonConvergence("adjusted fit did not reach score tolerance in 100 iterations")
 
@@ -387,7 +384,6 @@ def _in_zeta_box(zeta):
     return (np.abs(zeta[:, :2]).max(axis=1) <= 60.0) & (np.abs(zeta[:, 2:]).max(axis=1) <= 36.0)
 
 
-_PROB_EDGE = 1e-8
 # A constrained fit whose gradient max-norm ends within this bar is converged.
 _ACCEPT = 1e-8
 
@@ -453,15 +449,11 @@ def fit_constrained_batch(tables, f: float, f_misspecified: bool = False, adjust
     for r in lanes[edge]:
         out[r] = InfeasibleStart("sample covariate or exposure fraction lies on the boundary")
     lanes = lanes[~edge]
-    coef = np.array([adjusted[r].params[1:] for r in lanes]).reshape(-1, 2)
-    alpha0 = alpha_from_prevalence(f, coef[:, 0], coef[:, 1], theta0[lanes], pi0[lanes])
-    for r in lanes[np.isnan(alpha0)]:
-        out[r] = InfeasibleStart(str(_alpha_error(f)))
-    coef, lanes = coef[~np.isnan(alpha0)], lanes[~np.isnan(alpha0)]
     if not lanes.size:
         return out
 
     cells = w.reshape(n_lanes, 8)[lanes]
+    coef = np.array([adjusted[r].params[1:] for r in lanes])
     zeta = np.column_stack([coef, logit(theta0[lanes]), logit(pi0[lanes])])
     zeta, (ll, g_s, _, _, alpha_hat, h_s), iterations, failed = newton_ascent(
         lambda z, k: _constrained_eval(cells[k], f, z), zeta, _in_zeta_box, 1e-13, 100, _ACCEPT
@@ -469,13 +461,15 @@ def fit_constrained_batch(tables, f: float, f_misspecified: bool = False, adjust
     s_hat = _zeta_to_s(zeta)
     gmax = np.abs(g_s).max(axis=1)
     info = -h_s
-    # Verdicts in priority order: failed inversion, stalled gradient, boundary.
+    # Verdicts in priority order: failed inversion (at the start, or later), stalled, boundary.
     stalled = ~failed & (gmax > _ACCEPT)
-    edge = (np.abs(s_hat[:, :2]).max(axis=1) > 50.0) | ~(
-        (_PROB_EDGE < s_hat[:, 2:]) & (s_hat[:, 2:] < 1.0 - _PROB_EDGE)
+    edge = (np.abs(s_hat[:, :2]).max(axis=1) > _COEF_BOUND) | ~(
+        (_PROB_MARGIN < s_hat[:, 2:]) & (s_hat[:, 2:] < 1.0 - _PROB_MARGIN)
     ).all(axis=1)
     for k in np.flatnonzero(failed | stalled | edge):
-        if failed[k]:
+        if failed[k] and iterations[k] == 0:
+            out[lanes[k]] = InfeasibleStart(str(_alpha_error(f)))
+        elif failed[k]:
             out[lanes[k]] = _alpha_error(f)
         elif stalled[k]:
             out[lanes[k]] = NonConvergence(

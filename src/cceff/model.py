@@ -179,8 +179,8 @@ def theta_from_constraint(alpha, beta, gamma, pi, f):
 def _alpha_error(f):
     """The BracketFailure ``alpha_from_prevalence`` raises for a lane with target f.
 
-    A lane fails either because f is not a prevalence or because the
-    bracket for alpha had to grow past |alpha| = 750.
+    A lane fails either because f is not a prevalence or because its root
+    lies beyond |alpha| = 750.
     """
     f = float(f)
     if not (0.0 < f < 1.0) or not math.isfinite(f):
@@ -201,6 +201,8 @@ def _alpha_error(f):
 _CHAIN = 48
 _CHAIN_AFTER = 8
 _POW2 = 2.0 ** np.arange(_CHAIN)
+# Steps after which a lane ends at its last point; down to f = 1e-250 lanes need up to 145.
+_MAX_STEPS = 400
 
 
 def _newton_step(a, ga, slope, lo, hi):
@@ -230,8 +232,9 @@ def alpha_from_prevalence(f, beta, gamma, theta, pi):
 
     Prevalence is strictly increasing in alpha, so the root is unique.  The
     search starts from the bracket logit(f) -/+ (|beta| + |gamma|), which
-    always contains the root for valid inputs, and runs safeguarded Newton
-    (steps clipped to the bracket, bisection otherwise).
+    contains the root up to rounding (an end that misses it is widened, up
+    to |alpha| = 750), and runs safeguarded Newton (steps clipped to the
+    bracket, bisection otherwise) for at most _MAX_STEPS steps.
 
     The arguments broadcast against each other; each element is a lane
     with its own bracket, iteration and exit.  On plain floats the result
@@ -292,15 +295,15 @@ def alpha_from_prevalence(f, beta, gamma, theta, pi):
     if np.any((g_start[:, 0] > 0.0) | (g_start[:, 1] < 0.0)):
         for end, sign, g_end in ((lo, 1.0, g_start[:, 0]), (hi, -1.0, g_start[:, 1])):
             # Widen this end of the bracket (lo, then hi) in doubling steps
-            # while the root lies beyond it; past |alpha| = 750 the lane fails.
+            # up to |alpha| = 750 while the root lies beyond it, or fail.
             width = np.maximum(hi - lo, 1.0)
             grow = ~failed & (sign * g_end > 0.0)
             while grow.any():
-                end -= np.where(grow, sign * width, 0.0)
+                failed |= grow & (sign * end <= -750.0)
+                grow &= ~failed
+                np.copyto(end, sign * np.maximum(sign * end - width, -750.0), where=grow)
                 width = np.where(grow, width * 2.0, width)
-                over = grow & (sign * end < -750.0)
-                failed |= over
-                grow &= ~over & (sign * g(end, lane)[0] > 0.0)
+                grow &= sign * g(end, lane)[0] > 0.0
 
     out = np.full(f.shape, np.nan)
     idx = np.flatnonzero(~failed)
@@ -346,7 +349,7 @@ def alpha_from_prevalence(f, beta, gamma, theta, pi):
                 step = _newton_step(c, ga, slope, lo_k, hi_k)
                 _, _, _, up, inside, end = step
                 on = ~end & ~inside & np.where(chain[:, None] > 0, ~up, up)
-                span = np.where(chain != 0, np.minimum(_CHAIN, 100 - iterations), 1)
+                span = np.where(chain != 0, np.minimum(_CHAIN, _MAX_STEPS - iterations), 1)
                 on &= np.arange(_CHAIN) < span[:, None] - 1
                 first = (~on).argmax(axis=1)
                 a, lo, hi, up, inside, end = (x[np.arange(len(a)), first] for x in step)
@@ -354,7 +357,7 @@ def alpha_from_prevalence(f, beta, gamma, theta, pi):
             iterations += steps
             if passes >= _CHAIN_AFTER:
                 chain = np.where(end | inside, 0, np.where(up, -1, 1)).astype(np.int8)
-                end |= iterations >= 100
+                end |= iterations >= _MAX_STEPS
             if np.count_nonzero(end):
                 out[idx[end]] = a[end]
                 keep = ~end

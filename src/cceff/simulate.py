@@ -55,6 +55,8 @@ __all__ = [
 ]
 
 DEFAULT_EPS = 1e-3
+# A misspecification limit whose gradient max-norm ends within this bar is converged.
+_LIMIT_BAR = 1e-10
 
 
 @dataclass(frozen=True)
@@ -208,22 +210,21 @@ def sample_table(params, design, seed, replicate_index) -> CaseControlTable:
     return CaseControlTable(sample_tables(params, design, seed, [replicate_index])[0])
 
 
-def _fit_block(config, tables):
-    """All requested fits of a block of sampled tables, one batch per method.
+def _fit_block(methods, tables, f, continuity_correction):
+    """The fits of methods on a block of tables, one batch per method.
 
-    Returns, per method of config.methods, each table's outcome: its
-    FitResult or the error it raised.  The adjusted fits run once and serve
-    both Adj and AdjCon's start.
+    Returns, per method, each table's outcome: its FitResult or the error it
+    raised.  Mar takes continuity_correction and AdjCon the prevalence f.
+    The adjusted fits run once and serve both Adj and AdjCon's start.
     """
     fits = {}
-    if Method.MAR in config.methods:
-        fits[Method.MAR] = fit_marginal(tables)
-    if Method.ADJ in config.methods or Method.ADJCON in config.methods:
+    if Method.MAR in methods:
+        fits[Method.MAR] = fit_marginal(tables, continuity_correction)
+    if Method.ADJ in methods or Method.ADJCON in methods:
         fits[Method.ADJ] = fit_adjusted(tables)
-    if Method.ADJCON in config.methods:
-        f = config.f_supplied if config.f_supplied is not None else config.params.f
+    if Method.ADJCON in methods:
         fits[Method.ADJCON] = fit_constrained(tables, f, adjusted=fits[Method.ADJ])
-    return [fits[method] for method in config.methods]
+    return [fits[method] for method in methods]
 
 
 # Tables per batch of fits.  Fig. 1 replicates (n = 20000, all three methods)
@@ -245,10 +246,12 @@ def run_mc(config: SimConfig) -> MCReport:
     """
     tables = sample_tables(config.params, config.design, config.seed, range(config.replicates))
     z_half = _z_half(config.level)
+    f = config.f_supplied if config.f_supplied is not None else config.params.f
     outcomes = [[] for _ in config.methods]
     for start in range(0, len(tables), _CHUNK):
-        for per, block in zip(outcomes, _fit_block(config, tables[start : start + _CHUNK])):
-            per += block
+        block = tables[start : start + _CHUNK]
+        for per, fits in zip(outcomes, _fit_block(config.methods, block, f, False)):
+            per += fits
 
     params, design = config.params, config.design
     sqrt_n = math.sqrt(design.n)
@@ -375,13 +378,13 @@ def limiting_values(truth: PopulationParams, design: DesignParams, f_values, eps
         return inside & (np.abs(s[:, :2]).max(axis=1) < 60.0)
 
     s0 = np.tile([truth.beta, truth.gamma, truth.theta, truth.pi], (len(lanes), 1))
-    s, (ll, grad, _, _), _, failed = newton_ascent(evaluate, s0, in_box, 1e-12, 200)
+    s, (ll, grad, _, _), _, failed = newton_ascent(evaluate, s0, in_box, 1e-12, 200, _LIMIT_BAR)
     gmax = np.abs(grad).max(axis=1)
     good = []
     for k, r in enumerate(lanes):
         if failed[k]:
             out[r] = _alpha_error(f_lane[k])
-        elif gmax[k] > 1e-10:
+        elif gmax[k] > _LIMIT_BAR:
             out[r] = NonConvergence(
                 f"expected-log-likelihood gradient max-norm {gmax[k]:.2e} at f_used={f_values[r]}"
             )

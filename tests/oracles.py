@@ -155,6 +155,23 @@ def enum_sigma_AC(alpha, beta, gamma, theta, pi, nu, dps=30):
         return float(sol[1])
 
 
+def mp_alpha_root(f, beta, gamma, theta, pi, dps=50):
+    """The intercept whose prevalence is f, by an mpmath root of log prevalence - log f.
+
+    The float arguments are taken exactly; the root is searched in [-1000, 100].
+    """
+    with mpmath.workdps(dps):
+        f, beta, gamma, theta, pi = (mpmath.mpf(x) for x in (f, beta, gamma, theta, pi))
+        cells = [(0, 1 - theta, 1 - pi), (gamma, 1 - theta, pi),
+                 (beta, theta, 1 - pi), (beta + gamma, theta, pi)]
+
+        def excess(a):
+            prev = sum(tx * te / (1 + mpmath.exp(-(a + shift))) for shift, tx, te in cells)
+            return mpmath.log(prev) - mpmath.log(f)
+
+        return float(mpmath.findroot(excess, (-1000, 100), solver="anderson"))
+
+
 def fd_derivative(fn, x, h=1e-6):
     return (fn(x + h) - fn(x - h)) / (2.0 * h)
 
@@ -163,6 +180,9 @@ def fd_derivative(fn, x, h=1e-6):
 # Verbatim copies of cceff.model.alpha_from_prevalence (with the helpers it
 # calls) and cceff._constrained.f_derivs as they stood on (2, 2) numpy
 # arrays.  Do not edit: the float kernels must reproduce them bit for bit.
+# The one exception is a change of the algorithm itself, mirrored here: the
+# inversion's bracket ends are clamped at |alpha| = 750 and its step cap is
+# 400 (formerly a failure past 750 and 100 steps).
 
 
 def cell_probs(alpha, beta, gamma):
@@ -206,22 +226,22 @@ def alpha_from_prevalence(f, beta, gamma, theta, pi):
     glo, _ = g(lo)
     width = max(hi - lo, 1.0)
     while glo > 0.0:
-        lo -= width
-        width *= 2.0
-        if lo < -750.0:
+        if lo <= -750.0:
             raise BracketFailure("bracket expansion for alpha exceeded |alpha| = 750")
+        lo = max(lo - width, -750.0)
+        width *= 2.0
         glo, _ = g(lo)
     ghi, _ = g(hi)
     width = max(hi - lo, 1.0)
     while ghi < 0.0:
-        hi += width
-        width *= 2.0
-        if hi > 750.0:
+        if hi >= 750.0:
             raise BracketFailure("bracket expansion for alpha exceeded |alpha| = 750")
+        hi = min(hi + width, 750.0)
+        width *= 2.0
         ghi, _ = g(hi)
 
     a = min(max(center, lo), hi)
-    for _ in range(100):
+    for _ in range(400):
         ga, slope = g(a)
         if ga == 0.0:
             return float(a)

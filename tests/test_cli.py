@@ -353,12 +353,12 @@ class TestFit:
             events.append("now")
             return f"t{len(events)}"
 
-        def fit_adjusted_batch(tables):
+        def fit_adjusted(tables):
             events.append("fit")
             return cceff.fit_adjusted_batch(tables)
 
         monkeypatch.setattr(cceff.cli, "_now", now)
-        monkeypatch.setattr(cceff.cli, "fit_adjusted_batch", fit_adjusted_batch)
+        monkeypatch.setattr(cceff.simulate, "fit_adjusted", fit_adjusted)
         w = [[[10.0] * 2] * 2] * 2
         out = tmp_path / "fit.csv"
         assert run("fit", *self.cells(w), "--methods", "adj", "--out", out) == 0
@@ -375,7 +375,7 @@ class TestFit:
             return fit_adjusted_batch(tables)
 
         monkeypatch.setattr(cceff.estimators, "fit_adjusted_batch", counted)
-        monkeypatch.setattr(cceff.cli, "fit_adjusted_batch", counted)
+        monkeypatch.setattr(cceff.simulate, "fit_adjusted", counted)
         w = [[[30, 12], [18, 25]], [[20, 22], [10, 40]]]
         argv = self.cells(w) + ["--methods", "adj,adjcon", "--prevalence", "0.1"]
         assert run("fit", *argv) == 0
@@ -458,7 +458,7 @@ class TestSimulate:
         assert run(*manifest_to_argv(manifest_path(str(out)))) == 0
         assert out.read_bytes() == first
 
-    def test_worker_count_does_not_change_output(self, tmp_path, monkeypatch):
+    def test_batch_size_does_not_change_output(self, tmp_path, monkeypatch):
         outs = []
         for chunk in (1, 7):
             monkeypatch.setattr(cceff.simulate, "_CHUNK", chunk)
@@ -501,6 +501,23 @@ class TestSimulate:
                  "--methods", "mar", "--out", tmp_path / "x.csv")
         assert rc == 1
         assert "replicates failed" in capsys.readouterr().err
+
+    def test_failures_reject_switch_rebuilds_and_reads_from_a_config_file(self, tmp_path):
+        # Rare exposure and n = 20: half the Mar replicates fail with ZeroCell.
+        args = ["--f", "0.3", *CANON[:-1], "0.05", "--n", "20", "--replicates", "8",
+                "--seed", "2", "--methods", "mar"]
+        plain, flag, config = (tmp_path / f"{name}.csv" for name in ("plain", "flag", "config"))
+        assert run("simulate", *args, "--out", plain) == 0
+        assert run("simulate", *args, "--failures-reject", "--out", flag) == 0
+        first = flag.read_bytes()
+        assert first != plain.read_bytes()
+        assert parse_manifest(manifest_path(str(flag)))["param.failures_reject"] == "true"
+        assert run(*manifest_to_argv(manifest_path(str(flag)))) == 0
+        assert flag.read_bytes() == first
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("failures_reject = yes\n")
+        assert run("simulate", *args, "--config", cfg, "--out", config) == 0
+        assert config.read_bytes() == first
 
     def test_config_key_the_command_does_not_take_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -547,6 +564,16 @@ class TestMisspec:
             run("misspec", *self.TRUTH, "--f1-list", "0.2",
                 "--f1-grid", "0.2:0.4:3", "--out", out)
         assert ei.value.code == 2
+
+    def test_f1_grid_matches_its_list_and_rebuilds(self, tmp_path):
+        grid, listed = tmp_path / "grid.csv", tmp_path / "list.csv"
+        assert run("misspec", *self.TRUTH, "--f1-grid", "0.2:0.4:3", "--out", grid) == 0
+        assert run("misspec", *self.TRUTH, "--f1-list", "0.2,0.30000000000000004,0.4",
+                   "--out", listed) == 0
+        first = grid.read_bytes()
+        assert first == listed.read_bytes()
+        assert run(*manifest_to_argv(manifest_path(str(grid)))) == 0
+        assert grid.read_bytes() == first
 
     def test_non_integer_mc_confirm_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "mis.csv"

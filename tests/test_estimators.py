@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cceff import (
+    BracketFailure,
     CaseControlTable,
     DesignParams,
     Method,
@@ -21,13 +22,16 @@ from cceff import (
     fit_adjusted,
     fit_adjusted_batch,
     fit_constrained,
+    fit_constrained_batch,
     fit_marginal,
+    fit_marginal_batch,
     limiting_value,
     sample_table,
     sigma_A_sq,
     sigma_AC_sq,
     wald_test,
 )
+import cceff._constrained as constrained_mod
 from cceff.errors import CCEffError, InfeasibleStart
 
 import oracles
@@ -78,6 +82,25 @@ class TestCaseControlTable:
         w[1] = 0.0  # no cases at all
         with pytest.raises(ValueError):
             CaseControlTable(w)
+
+    BATCH_FITS = [fit_marginal_batch, fit_adjusted_batch, lambda w: fit_constrained_batch(w, 0.1)]
+
+    @pytest.mark.parametrize("fit", BATCH_FITS)
+    @pytest.mark.parametrize("cell, value", [((0, 1, 1), math.nan), ((1, 0, 1), -1.0), ((0,), 0.0)])
+    def test_batch_fits_check_each_table_as_the_table_does(self, fit, cell, value):
+        w = np.ones((2, 2, 2))
+        w[cell] = value  # a NaN cell, a negative cell, no controls at all
+        with pytest.raises(ValueError) as table_error:
+            CaseControlTable(w)
+        with pytest.raises(ValueError) as batch_error:
+            fit(np.stack([np.ones((2, 2, 2)), w]))
+        assert str(batch_error.value) == str(table_error.value)
+
+    @pytest.mark.parametrize("fit", BATCH_FITS)
+    def test_batch_fits_reject_a_badly_shaped_array(self, fit):
+        shape = r"^tables must have shape \(R, 2, 2, 2\), got \(2, 2, 2\)$"
+        with pytest.raises(ValueError, match=shape):
+            fit(np.ones((2, 2, 2)))
 
 
 class TestMarginal:
@@ -231,6 +254,30 @@ class TestConstrained:
     def test_infeasible_f(self, canonical_table):
         with pytest.raises(InfeasibleStart):
             fit_constrained(canonical_table, 1.5)
+
+    def test_start_whose_intercept_cannot_be_inverted_is_infeasible(self, monkeypatch):
+        def fail(f, beta, gamma, theta, pi):
+            return np.full(np.shape(beta), np.nan)
+
+        monkeypatch.setattr(constrained_mod, "alpha_from_prevalence", fail)
+        t = CaseControlTable([[[30, 12], [18, 25]], [[20, 22], [10, 40]]])
+        with pytest.raises(InfeasibleStart) as error:
+            fit_constrained(t, 0.1)
+        assert str(error.value) == "bracket expansion for alpha exceeded |alpha| = 750"
+
+    def test_inversion_failing_after_the_start_is_bracket_failure(self, monkeypatch):
+        invert, calls = constrained_mod.alpha_from_prevalence, []
+
+        def fail_after_start(*args):
+            calls.append(1)
+            alpha = invert(*args)
+            return alpha if len(calls) == 1 else np.full_like(alpha, np.nan)
+
+        monkeypatch.setattr(constrained_mod, "alpha_from_prevalence", fail_after_start)
+        t = CaseControlTable([[[30, 12], [18, 25]], [[20, 22], [10, 40]]])
+        with pytest.raises(BracketFailure, match=r"^bracket expansion for alpha exceeded"):
+            fit_constrained(t, 0.1)
+        assert len(calls) > 1
 
     def test_observed_information_positive_definite(self, canonical):
         from cceff._constrained import loglik_grad_hess_s

@@ -189,6 +189,20 @@ class TestAlphaFromPrevalence:
         with pytest.raises(BracketFailure):
             alpha_from_prevalence(f, 1.0, 0.3, 0.4, 0.5)
 
+    def test_slow_lane_runs_to_its_root(self):
+        # About 140 safeguarded Newton steps: a cap of 100 returned -495.16,
+        # where the prevalence is 0.499 f.
+        args = (7.733917527638222e-175, 46.46692781939741, 49.87862617686709,
+                0.9999987890170681, 0.061827177494307314)
+        assert abs(alpha_from_prevalence(*args) - oracles.mp_alpha_root(*args)) <= 1e-12
+
+    def test_widened_bracket_stops_at_750(self):
+        # The start bracket misses the root -652.9 by rounding, and the first
+        # doubling step of its lower end overshoots -750: the end is clamped
+        # there instead of failing.
+        args = (1.73075609e-249, 47.208699, 32.8991147, 1.0 - 2.0**-53, 1.0 - 2.0**-53)
+        assert abs(alpha_from_prevalence(*args) - oracles.mp_alpha_root(*args)) <= 1e-12
+
     @given(beta=coef, gamma=coef, theta=prob_inner, pi=prob_inner,
            f=st.floats(1e-4, 1.0 - 1e-4))
     def test_round_trip_property(self, beta, gamma, theta, pi, f):

@@ -20,6 +20,7 @@ from cceff import (
     asymptotic_power,
     bias_delta,
     expected_table,
+    fit_adjusted_batch,
     fit_constrained,
     limiting_value,
     misspec_sweep,
@@ -298,12 +299,24 @@ class TestRunMC:
         assert calls == [5]
         assert [st.n_included for st in report.stats] == [5, 5, 5]
 
+    def test_theory_column_failure_raises_the_one_point_error(self):
+        # expit(-45 + 43 + 40) rounds to 1: the Adj fits mostly succeed, but
+        # sigma_A has no finite value, and run_mc raises its one-point error.
+        p = PopulationParams(alpha=-45.0, beta=43.0, gamma=40.0, theta=0.5, pi=0.5)
+        design = DesignParams(1.0, 400.0)
+        fits = fit_adjusted_batch(sample_tables(p, design, 1, range(20)))
+        assert sum(isinstance(fit, FitResult) for fit in fits) >= 15
+        with pytest.raises(InvalidInput, match="an exposure probability rounds to 0 or 1"):
+            run_mc(SimConfig(params=p, design=design, replicates=20, seed=1, methods=("adj",)))
+        cfg = SimConfig(params=p, design=design, replicates=20, seed=1, methods=("mar",))
+        assert run_mc(cfg).stats[0].n_included == 20
+
     def test_adjcon_reports_the_adjusted_fit_failure(self, canonical):
         # No subject has the covariate: the adjusted fit raises ZeroMargin,
         # and AdjCon, which starts from it, reports the same kind.
         w = np.array([[[40.0, 30.0], [0.0, 0.0]], [[25.0, 35.0], [0.0, 0.0]]])
-        cfg = SimConfig(params=canonical, design=DesignParams(1.0, 130.0), replicates=1, seed=0)
-        outcomes = [o for (o,) in simulate_mod._fit_block(cfg, w[None])]
+        fits = simulate_mod._fit_block(tuple(Method), w[None], canonical.f, False)
+        outcomes = [o for (o,) in fits]
         kinds = ["" if isinstance(o, FitResult) else type(o).__name__ for o in outcomes]
         assert kinds == ["", "ZeroMargin", "ZeroMargin"]
         with pytest.raises(ZeroMargin):
