@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import theory_curve
-from .errors import AllReplicatesFailed, CCEffError, InvalidInput
+from .errors import CCEffError, InvalidInput
 from .estimators import (
     CaseControlTable,
     Method,
@@ -73,8 +73,9 @@ def _fmt(value):
         return format(value, ".17g")
     if isinstance(value, Method):
         return value.value
-    if isinstance(value, (list, tuple)):
-        return ",".join(_fmt(v) for v in value)
+    if isinstance(value, (list, tuple)):  # a sequence of sequences joins with ";"
+        sep = ";" if value and isinstance(value[0], (list, tuple)) else ","
+        return sep.join(_fmt(v) for v in value)
     if isinstance(value, dict):
         return ";".join(f"{k}={_fmt(v)}" for k, v in sorted(value.items()))
     return str(value)
@@ -84,11 +85,10 @@ def manifest_path(out_path):
     return out_path + ".manifest"
 
 
-def _emit(r, command, header, rows, started, seed=None, **extra):
+def _emit(r, command, header, rows, started, seed=None):
     """Write rows to the CSV r["out"], then its manifest of every resolved option but --out.
 
-    extra holds the manifest values that OPTIONS does not declare (--cell,
-    --mc-confirm).  A None value is left out of the manifest.
+    A None value is left out of the manifest.
     """
     out = r["out"]
     with open(out, "w", newline="") as fh:
@@ -104,10 +104,9 @@ def _emit(r, command, header, rows, started, seed=None, **extra):
     if seed is not None:
         lines.append(f"seed={seed}")
     lines += [f"started_utc={started}", f"finished_utc={_now()}"]
-    params = {**r, **extra}
-    for key in sorted(params):
-        if key != "out" and params[key] is not None:
-            lines.append(f"param.{key}={_fmt(params[key])}")
+    for key in sorted(r):
+        if key != "out" and r[key] is not None:
+            lines.append(f"param.{key}={_fmt(r[key])}")
     with open(manifest_path(out), "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -125,29 +124,39 @@ def parse_manifest(path):
 
 
 def manifest_to_argv(path):
-    """Rebuild the command line that produced a manifest's output file."""
+    """Rebuild the command line that produced a manifest's output file.
+
+    A switch is its bare flag when true, each part of a repeated option one
+    --flag=part, a k-value option its flag and k parts, any other --flag=value
+    (so a value that begins with "-" stays a value).
+    """
     entries = parse_manifest(path)
     argv = [entries["command"]]
     for key, value in sorted(entries.items()):
         if not key.startswith("param."):
             continue
         name = key[len("param."):]
-        flag = "--" + name.replace("_", "-")
-        if value == "true":
-            argv.append(flag)
-        elif value == "false":
-            continue
-        elif name == "cell":
-            for part in value.split(";"):
-                argv.extend([flag, part])
-        elif name == "mc_confirm":
-            argv.append(flag)
-            argv.extend(value.split(","))
+        flag, parse_fn, arity = _flag(name), OPTIONS[name][0], _arity(name)
+        if parse_fn is _parse_bool:
+            argv += [flag] if value == "true" else []
+        elif arity == "append":
+            argv += [f"{flag}={part}" for part in value.split(";")]
+        elif arity:
+            argv += [flag, *value.split(",")]
         else:
-            argv.extend([flag, value])
+            argv.append(f"{flag}={value}")
     if "out" in entries:
-        argv.extend(["--out", entries["out"]])
+        argv.append(f"--out={entries['out']}")
     return argv
+
+
+def _flag(name):
+    return "--" + name.replace("_", "-")
+
+
+def _arity(name):
+    """An option's arity: "append" (repeated), k (k values) or None (one value)."""
+    return OPTIONS[name][3] if len(OPTIONS[name]) > 3 else None
 
 
 def _parse_bool(text):
@@ -194,12 +203,27 @@ def load_config(path):
     return values
 
 
+def _parse_config_value(name, text):
+    """Parse a config value as the manifest writes it: ";" joins repeats, "," k values."""
+    parse_fn, arity = OPTIONS[name][0], _arity(name)
+    if arity == "append":
+        return [parse_fn(part) for part in text.split(";")]
+    if arity:
+        parts = text.split(",")
+        if len(parts) != arity:
+            raise ValueError(f"expected {arity} comma-separated values, got {len(parts)}")
+        return [parse_fn(part) for part in parts]
+    return parse_fn(text)
+
+
 def _resolve(ns, parser):
     """Merge CLI flags over config-file values over defaults for ns.command.
 
     Flags are declared with default=None so an unset flag falls through to
     the config file, then to the command's own default or the OPTIONS one.
-    A config key that the command does not take raises InvalidInput.
+    A config key that the command does not take raises InvalidInput.  Then
+    the command's requirements are checked: each named option must be set,
+    and of each tuple of options exactly one.
     """
     config = {}
     if getattr(ns, "config", None):
@@ -207,40 +231,37 @@ def _resolve(ns, parser):
             config = load_config(ns.config)
         except (OSError, ValueError) as exc:
             parser.error(str(exc))
-    _, _, names, defaults = COMMANDS[ns.command]
+    _, _, names, defaults, required = COMMANDS[ns.command]
     for key in config:
         if key not in names:
             raise InvalidInput(f"{ns.config}: {ns.command} takes no config key {key!r}")
     resolved = {}
     for name in names:
-        parse_fn, default, _ = OPTIONS[name]
         value = getattr(ns, name)
         if value is None and name in config:
             try:
-                value = parse_fn(config[name])
-            except ValueError as exc:
+                value = _parse_config_value(name, config[name])
+            except (ValueError, argparse.ArgumentTypeError) as exc:
                 parser.error(f"config value for {name}: {exc}")
         if value is None:
-            value = defaults.get(name, default)
+            value = defaults.get(name, OPTIONS[name][1])
         resolved[name] = value
+    for need in required:
+        if isinstance(need, str):
+            if resolved[need] is None:
+                parser.error(f"{_flag(need)} is required")
+        elif sum(resolved[name] is not None for name in need) != 1:
+            parser.error(f"exactly one of {', '.join(map(_flag, need))} must be given")
     return resolved
-
-
-def _require(parser, resolved, names):
-    for name in names:
-        if resolved.get(name) is None:
-            parser.error(f"--{name.replace('_', '-')} is required")
 
 
 def _now():
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _truth_params(parser, resolved):
+def _truth_params(resolved):
     """Build PopulationParams from either --alpha or --f plus (beta, gamma, theta, pi)."""
-    alpha, f = resolved.get("alpha"), resolved.get("f")
-    if (alpha is None) == (f is None):
-        parser.error("exactly one of --alpha and --f must be given")
+    alpha, f = resolved["alpha"], resolved["f"]
     beta, gamma = resolved["beta"], resolved["gamma"]
     theta, pi = resolved["theta"], resolved["pi"]
     if alpha is None:
@@ -250,9 +271,7 @@ def _truth_params(parser, resolved):
 
 # ---------------------------------------------------------------- theory
 
-def cmd_theory(ns, parser):
-    r = _resolve(ns, parser)
-    _require(parser, r, ["beta", "gamma", "theta", "pi", "f_grid", "out"])
+def cmd_theory(r, parser):
     try:
         grid = _parse_grid(r["f_grid"])
     except ValueError as exc:
@@ -331,19 +350,13 @@ def _read_table_file(path, columns):
     return w
 
 
-def cmd_fit(ns, parser):
-    r = _resolve(ns, parser)
-    methods = r["methods"]
-
-    sources = [ns.cell is not None, r["counts_file"] is not None, r["subjects_file"] is not None]
-    if sum(sources) != 1:
-        parser.error("exactly one of --cell (x8), --counts-file, --subjects-file must be given")
-    if ns.cell is not None:
-        seen = {(d, i, j) for d, i, j, _ in ns.cell}
-        if len(ns.cell) != 8 or len(seen) != 8:
+def cmd_fit(r, parser):
+    methods, cells = r["methods"], r["cell"]
+    if cells is not None:
+        if len(cells) != 8 or len({cell[:3] for cell in cells}) != 8:
             parser.error("--cell must be given exactly once for each of the 8 (d,i,j) cells")
         w = np.zeros((2, 2, 2))
-        for d, i, j, count in ns.cell:
+        for d, i, j, count in cells:
             w[d, i, j] = count
     else:
         path = r["counts_file"] or r["subjects_file"]
@@ -387,19 +400,14 @@ def cmd_fit(ns, parser):
                  f"{type(exc).__name__}: {exc}"]
             )
     if r["out"]:
-        cell = None if ns.cell is None else ";".join(
-            f"{d},{i},{j},{_fmt(c)}" for d, i, j, c in ns.cell
-        )
-        _emit(r, "fit", FIT_COLUMNS, out_rows, started, cell=cell)
+        _emit(r, "fit", FIT_COLUMNS, out_rows, started)
     return 3 if any_error else 0
 
 
 # ---------------------------------------------------------------- simulate
 
-def cmd_simulate(ns, parser):
-    r = _resolve(ns, parser)
-    _require(parser, r, ["beta", "gamma", "theta", "pi", "n", "out"])
-    params = _truth_params(parser, r)
+def cmd_simulate(r, parser):
+    params = _truth_params(r)
     design = DesignParams(nu=r["nu"], n=r["n"])
     started = _now()
 
@@ -422,11 +430,7 @@ def cmd_simulate(ns, parser):
         f_supplied=r["adjcon_f"],
         failures_reject=r["failures_reject"],
     )
-    try:
-        report = run_mc(config)
-    except AllReplicatesFailed as exc:
-        print(f"simulate: {exc}", file=sys.stderr)
-        return 1
+    report = run_mc(config)
     for st in report.stats:
         print(
             f"simulate[{st.method.value}]: mean_gamma={st.mean_gamma:.6g} "
@@ -441,13 +445,9 @@ def cmd_simulate(ns, parser):
 
 # ---------------------------------------------------------------- misspec
 
-def cmd_misspec(ns, parser):
-    r = _resolve(ns, parser)
-    _require(parser, r, ["beta", "gamma", "theta", "pi", "out"])
-    params = _truth_params(parser, r)
+def cmd_misspec(r, parser):
+    params = _truth_params(r)
     design = DesignParams(nu=r["nu"], n=r["n"])
-    if (r["f1_grid"] is None) == (r["f1_list"] is None):
-        parser.error("exactly one of --f1-grid and --f1-list must be given")
     if r["f1_grid"] is not None:
         try:
             grid = _parse_grid(r["f1_grid"])
@@ -457,14 +457,10 @@ def cmd_misspec(ns, parser):
         grid = r["f1_list"]
 
     started = _now()
-    try:
-        rows = misspec_sweep(
-            params, design, grid,
-            eps=r["eps"], mc_confirm=ns.mc_confirm, seed=r["seed"], level=r["level"],
-        )
-    except CCEffError as exc:
-        print(f"misspec: {exc}", file=sys.stderr)
-        return 1
+    rows = misspec_sweep(
+        params, design, grid,
+        eps=r["eps"], mc_confirm=r["mc_confirm"], seed=r["seed"], level=r["level"],
+    )
     out_rows = []
     for row in rows:
         out_rows.append(
@@ -472,8 +468,7 @@ def cmd_misspec(ns, parser):
              row.dev_s, row.dev_sigma, row.ratio_s, row.ratio_sigma,
              row.mc_mean_gamma, row.mc_mean_gamma_se, row.error]
         )
-    _emit(r, "misspec", MISSPEC_COLUMNS, out_rows, started, seed=r["seed"],
-          mc_confirm=ns.mc_confirm)
+    _emit(r, "misspec", MISSPEC_COLUMNS, out_rows, started, seed=r["seed"])
     n_err = sum(1 for row in rows if row.error)
     print(f"misspec: wrote {len(rows)} rows to {r['out']}" + (f", {n_err} failed" if n_err else ""))
     return 1 if n_err else 0
@@ -481,9 +476,10 @@ def cmd_misspec(ns, parser):
 
 # ---------------------------------------------------------------- parser
 
-# Every option but --cell, --mc-confirm and --config: name -> (parser, default,
-# help).  A _parse_bool option is a switch on the command line; a config file
-# spells it out (true/false, yes/no, on/off, 1/0).
+# Every option but --config: name -> (parser, default, help[, arity]).  An arity
+# is "append" (one flag per value, joined by ";" in manifests and config files)
+# or k (k values after one flag, joined by ",").  A _parse_bool option is a switch
+# on the command line; a config file spells it out (true/false, yes/no, on/off, 1/0).
 OPTIONS = {
     "alpha": (float, None, "true intercept (give exactly one of --alpha and --f)"),
     "f": (float, None, "true disease prevalence (give exactly one of --alpha and --f)"),
@@ -495,6 +491,7 @@ OPTIONS = {
     "n": (float, None, "total sample size"),
     "level": (float, 0.05, "two-sided test level"),
     "f_grid": (str, None, "prevalence grid as min:max:points"),
+    "cell": (_parse_cell, None, "one cell weight as D,I,J,COUNT; give all 8 cells", "append"),
     "counts_file": (str, None, "CSV with columns d,i,j,count"),
     "subjects_file": (str, None, "per-subject CSV with columns d,x,e"),
     "methods": (_parse_methods, tuple(Method), "comma list from mar,adj,adjcon"),
@@ -512,34 +509,41 @@ OPTIONS = {
     "f1_grid": (str, None, "supplied-prevalence grid min:max:points"),
     "f1_list": (_parse_float_list, None, "comma list of supplied prevalences"),
     "eps": (float, DEFAULT_EPS, "supplied prevalences may reach 1 - eps"),
+    "mc_confirm": (int, None, "Monte-Carlo confirmation: sample size N and replicates REPS", 2),
     "out": (str, None, "output CSV path (optional for fit)"),
 }
 
 _TRUTH = ("alpha", "f", "beta", "gamma", "theta", "pi", "nu", "n")
+_SHAPE = ("beta", "gamma", "theta", "pi")
 
-# command -> (handler, help, options, defaults that differ from OPTIONS)
+# command -> (handler, help, options, defaults that differ from OPTIONS,
+# requirements: an option that must be set, or a tuple of which exactly one must)
 COMMANDS = {
     "theory": (
         cmd_theory, "closed-form curves over a prevalence grid",
         ("beta", "gamma", "theta", "pi", "nu", "n", "level", "f_grid", "out"),
         {"n": 50000.0},
+        (*_SHAPE, "f_grid", "out"),
     ),
     "fit": (
         cmd_fit, "fit estimators to a 2x2x2 table",
-        ("counts_file", "subjects_file", "methods", "prevalence", "level",
+        ("cell", "counts_file", "subjects_file", "methods", "prevalence", "level",
          "continuity_correction", "out"),
         {},
+        (("cell", "counts_file", "subjects_file"),),
     ),
     "simulate": (
         cmd_simulate, "seeded Monte Carlo or expected-table export",
         _TRUTH + ("replicates", "seed", "level", "methods", "adjcon_f",
                   "emit_expected", "failures_reject", "out"),
         {},
+        (*_SHAPE, "n", "out", ("alpha", "f")),
     ),
     "misspec": (
         cmd_misspec, "supplied-prevalence misspecification sweep",
-        _TRUTH + ("f1_grid", "f1_list", "eps", "seed", "level", "out"),
+        _TRUTH + ("f1_grid", "f1_list", "eps", "mc_confirm", "seed", "level", "out"),
         {"n": 100000.0},
+        (*_SHAPE, "out", ("alpha", "f"), ("f1_grid", "f1_list")),
     ),
 }
 
@@ -554,24 +558,18 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=f"cceff {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (_, command_help, names, _) in COMMANDS.items():
+    for command, (_, command_help, names, _, _) in COMMANDS.items():
         p = sub.add_parser(command, help=command_help)
-        if command == "fit":
-            p.add_argument(
-                "--cell", action="append", type=_parse_cell, default=None,
-                metavar="D,I,J,COUNT", help="one cell weight; give all 8 cells",
-            )
         for name in names:
-            parse_fn, _, option_help = OPTIONS[name]
-            flag = "--" + name.replace("_", "-")
+            parse_fn, _, option_help = OPTIONS[name][:3]
+            arity = _arity(name)
             if parse_fn is _parse_bool:
-                p.add_argument(flag, action="store_const", const=True, default=None,
-                               help=option_help)
+                form = {"action": "store_const", "const": True}
+            elif arity == "append":
+                form = {"action": "append", "type": parse_fn}
             else:
-                p.add_argument(flag, type=parse_fn, default=None, help=option_help)
-        if command == "misspec":
-            p.add_argument("--mc-confirm", nargs=2, type=int, metavar=("N", "REPS"),
-                           help="Monte-Carlo confirmation sample size and replicates")
+                form = {"nargs": arity, "type": parse_fn}
+            p.add_argument(_flag(name), default=None, help=option_help, **form)
         p.add_argument("--config", help="key=value config file (flags take precedence)")
     return parser
 
@@ -580,7 +578,7 @@ def main(argv=None):
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
-        return COMMANDS[ns.command][0](ns, parser)
+        return COMMANDS[ns.command][0](_resolve(ns, parser), parser)
     except CCEffError as exc:
         print(f"cceff {ns.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -179,12 +179,15 @@ def theta_from_constraint(alpha, beta, gamma, pi, f):
 def _alpha_error(f):
     """The BracketFailure ``alpha_from_prevalence`` raises for a lane with target f.
 
-    A lane fails either because f is not a prevalence or because its root
-    lies beyond |alpha| = 750.
+    A lane fails because f is not a prevalence, because its root lies
+    beyond |alpha| = 750, or because f is subnormal and no intercept's
+    prevalence reproduces it (expit underflows below alpha = -709.78).
     """
     f = float(f)
     if not (0.0 < f < 1.0) or not math.isfinite(f):
         return BracketFailure(f"target prevalence f={f!r} not in (0, 1)")
+    if f < _TINY:
+        return BracketFailure(f"no intercept reproduces the subnormal prevalence f={f!r}")
     return BracketFailure("bracket expansion for alpha exceeded |alpha| = 750")
 
 
@@ -203,6 +206,9 @@ _CHAIN_AFTER = 8
 _POW2 = 2.0 ** np.arange(_CHAIN)
 # Steps after which a lane ends at its last point; down to f = 1e-250 lanes need up to 145.
 _MAX_STEPS = 400
+# Share of a subnormal f by which the prevalence at a lane's intercept may miss f.
+_REPRODUCE = 1e-9
+_TINY = np.finfo(float).tiny
 
 
 def _newton_step(a, ga, slope, lo, hi):
@@ -234,7 +240,9 @@ def alpha_from_prevalence(f, beta, gamma, theta, pi):
     search starts from the bracket logit(f) -/+ (|beta| + |gamma|), which
     contains the root up to rounding (an end that misses it is widened, up
     to |alpha| = 750), and runs safeguarded Newton (steps clipped to the
-    bracket, bisection otherwise) for at most _MAX_STEPS steps.
+    bracket, bisection otherwise) for at most _MAX_STEPS steps.  A lane with
+    a subnormal f fails where the prevalence at its intercept misses f by
+    more than _REPRODUCE of f.
 
     The arguments broadcast against each other; each element is a lane
     with its own bracket, iteration and exit.  On plain floats the result
@@ -308,6 +316,7 @@ def alpha_from_prevalence(f, beta, gamma, theta, pi):
     out = np.full(f.shape, np.nan)
     idx = np.flatnonzero(~failed)
     a, ga, slope = center, g_start[:, 2], slope_start[:, 2]
+    all_lanes = lane
     if len(idx) < len(f):
         a, lo, hi, ga, slope = (x[idx] for x in (a, lo, hi, ga, slope))
         lane = tuple(x[idx] for x in lane)
@@ -364,7 +373,10 @@ def alpha_from_prevalence(f, beta, gamma, theta, pi):
                 idx, a, lo, hi = idx[keep], a[keep], lo[keep], hi[keep]
                 chain, iterations = chain[keep], iterations[keep]
                 lane = tuple(x[keep] for x in lane)
-    out[idx] = a
+    if f.min() < _TINY:  # such a lane may end on the step where expit underflows
+        sub = np.flatnonzero(f < _TINY)
+        miss = np.abs(g(out[sub], tuple(x[sub] for x in all_lanes))[0]) > _REPRODUCE * f[sub]
+        out[sub[miss]] = np.nan
     if shape == ():
         if math.isnan(out[0]):
             raise _alpha_error(f[0])

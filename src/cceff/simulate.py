@@ -243,18 +243,10 @@ def run_mc(config: SimConfig) -> MCReport:
     Every fit is bitwise independent of the batch it runs in, and the fold
     is deterministic, so the report does not depend on the batch size; the
     Wald tests and coverage checks run on arrays, one lane per replicate.
+    The theory columns come first: a point whose theory fails raises its
+    one-point error before any table is sampled or fitted.
     """
-    tables = sample_tables(config.params, config.design, config.seed, range(config.replicates))
-    z_half = _z_half(config.level)
-    f = config.f_supplied if config.f_supplied is not None else config.params.f
-    outcomes = [[] for _ in config.methods]
-    for start in range(0, len(tables), _CHUNK):
-        block = tables[start : start + _CHUNK]
-        for per, fits in zip(outcomes, _fit_block(config.methods, block, f, False)):
-            per += fits
-
     params, design = config.params, config.design
-    sqrt_n = math.sqrt(design.n)
     rd = retro_distribution(params)
     var_m, var_a, bad_m, bad_a = _variance_lanes(rd, design.nu)
     theory = {Method.MAR: (bad_m, var_m), Method.ADJ: (bad_a, var_a)}
@@ -262,6 +254,25 @@ def run_mc(config: SimConfig) -> MCReport:
         s = np.array([[params.beta, params.gamma, params.theta, params.pi]])
         (var_ac,), _ = _sigma_AC_lanes(np.array([params.f]), s, rd.p_case, rd.p_ctrl, design.nu)
         theory[Method.ADJCON] = (math.isnan(var_ac), var_ac)
+    for method in config.methods:
+        bad, t_var = theory[method]
+        if bad:  # the one-point functions raise this point's error
+            _delta_and_variance(method, params, design.nu)
+        t_delta = 0.0
+        if method is Method.MAR:
+            t_delta = bias_delta(params.alpha, params.beta, params.gamma, params.theta)
+        theory[method] = (t_delta, t_var)
+
+    tables = sample_tables(params, design, config.seed, range(config.replicates))
+    z_half = _z_half(config.level)
+    f = config.f_supplied if config.f_supplied is not None else params.f
+    outcomes = [[] for _ in config.methods]
+    for start in range(0, len(tables), _CHUNK):
+        block = tables[start : start + _CHUNK]
+        for per, fits in zip(outcomes, _fit_block(config.methods, block, f, False)):
+            per += fits
+
+    sqrt_n = math.sqrt(design.n)
     stats = []
     for method, per in zip(config.methods, outcomes):
         ok = [fit for fit in per if not isinstance(fit, CCEffError)]
@@ -286,12 +297,7 @@ def run_mc(config: SimConfig) -> MCReport:
         rej_rate = rejects / total
         cov_rate = covered / n_inc
 
-        bad, t_var = theory[method]
-        if bad:  # the one-point functions raise this point's error
-            _delta_and_variance(method, params, design.nu)
-        t_delta = 0.0
-        if method is Method.MAR:
-            t_delta = bias_delta(params.alpha, params.beta, params.gamma, params.theta)
+        t_delta, t_var = theory[method]
         stats.append(
             MethodStats(
                 method=method,

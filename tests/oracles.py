@@ -181,8 +181,9 @@ def fd_derivative(fn, x, h=1e-6):
 # calls) and cceff._constrained.f_derivs as they stood on (2, 2) numpy
 # arrays.  Do not edit: the float kernels must reproduce them bit for bit.
 # The one exception is a change of the algorithm itself, mirrored here: the
-# inversion's bracket ends are clamped at |alpha| = 750 and its step cap is
-# 400 (formerly a failure past 750 and 100 steps).
+# inversion's bracket ends are clamped at |alpha| = 750, its step cap is 400
+# (formerly a failure past 750 and 100 steps), and a subnormal f whose
+# result's prevalence misses f by more than 1e-9 f fails (formerly returned).
 
 
 def cell_probs(alpha, beta, gamma):
@@ -211,10 +212,15 @@ def alpha_from_prevalence(f, beta, gamma, theta, pi):
     Prevalence is strictly increasing in alpha, so the root is unique.  The
     search starts from the bracket logit(f) -/+ (|beta| + |gamma|), which
     always contains the root for valid inputs, and runs safeguarded Newton
-    (steps clipped to the bracket, bisection otherwise).
+    (steps clipped to the bracket, bisection otherwise).  A subnormal f
+    fails where the prevalence at the result misses f by more than 1e-9 f.
     """
     if not (0.0 < f < 1.0) or not math.isfinite(f):
         raise BracketFailure(f"target prevalence f={f!r} not in (0, 1)")
+    if f < np.finfo(float).tiny:
+        failure = f"no intercept reproduces the subnormal prevalence f={f!r}"
+    else:
+        failure = "bracket expansion for alpha exceeded |alpha| = 750"
     spread = abs(beta) + abs(gamma)
     center = float(logit(f))
     lo, hi = center - spread, center + spread
@@ -227,7 +233,7 @@ def alpha_from_prevalence(f, beta, gamma, theta, pi):
     width = max(hi - lo, 1.0)
     while glo > 0.0:
         if lo <= -750.0:
-            raise BracketFailure("bracket expansion for alpha exceeded |alpha| = 750")
+            raise BracketFailure(failure)
         lo = max(lo - width, -750.0)
         width *= 2.0
         glo, _ = g(lo)
@@ -235,7 +241,7 @@ def alpha_from_prevalence(f, beta, gamma, theta, pi):
     width = max(hi - lo, 1.0)
     while ghi < 0.0:
         if hi >= 750.0:
-            raise BracketFailure("bracket expansion for alpha exceeded |alpha| = 750")
+            raise BracketFailure(failure)
         hi = min(hi + width, 750.0)
         width *= 2.0
         ghi, _ = g(hi)
@@ -244,7 +250,7 @@ def alpha_from_prevalence(f, beta, gamma, theta, pi):
     for _ in range(400):
         ga, slope = g(a)
         if ga == 0.0:
-            return float(a)
+            break
         if ga > 0.0:
             hi = a
         else:
@@ -253,9 +259,12 @@ def alpha_from_prevalence(f, beta, gamma, theta, pi):
         a_new = a + step
         if not (lo < a_new < hi):
             a_new = 0.5 * (lo + hi)
-        if abs(a_new - a) <= 1e-15 * (1.0 + abs(a_new)):
-            return float(a_new)
+        done = abs(a_new - a) <= 1e-15 * (1.0 + abs(a_new))
         a = a_new
+        if done:
+            break
+    if f < np.finfo(float).tiny and abs(g(a)[0]) > 1e-9 * f:
+        raise BracketFailure(failure)
     return float(a)
 
 

@@ -12,6 +12,7 @@ from numpy.testing import assert_allclose
 import cceff
 from cceff import DesignParams, PopulationParams, expected_table, theory_curve
 from cceff.cli import (
+    COMMANDS,
     FIT_COLUMNS,
     MISSPEC_COLUMNS,
     SIM_COLUMNS,
@@ -500,7 +501,8 @@ class TestSimulate:
                  "--theta", "0.4", "--pi", "1e-8", "--n", "40", "--replicates", "3",
                  "--methods", "mar", "--out", tmp_path / "x.csv")
         assert rc == 1
-        assert "replicates failed" in capsys.readouterr().err
+        assert capsys.readouterr().err == "cceff simulate: AllReplicatesFailed: " \
+            "all 3 replicates failed for method mar: {'ZeroCell': 3}\n"
 
     def test_failures_reject_switch_rebuilds_and_reads_from_a_config_file(self, tmp_path):
         # Rare exposure and n = 20: half the Mar replicates fail with ZeroCell.
@@ -605,3 +607,182 @@ class TestMisspec:
         first = out.read_bytes()
         assert run(*manifest_to_argv(manifest_path(str(out)))) == 0
         assert out.read_bytes() == first
+
+
+CELLS = [("--cell", f"{d},{i},{j},{c}") for (d, i, j), c in zip(
+    [(d, i, j) for d in (0, 1) for i in (0, 1) for j in (0, 1)],
+    ["30", "12", "18.5", "25", "20", "22", "1e-3", "40"],
+)]
+CELL_ARGV = [x for pair in CELLS for x in pair]
+COUNTS = "d,i,j,count\n" + "".join(f"{c}\n" for _, c in CELLS)
+SUBJECTS = "d,x,e\n" + "".join(
+    f"{d},{x},{e}\n" for d in (0, 1) for x in (0, 1) for e in (0, 1) for _ in range(3 + d + x + e)
+)
+
+# Between them the cases of a command set every option it takes; "{dir}" is the test's directory.
+# --beta=-1e-5 and --f1-list=-0.1,0.35 (a row error, exit 1) are values that begin with "-".
+OPTION_CASES = {
+    "theory": [
+        ["--beta=-1e-5", "--gamma", "0.3", "--theta", "0.4", "--pi", "0.5", "--nu", "2",
+         "--n", "20000", "--level", "0.1", "--f-grid", "0.1:0.5:3"],
+    ],
+    "fit": [
+        [*CELL_ARGV, "--methods", "adjcon,mar", "--prevalence", "0.2", "--level", "0.1",
+         "--continuity-correction"],
+        ["--counts-file", "{dir}/counts.csv", "--methods", "mar,adj"],
+        ["--subjects-file", "{dir}/subjects.csv", "--methods", "adj,adjcon", "--prevalence", "0.3"],
+    ],
+    "simulate": [
+        ["--alpha", "-2", *CANON, "--nu", "2", "--n", "300", "--replicates", "6", "--seed", "3",
+         "--level", "0.1", "--methods", "mar,adjcon", "--adjcon-f", "0.2", "--failures-reject"],
+        ["--f", "0.3", *CANON, "--n", "1000", "--emit-expected"],
+    ],
+    "misspec": [
+        ["--alpha", "-1", *CANON, "--nu", "2", "--n", "5000", "--f1-grid", "0.3:0.4:2",
+         "--eps", "0.01", "--mc-confirm", "400", "6", "--seed", "2", "--level", "0.1"],
+        ["--f", "0.3", *CANON, "--f1-list=-0.1,0.35"],
+    ],
+}
+CASES = [(command, k) for command, cases in OPTION_CASES.items() for k in range(len(cases))]
+
+
+class TestOptionTable:
+    def argv(self, command, k, tmp_path):
+        (tmp_path / "counts.csv").write_text(COUNTS)
+        (tmp_path / "subjects.csv").write_text(SUBJECTS)
+        return [command, *(a.format(dir=tmp_path) for a in OPTION_CASES[command][k])]
+
+    @pytest.mark.parametrize("command", sorted(OPTION_CASES))
+    def test_cases_set_every_option(self, command, tmp_path):
+        given = set()
+        for k in range(len(OPTION_CASES[command])):
+            ns = vars(build_parser().parse_args(self.argv(command, k, tmp_path)))
+            given |= {name for name, value in ns.items() if value is not None}
+        assert given == {*COMMANDS[command][2], "command"} - {"out"}
+
+    @pytest.mark.parametrize("command, k", CASES)
+    def test_manifest_and_its_config_file_rebuild_the_csv(self, command, k, tmp_path):
+        argv = self.argv(command, k, tmp_path)
+        out, again, config = (tmp_path / f"{name}.csv" for name in ("out", "again", "config"))
+        rc = run(*argv, "--out", out)
+        assert rc == (1 if k == 1 and command == "misspec" else 0)
+        first, manifest = out.read_bytes(), manifest_path(str(out))
+        entries = parse_manifest(manifest)
+        out.unlink()
+        assert run(*manifest_to_argv(manifest)) == rc
+        assert out.read_bytes() == first
+
+        def stable(path):
+            return {k: v for k, v in parse_manifest(path).items() if not k.endswith("_utc")}
+
+        assert stable(manifest) == stable(manifest_path(str(out)))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(
+            f"{key[len('param.'):]} = {value}\n"
+            for key, value in entries.items() if key.startswith("param.")
+        ))
+        assert run(command, "--config", cfg, "--out", config) == rc
+        assert config.read_bytes() == first
+        assert stable(manifest_path(str(config))) == {**stable(manifest), "out": str(config)}
+
+    def test_cell_manifest_line_and_its_rebuild(self, tmp_path):
+        out = tmp_path / "fit.csv"
+        assert run("fit", *CELL_ARGV, "--methods", "mar", "--out", out) == 0
+        entries = parse_manifest(manifest_path(str(out)))
+        assert entries["param.cell"] == "0,0,0,30;0,0,1,12;0,1,0,18.5;0,1,1,25;" \
+            "1,0,0,20;1,0,1,22;1,1,0,0.001;1,1,1,40"
+        argv = manifest_to_argv(manifest_path(str(out)))
+        cells = entries["param.cell"].split(";")
+        assert [a for a in argv if a.startswith("--cell")] == [f"--cell={c}" for c in cells]
+
+    @pytest.mark.parametrize("line", ["mc_confirm = 400", "mc_confirm = 400,6,2"])
+    def test_mc_confirm_in_a_config_file_needs_two_values(self, tmp_path, capsys, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        with pytest.raises(SystemExit) as ei:
+            run("misspec", "--f", "0.3", *CANON, "--f1-list", "0.35", "--config", cfg,
+                "--out", tmp_path / "x.csv")
+        assert ei.value.code == 2
+        assert "config value for mc_confirm: expected 2 comma-separated values" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, error", [
+        ("beta 1\n", "run.cfg:1: expected key=value"),
+        ("replicates = abc\n", "config value for replicates: invalid literal for int()"),
+        ("failures_reject = maybe\n", "not a boolean: 'maybe'"),
+        ("cell = 0,0,0,30;0,0,1\n", "config value for cell: expected d,i,j,count"),
+        ("cell = 0,0,0,-1\n", "count must be finite and nonnegative"),
+        (None, "No such file or directory"),
+    ])
+    def test_config_error_is_usage_error(self, tmp_path, capsys, text, error):
+        cfg = tmp_path / "run.cfg"
+        if text is not None:
+            cfg.write_text(text)
+        command = ["fit", "--methods", "mar"] if text and text.startswith("cell") else \
+            ["simulate", "--f", "0.3", *CANON, "--n", "40"]
+        with pytest.raises(SystemExit) as ei:
+            run(*command, "--config", cfg, "--out", tmp_path / "x.csv")
+        assert ei.value.code == 2
+        assert error in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_switch_set_off_in_a_config_file_is_left_off(self, tmp_path):
+        args = ["--f", "0.3", *CANON[:-1], "0.05", "--n", "20", "--replicates", "8",
+                "--seed", "2", "--methods", "mar"]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("failures_reject = off\n")
+        plain, config = tmp_path / "plain.csv", tmp_path / "config.csv"
+        assert run("simulate", *args, "--out", plain) == 0
+        assert run("simulate", *args, "--config", cfg, "--out", config) == 0
+        assert config.read_bytes() == plain.read_bytes()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", *CANON, "--n", "40"], "exactly one of --alpha, --f must be given"),
+        (["fit", "--methods", "mar"],
+         "exactly one of --cell, --counts-file, --subjects-file must be given"),
+        (["misspec", "--f", "0.3", *CANON, "--f1-list", "0.3", "--f1-grid", "0.2:0.4:3"],
+         "exactly one of --f1-grid, --f1-list must be given"),
+    ])
+    def test_requirements_are_checked_once(self, tmp_path, capsys, argv, message):
+        with pytest.raises(SystemExit) as ei:
+            run(*argv, "--out", tmp_path / "x.csv")
+        assert ei.value.code == 2
+        assert message in capsys.readouterr().err
+
+
+class TestFailures:
+    def test_limit_at_the_true_prevalence_failing_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "mis.csv"
+        rc = run("misspec", "--f", "0.9995", *CANON, "--f1-list", "0.5", "--out", out)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cceff misspec: InfeasiblePrevalence: f_used=0.9995 outside")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cell", ["0,0,0", "0,0,0,-1", "0,2,0,5"])
+    def test_bad_cell_is_usage_error(self, cell, capsys):
+        with pytest.raises(SystemExit) as ei:
+            run("fit", "--cell", cell, "--methods", "mar")
+        assert ei.value.code == 2
+        assert "--cell" in capsys.readouterr().err
+
+    def test_zero_margin_cells_are_an_invalid_table(self, tmp_path, capsys):
+        argv = CELL_ARGV[:8] + [x for j in range(4) for x in ("--cell", f"1,{j // 2},{j % 2},0")]
+        out = tmp_path / "fit.csv"
+        assert run("fit", *argv, "--methods", "mar", "--out", out) == 2
+        assert capsys.readouterr().err == \
+            "invalid table: both case and control margins must be positive\n"
+        assert not out.exists()
+
+    def test_subnormal_prevalence_is_an_adjcon_error_row(self, tmp_path, capsys):
+        out = tmp_path / "fit.csv"
+        rc = run("fit", *CELL_ARGV, "--methods", "mar,adjcon", "--prevalence", "1e-320",
+                 "--out", out)
+        assert rc == 3
+        assert capsys.readouterr().err == ""
+        _, rows = read_csv(out)
+        assert rows[0][7] == ""
+        assert rows[1][0] == "adjcon" and rows[1][7] == (
+            "InfeasibleStart: no intercept reproduces the subnormal prevalence f=1e-320"
+        )

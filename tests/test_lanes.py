@@ -297,6 +297,12 @@ class TestAlphaLanes:
     @given(lanes=st.lists(st.one_of(st.sampled_from(list(BRANCH_CASES.values())), lane_args),
                           min_size=1, max_size=10))
     @example(lanes=list(BRANCH_CASES.values()) + [(1e-300, 50.0, -50.0, 1e-8, 1 - 1e-8)])
+    # Failing lanes among good ones: f outside (0, 1) and a root beyond -750
+    # leave the Newton loop before it starts, a subnormal f at its end.
+    @example(lanes=[(0.3, 1.0, 0.3, 0.4, 0.5), (0.0, 1.0, 0.3, 0.4, 0.5),
+                    (1e-310, 0.0, 0.0, 0.5, 0.5), (1e-320, 50.0, 50.0, 0.5, 0.5),
+                    (6e-309, 0.0, 0.0, 0.5, 0.5), (1.5, 1.0, 0.3, 0.4, 0.5),
+                    *BRANCH_CASES.values()])
     def test_each_lane_is_inverted_as_alone(self, lanes):
         batch = alpha_from_prevalence(*np.array(lanes).T)
         for value, args in zip(batch, lanes):

@@ -203,6 +203,22 @@ class TestAlphaFromPrevalence:
         args = (1.73075609e-249, 47.208699, 32.8991147, 1.0 - 2.0**-53, 1.0 - 2.0**-53)
         assert abs(alpha_from_prevalence(*args) - oracles.mp_alpha_root(*args)) <= 1e-12
 
+    @pytest.mark.parametrize("f", [1e-309, 1e-310, 5e-324])
+    def test_prevalence_no_intercept_reproduces_fails(self, f):
+        # expit underflows below alpha = -709.78, so the computed prevalence
+        # is 0 or at least 5.56e-309 there: the mpmath root lies inside the
+        # bracket, but no float intercept has prevalence f.
+        args = (f, 0.0, 0.0, 0.5, 0.5)
+        assert -750.0 < oracles.mp_alpha_root(*args) < -709.79
+        with pytest.raises(BracketFailure, match="^no intercept reproduces the subnormal"):
+            alpha_from_prevalence(*args)
+        assert np.isnan(alpha_from_prevalence(np.array([f]), 0.0, 0.0, 0.5, 0.5)).all()
+
+    @pytest.mark.parametrize("f", [6e-309, 1e-308])
+    def test_subnormal_prevalence_above_the_underflow_runs_to_its_root(self, f):
+        args = (f, 0.0, 0.0, 0.5, 0.5)
+        assert abs(alpha_from_prevalence(*args) - oracles.mp_alpha_root(*args)) <= 1e-12
+
     @given(beta=coef, gamma=coef, theta=prob_inner, pi=prob_inner,
            f=st.floats(1e-4, 1.0 - 1e-4))
     def test_round_trip_property(self, beta, gamma, theta, pi, f):

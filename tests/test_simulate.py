@@ -299,15 +299,24 @@ class TestRunMC:
         assert calls == [5]
         assert [st.n_included for st in report.stats] == [5, 5, 5]
 
-    def test_theory_column_failure_raises_the_one_point_error(self):
+    def test_theory_column_failure_raises_the_one_point_error(self, monkeypatch):
         # expit(-45 + 43 + 40) rounds to 1: the Adj fits mostly succeed, but
-        # sigma_A has no finite value, and run_mc raises its one-point error.
+        # sigma_A has no finite value, and run_mc raises its one-point error
+        # before any fit runs.
         p = PopulationParams(alpha=-45.0, beta=43.0, gamma=40.0, theta=0.5, pi=0.5)
         design = DesignParams(1.0, 400.0)
         fits = fit_adjusted_batch(sample_tables(p, design, 1, range(20)))
         assert sum(isinstance(fit, FitResult) for fit in fits) >= 15
+        calls = []
+
+        def counted(tables):
+            calls.append(len(tables))
+            return fit_adjusted_batch(tables)
+
+        monkeypatch.setattr(simulate_mod, "fit_adjusted", counted)
         with pytest.raises(InvalidInput, match="an exposure probability rounds to 0 or 1"):
             run_mc(SimConfig(params=p, design=design, replicates=20, seed=1, methods=("adj",)))
+        assert calls == []
         cfg = SimConfig(params=p, design=design, replicates=20, seed=1, methods=("mar",))
         assert run_mc(cfg).stats[0].n_included == 20
 
