@@ -40,12 +40,12 @@ from .simulate import (
     run_mc,
 )
 
-THEORY_COLUMNS = [
-    "f", "alpha", "delta", "gamma_plus_delta",
-    "sigma2_M", "sigma2_A", "sigma2_AC",
-    "power_M", "power_A", "power_AC",
-    "eP_M_A", "eP_M_AC", "f_star", "alpha_star",
-]
+THEORY_COLUMNS = {  # CSV column -> PowerPoint field
+    "f": "f", "alpha": "alpha", "delta": "delta", "gamma_plus_delta": "gamma_plus_delta",
+    "sigma2_M": "sigma_M_sq", "sigma2_A": "sigma_A_sq", "sigma2_AC": "sigma_AC_sq",
+    "power_M": "power_mar", "power_A": "power_adj", "power_AC": "power_adjcon",
+    "eP_M_A": "ep_M_vs_A", "eP_M_AC": "ep_M_vs_AC", "f_star": "f_star", "alpha_star": "alpha_star",
+}
 
 FIT_COLUMNS = ["method", "gamma_hat", "se_gamma", "z", "p_value", "reject", "converged", "error"]
 
@@ -112,14 +112,21 @@ def _emit(r, command, header, rows, started, seed=None):
 
 
 def parse_manifest(path):
+    """The key=value lines of a manifest or config file, keys and values stripped.
+
+    A blank line or one that starts with "#" is skipped; a "#" anywhere
+    else is part of its value.  A line without "=" raises ValueError.
+    """
     entries = {}
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
+            if "=" not in line:
+                raise ValueError(f"{path}:{lineno}: expected key=value")
             key, _, value = line.partition("=")
-            entries[key] = value
+            entries[key.strip()] = value.strip()
     return entries
 
 
@@ -136,12 +143,12 @@ def manifest_to_argv(path):
         if not key.startswith("param."):
             continue
         name = key[len("param."):]
-        flag, parse_fn, arity = _flag(name), OPTIONS[name][0], _arity(name)
+        flag, parse_fn, parts = _flag(name), OPTIONS[name][0], _parts(name)
         if parse_fn is _parse_bool:
             argv += [flag] if value == "true" else []
-        elif arity == "append":
+        elif isinstance(parts, str):
             argv += [f"{flag}={part}" for part in value.split(";")]
-        elif arity:
+        elif parts:
             argv += [flag, *value.split(",")]
         else:
             argv.append(f"{flag}={value}")
@@ -154,8 +161,8 @@ def _flag(name):
     return "--" + name.replace("_", "-")
 
 
-def _arity(name):
-    """An option's arity: "append" (repeated), k (k values) or None (one value)."""
+def _parts(name):
+    """An option's parts: a metavar str (repeated), k part names (k values) or None (one value)."""
     return OPTIONS[name][3] if len(OPTIONS[name]) > 3 else None
 
 
@@ -184,35 +191,24 @@ def _parse_float_list(text):
 
 def _parse_methods(text):
     try:
-        return tuple(Method(tok.strip().lower()) for tok in text.split(",") if tok.strip())
-    except ValueError as exc:
-        raise ValueError(f"unknown method in {text!r} (choose from mar, adj, adjcon)") from exc
-
-
-def load_config(path):
-    values = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
-            key, _, value = line.partition("=")
-            values[key.strip().replace("-", "_")] = value.strip()
-    return values
+        methods = tuple(Method(tok.strip().lower()) for tok in text.split(",") if tok.strip())
+    except ValueError:
+        methods = ()
+    if not methods:
+        raise argparse.ArgumentTypeError(f"choose one or more of mar, adj, adjcon (got {text!r})")
+    return methods
 
 
 def _parse_config_value(name, text):
     """Parse a config value as the manifest writes it: ";" joins repeats, "," k values."""
-    parse_fn, arity = OPTIONS[name][0], _arity(name)
-    if arity == "append":
+    parse_fn, parts = OPTIONS[name][0], _parts(name)
+    if isinstance(parts, str):
         return [parse_fn(part) for part in text.split(";")]
-    if arity:
-        parts = text.split(",")
-        if len(parts) != arity:
-            raise ValueError(f"expected {arity} comma-separated values, got {len(parts)}")
-        return [parse_fn(part) for part in parts]
+    if parts:
+        values = text.split(",")
+        if len(values) != len(parts):
+            raise ValueError(f"expected {len(parts)} comma-separated values, got {len(values)}")
+        return [parse_fn(value) for value in values]
     return parse_fn(text)
 
 
@@ -228,7 +224,7 @@ def _resolve(ns, parser):
     config = {}
     if getattr(ns, "config", None):
         try:
-            config = load_config(ns.config)
+            config = {k.replace("-", "_"): v for k, v in parse_manifest(ns.config).items()}
         except (OSError, ValueError) as exc:
             parser.error(str(exc))
     _, _, names, defaults, required = COMMANDS[ns.command]
@@ -289,16 +285,8 @@ def cmd_theory(r, parser):
             raise
         print(f"theory failed at f={exc.f:.17g}: {exc}", file=sys.stderr)
         return 1
-    rows = [
-        [
-            point.f, point.alpha, point.delta, point.gamma_plus_delta,
-            point.sigma_M_sq, point.sigma_A_sq, point.sigma_AC_sq,
-            point.power_mar, point.power_adj, point.power_adjcon,
-            point.ep_M_vs_A, point.ep_M_vs_AC, point.f_star, point.alpha_star,
-        ]
-        for point in points
-    ]
-    _emit(r, "theory", THEORY_COLUMNS, rows, started)
+    rows = [[getattr(point, field) for field in THEORY_COLUMNS.values()] for point in points]
+    _emit(r, "theory", list(THEORY_COLUMNS), rows, started)
     print(f"theory: wrote {len(rows)} rows to {r['out']}")
     return 0
 
@@ -328,7 +316,10 @@ def _parse_cell(text):
 
 
 def _read_table_file(path, columns):
-    """Sum a CSV of d,i,j,count rows (columns=4) or of d,x,e subjects (columns=3) into w."""
+    """Sum a CSV of d,i,j,count rows (columns=4) or of d,x,e subjects (columns=3) into w.
+
+    A row that does not parse raises InvalidInput naming its path and line.
+    """
     names = "d,i,j,count" if columns == 4 else "d,x,e"
     w = np.zeros((2, 2, 2))
     with open(path, newline="", encoding="utf-8-sig") as fh:  # drops a byte-order mark
@@ -339,13 +330,13 @@ def _read_table_file(path, columns):
                 continue  # header row
             where = f"{path}:{lineno}"
             if len(row) != columns:
-                raise ValueError(f"{where}: expected {columns} columns {names}")
+                raise InvalidInput(f"{where}: expected {columns} columns {names}")
             try:
                 d, i, j, count = _parse_row(row)
             except ValueError:
-                raise ValueError(f"{where}: could not parse {names}") from None
+                raise InvalidInput(f"{where}: could not parse {names}") from None
             except argparse.ArgumentTypeError as exc:
-                raise ValueError(f"{where}: {exc}") from None
+                raise InvalidInput(f"{where}: {exc}") from None
             w[d, i, j] += count
     return w
 
@@ -364,16 +355,9 @@ def cmd_fit(r, parser):
             w = _read_table_file(path, 4 if r["counts_file"] else 3)
         except OSError as exc:
             parser.error(str(exc))
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
     if Method.ADJCON in methods and r["prevalence"] is None:
         parser.error("--prevalence is required when method adjcon is requested")
-    try:
-        table = CaseControlTable(w)
-    except ValueError as exc:
-        print(f"invalid table: {exc}", file=sys.stderr)
-        return 2
+    table = CaseControlTable(w)
 
     started = _now()
     fits = _fit_block(methods, table.w[None], r["prevalence"], r["continuity_correction"])
@@ -461,13 +445,10 @@ def cmd_misspec(r, parser):
         params, design, grid,
         eps=r["eps"], mc_confirm=r["mc_confirm"], seed=r["seed"], level=r["level"],
     )
-    out_rows = []
-    for row in rows:
-        out_rows.append(
-            [row.f1, row.s_star[0], row.s_star[1], row.s_star[2], row.s_star[3],
-             row.dev_s, row.dev_sigma, row.ratio_s, row.ratio_sigma,
-             row.mc_mean_gamma, row.mc_mean_gamma_se, row.error]
-        )
+    # beta_star .. pi_star are the four entries of s_star; every other column is a field.
+    out_rows = [
+        [row.f1, *row.s_star, *(getattr(row, c) for c in MISSPEC_COLUMNS[5:])] for row in rows
+    ]
     _emit(r, "misspec", MISSPEC_COLUMNS, out_rows, started, seed=r["seed"])
     n_err = sum(1 for row in rows if row.error)
     print(f"misspec: wrote {len(rows)} rows to {r['out']}" + (f", {n_err} failed" if n_err else ""))
@@ -476,10 +457,11 @@ def cmd_misspec(r, parser):
 
 # ---------------------------------------------------------------- parser
 
-# Every option but --config: name -> (parser, default, help[, arity]).  An arity
-# is "append" (one flag per value, joined by ";" in manifests and config files)
-# or k (k values after one flag, joined by ",").  A _parse_bool option is a switch
-# on the command line; a config file spells it out (true/false, yes/no, on/off, 1/0).
+# Every option but --config: name -> (parser, default, help[, parts]).  Parts are
+# the metavar str of a repeated option (one flag per value, joined by ";" in
+# manifests and config files) or the names of k values after one flag (joined by
+# ",").  A _parse_bool option is a switch on the command line; a config file
+# spells it out (true/false, yes/no, on/off, 1/0).
 OPTIONS = {
     "alpha": (float, None, "true intercept (give exactly one of --alpha and --f)"),
     "f": (float, None, "true disease prevalence (give exactly one of --alpha and --f)"),
@@ -491,7 +473,7 @@ OPTIONS = {
     "n": (float, None, "total sample size"),
     "level": (float, 0.05, "two-sided test level"),
     "f_grid": (str, None, "prevalence grid as min:max:points"),
-    "cell": (_parse_cell, None, "one cell weight as D,I,J,COUNT; give all 8 cells", "append"),
+    "cell": (_parse_cell, None, "one cell weight; give all 8 cells", "D,I,J,COUNT"),
     "counts_file": (str, None, "CSV with columns d,i,j,count"),
     "subjects_file": (str, None, "per-subject CSV with columns d,x,e"),
     "methods": (_parse_methods, tuple(Method), "comma list from mar,adj,adjcon"),
@@ -509,7 +491,7 @@ OPTIONS = {
     "f1_grid": (str, None, "supplied-prevalence grid min:max:points"),
     "f1_list": (_parse_float_list, None, "comma list of supplied prevalences"),
     "eps": (float, DEFAULT_EPS, "supplied prevalences may reach 1 - eps"),
-    "mc_confirm": (int, None, "Monte-Carlo confirmation: sample size N and replicates REPS", 2),
+    "mc_confirm": (int, None, "Monte-Carlo confirmation sample size and replicates", ("N", "REPS")),
     "out": (str, None, "output CSV path (optional for fit)"),
 }
 
@@ -562,13 +544,13 @@ def build_parser():
         p = sub.add_parser(command, help=command_help)
         for name in names:
             parse_fn, _, option_help = OPTIONS[name][:3]
-            arity = _arity(name)
+            parts = _parts(name)
             if parse_fn is _parse_bool:
                 form = {"action": "store_const", "const": True}
-            elif arity == "append":
-                form = {"action": "append", "type": parse_fn}
+            elif isinstance(parts, str):
+                form = {"action": "append", "type": parse_fn, "metavar": parts}
             else:
-                form = {"nargs": arity, "type": parse_fn}
+                form = {"nargs": len(parts) if parts else None, "type": parse_fn, "metavar": parts}
             p.add_argument(_flag(name), default=None, help=option_help, **form)
         p.add_argument("--config", help="key=value config file (flags take precedence)")
     return parser

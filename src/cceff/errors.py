@@ -8,7 +8,6 @@ Arguments outside their declared domain raise :class:`InvalidInput`, a
 
 __all__ = [
     "CCEffError",
-    "DegenerateConstraint",
     "InfeasiblePrevalence",
     "BracketFailure",
     "ZeroCell",
@@ -33,12 +32,8 @@ class CCEffError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class DegenerateConstraint(CCEffError):
-    """The prevalence constraint does not determine theta (beta == 0)."""
-
-
 class InfeasiblePrevalence(CCEffError):
-    """No theta in [0, 1] attains f, or ``limiting_values`` got an f outside (0, 1 - eps]."""
+    """``limiting_values`` got a supplied prevalence outside (0, 1 - eps]."""
 
 
 class BracketFailure(CCEffError):

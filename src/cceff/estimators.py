@@ -81,7 +81,7 @@ class CaseControlTable:
     def __post_init__(self):
         w = np.asarray(self.w, dtype=float)
         if w.shape != (2, 2, 2):
-            raise ValueError(f"table must have shape (2, 2, 2), got {w.shape}")
+            raise InvalidInput(f"table must have shape (2, 2, 2), got {w.shape}")
         object.__setattr__(self, "w", _cells(w[None])[0])
 
     @property
@@ -135,11 +135,11 @@ def _cells(tables):
     """Cell weights (R, 2, 2, 2) of a batch; each table finite, nonnegative, margins positive."""
     w = np.asarray(tables, dtype=float)
     if w.ndim != 4 or w.shape[1:] != (2, 2, 2):
-        raise ValueError(f"tables must have shape (R, 2, 2, 2), got {w.shape}")
+        raise InvalidInput(f"tables must have shape (R, 2, 2, 2), got {w.shape}")
     if not np.all(np.isfinite(w)) or np.any(w < 0):
-        raise ValueError("cell weights must be finite and nonnegative")
+        raise InvalidInput("cell weights must be finite and nonnegative")
     if np.any(w[:, 1].sum(axis=(1, 2)) <= 0) or np.any(w[:, 0].sum(axis=(1, 2)) <= 0):
-        raise ValueError("both case and control margins must be positive")
+        raise InvalidInput("both case and control margins must be positive")
     return w
 
 
@@ -406,16 +406,9 @@ def fit_constrained(
     plug-in ``sandwich_s`` on the table's own cells is attached as a robust
     covariance as well.
 
-    Once max|grad| is within 1e-11, or within the 1e-8 acceptance bar with
-    a predicted gain below 1e-14 * (1 + |loglik|), a line-search step that
-    shrinks it may lower the log-likelihood by up to that amount, the
-    per-unit log-likelihood's rounding (``newton_ascent``'s endgame rule);
-    farther out a step must not lower it.  The iteration stops early when
-    the line search accepts a candidate bitwise equal to the current point:
-    every later iteration would repeat that one exactly, so this exit gives
-    the estimates, covariance and verdict the 100-iteration cap would, and
-    only ``iterations`` is smaller.  The batch of one of
-    ``fit_constrained_batch``.
+    A fit whose max|grad| ends within the 1e-8 acceptance bar is converged;
+    ``newton_ascent`` states the line-search and exit rules.  The batch of
+    one of ``fit_constrained_batch``.
     """
     return _one(fit_constrained_batch(table.w[None], f, f_misspecified))
 

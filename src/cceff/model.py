@@ -8,8 +8,8 @@ logistic model without interaction,
 with X and E independent in the source population, pr(X=1) = theta and
 pr(E=1) = pi.  Everything downstream (estimators, asymptotic constants,
 simulation) is built on the handful of exact quantities computed here:
-the marginal disease prevalence, its inversions in alpha and in theta,
-and the retrospective distribution of (X, E) given case/control status.
+the marginal disease prevalence, its inversion in alpha, and the
+retrospective distribution of (X, E) given case/control status.
 """
 
 from dataclasses import dataclass
@@ -19,18 +19,15 @@ import math
 import numpy as np
 from scipy.special import expit, logit
 
-from .errors import BracketFailure, DegenerateConstraint, InfeasiblePrevalence, InvalidInput
+from .errors import BracketFailure, InvalidInput
 
 __all__ = [
     "PopulationParams",
     "DesignParams",
     "RetroDistribution",
-    "cell_prob",
     "cell_probs",
     "mixture_weights",
-    "prevalence",
     "prevalence_at",
-    "theta_from_constraint",
     "alpha_from_prevalence",
     "retro_distribution",
 ]
@@ -115,11 +112,6 @@ class RetroDistribution:
     h_mat: np.ndarray
 
 
-def cell_prob(alpha, beta, gamma, i, j):
-    """pr(D=1 | X=i, E=j) = expit(alpha + beta*i + gamma*j)."""
-    return float(expit(alpha + beta * i + gamma * j))
-
-
 def cell_probs(alpha, beta, gamma):
     """All four disease probabilities as a (2, 2) array indexed [i, j]."""
     i = np.arange(2.0)[:, None]
@@ -142,38 +134,6 @@ def prevalence_at(alpha, beta, gamma, theta, pi):
     (theta or pi equal to 0 or 1); the four-term sum is evaluated directly.
     """
     return float(np.sum(cell_probs(alpha, beta, gamma) * mixture_weights(theta, pi)))
-
-
-def prevalence(params: PopulationParams) -> float:
-    """Marginal disease prevalence f = sum_ij p_ij pr(X=i) pr(E=j)."""
-    return prevalence_at(params.alpha, params.beta, params.gamma, params.theta, params.pi)
-
-
-def theta_from_constraint(alpha, beta, gamma, pi, f):
-    """Solve the prevalence identity for theta = pr(X=1).
-
-    f is linear in theta, so
-        theta = (f - p01*pi - p00*(1-pi)) / (p11*pi + p10*(1-pi) - p01*pi - p00*(1-pi)).
-    The denominator vanishes exactly when beta = 0, in which case theta is
-    not identified by f and DegenerateConstraint is raised.  A solution
-    outside [0, 1] raises InfeasiblePrevalence; the endpoints themselves are
-    returned as-is (f at the edge of the attainable range is still attained).
-    """
-    p = cell_probs(alpha, beta, gamma)
-    a0 = p[0, 1] * pi + p[0, 0] * (1.0 - pi)
-    a1 = p[1, 1] * pi + p[1, 0] * (1.0 - pi)
-    denom = a1 - a0
-    if beta == 0.0 or denom == 0.0:
-        raise DegenerateConstraint(
-            "prevalence does not depend on theta when beta = 0; theta is unidentified"
-        )
-    theta = (f - a0) / denom
-    if not (0.0 <= theta <= 1.0):
-        raise InfeasiblePrevalence(
-            f"f={f!r} requires theta={theta!r}, outside [0, 1] "
-            f"(attainable range [{min(a0, a1)!r}, {max(a0, a1)!r}])"
-        )
-    return float(theta)
 
 
 def _alpha_error(f):

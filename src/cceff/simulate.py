@@ -71,13 +71,24 @@ class SimConfig:
     failures_reject: bool = False  # count failed replicates as rejections instead of non-rejections
 
     def __post_init__(self):
-        if self.replicates < 1:
+        try:
+            replicates = operator.index(self.replicates)
+        except TypeError:
+            raise InvalidInput(f"replicates={self.replicates!r} must be an integer") from None
+        try:
+            methods = tuple(Method(m) for m in self.methods)
+        except ValueError:
+            methods = ()
+        if not methods:
+            raise InvalidInput(f"methods={self.methods!r} must name some of mar, adj, adjcon")
+        if replicates < 1:
             raise InvalidInput("replicates must be at least 1")
         if not (0.0 < self.level < 1.0):
             raise InvalidInput("level must lie in (0, 1)")
         if self.f_supplied is not None and not (0.0 < self.f_supplied < 1.0):
             raise InvalidInput("f_supplied must lie in (0, 1)")
-        object.__setattr__(self, "methods", tuple(Method(m) for m in self.methods))
+        object.__setattr__(self, "replicates", replicates)
+        object.__setattr__(self, "methods", methods)
 
 
 @dataclass(frozen=True)
@@ -333,16 +344,11 @@ def limiting_value(
     1/(1+nu) p_ctrl; no sampling.  ``newton_ascent`` runs in s itself
     (gradient tolerance 1e-12, at most 200 iterations) from the true
     (beta, gamma, theta, pi); at f_used equal to the true prevalence the
-    truth itself is the maximizer.  Once max|grad| is within 1e-10, a step
-    that shrinks it may lower the expected log-likelihood by up to
-    1e-14 * (1 + |loglik|), its rounding (``newton_ascent``'s endgame
-    rule); farther out a step must not lower it.  An accepted step that
-    rounds back onto the current point is an exact fixed point, where the
-    iteration stops with the result the iteration cap would give.  Limits
-    whose iteration stalls above the 1e-10 bar raise NonConvergence.  The
-    sandwich covariance is ``sandwich_s`` under the expected masses and the
-    true retrospective case and control distributions.  The batch of one
-    of ``limiting_values``.
+    truth itself is the maximizer.  Limits whose iteration stalls above the
+    1e-10 bar raise NonConvergence; ``newton_ascent`` states the line-search
+    and exit rules.  The sandwich covariance is ``sandwich_s`` under the
+    expected masses and the true retrospective case and control
+    distributions.  The batch of one of ``limiting_values``.
     """
     (out,) = limiting_values(truth, design, [f_used], eps)
     if isinstance(out, CCEffError):

@@ -122,6 +122,14 @@ class TestParser:
         assert help_text() == fresh
         assert fresh.startswith("usage: cceff " + command)
 
+    @pytest.mark.parametrize("command, usage", [
+        ("fit", "--cell D,I,J,COUNT"), ("misspec", "--mc-confirm N REPS"),
+    ])
+    def test_usage_names_the_parts_of_a_value(self, command, usage, capsys):
+        with pytest.raises(SystemExit):
+            run(command, "--help")
+        assert usage in capsys.readouterr().out
+
 
 class TestTheory:
     def test_writes_exact_header_and_values(self, tmp_path):
@@ -129,7 +137,7 @@ class TestTheory:
         rc = run("theory", *CANON, "--f-grid", "0.1:0.9:9", "--out", out)
         assert rc == 0
         header, rows = read_csv(out)
-        assert header == THEORY_COLUMNS
+        assert header == list(THEORY_COLUMNS)
         assert len(rows) == 9
         # the middle row must round-trip bitwise to a direct library call
         point = theory_curve([0.5], 1.0, 0.3, 0.4, 0.5, 1.0, 50000.0)[0]
@@ -309,7 +317,7 @@ class TestFit:
             f"{d},{i},{j},5\n" for d in (0, 1) for i in (0, 1) for j in (0, 1)
         ))
         assert run("fit", "--counts-file", counts, "--methods", "mar") == 2
-        assert capsys.readouterr().err == f"{counts}:1: {error}\n"
+        assert capsys.readouterr().err == f"cceff fit: {counts}:1: {error}\n"
 
     @pytest.mark.parametrize("header", [" d , x ,e", "\ufeffd,x,e"])
     def test_header_may_carry_spaces(self, tmp_path, header):
@@ -685,6 +693,29 @@ class TestOptionTable:
         assert config.read_bytes() == first
         assert stable(manifest_path(str(config))) == {**stable(manifest), "out": str(config)}
 
+    def test_a_hash_inside_a_value_is_part_of_it(self, tmp_path):
+        counts = tmp_path / "c#1.csv"
+        counts.write_text(COUNTS)
+        out, config = tmp_path / "out.csv", tmp_path / "config.csv"
+        assert run("fit", "--counts-file", counts, "--methods", "mar", "--out", out) == 0
+        entries = parse_manifest(manifest_path(str(out)))
+        assert entries["param.counts_file"] == str(counts)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# from the manifest\n" + "".join(
+            f"{key[len('param.'):]} = {value}\n"
+            for key, value in entries.items() if key.startswith("param.")
+        ))
+        assert run("fit", "--config", cfg, "--out", config) == 0
+        assert config.read_bytes() == out.read_bytes()
+
+    def test_manifest_reader_strips_skips_and_rejects(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text(" # note\n\n command = fit \nout=a#b.csv # kept\n")
+        assert parse_manifest(path) == {"command": "fit", "out": "a#b.csv # kept"}
+        path.write_text("command=fit\nbeta 1\n")
+        with pytest.raises(ValueError, match=r"run\.cfg:2: expected key=value$"):
+            parse_manifest(path)
+
     def test_cell_manifest_line_and_its_rebuild(self, tmp_path):
         out = tmp_path / "fit.csv"
         assert run("fit", *CELL_ARGV, "--methods", "mar", "--out", out) == 0
@@ -772,7 +803,19 @@ class TestFailures:
         out = tmp_path / "fit.csv"
         assert run("fit", *argv, "--methods", "mar", "--out", out) == 2
         assert capsys.readouterr().err == \
-            "invalid table: both case and control margins must be positive\n"
+            "cceff fit: both case and control margins must be positive\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--f", "0.3", *CANON, "--n", "40", "--replicates", "2"],
+        ["fit", *CELL_ARGV],
+    ])
+    def test_empty_method_list_is_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as ei:
+            run(*argv, "--methods", ",", "--out", out)
+        assert ei.value.code == 2
+        assert "--methods" in capsys.readouterr().err
         assert not out.exists()
 
     def test_subnormal_prevalence_is_an_adjcon_error_row(self, tmp_path, capsys):

@@ -11,6 +11,7 @@ from cceff import (
     BracketFailure,
     CaseControlTable,
     DesignParams,
+    InvalidInput,
     Method,
     NotConverged,
     PopulationParams,
@@ -90,16 +91,16 @@ class TestCaseControlTable:
     def test_batch_fits_check_each_table_as_the_table_does(self, fit, cell, value):
         w = np.ones((2, 2, 2))
         w[cell] = value  # a NaN cell, a negative cell, no controls at all
-        with pytest.raises(ValueError) as table_error:
+        with pytest.raises(InvalidInput) as table_error:
             CaseControlTable(w)
-        with pytest.raises(ValueError) as batch_error:
+        with pytest.raises(InvalidInput) as batch_error:
             fit(np.stack([np.ones((2, 2, 2)), w]))
         assert str(batch_error.value) == str(table_error.value)
 
     @pytest.mark.parametrize("fit", BATCH_FITS)
     def test_batch_fits_reject_a_badly_shaped_array(self, fit):
         shape = r"^tables must have shape \(R, 2, 2, 2\), got \(2, 2, 2\)$"
-        with pytest.raises(ValueError, match=shape):
+        with pytest.raises(InvalidInput, match=shape):
             fit(np.ones((2, 2, 2)))
 
 

@@ -5,25 +5,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.special import expit
 
 from cceff import (
     BracketFailure,
-    DegenerateConstraint,
     DesignParams,
-    InfeasiblePrevalence,
     InvalidInput,
     PopulationParams,
     alpha_from_prevalence,
-    cell_prob,
     cell_probs,
     mixture_weights,
-    prevalence,
     prevalence_at,
     retro_distribution,
     sample_tables,
     sigma_A_sq,
     sigma_M_sq,
-    theta_from_constraint,
 )
 
 import oracles
@@ -71,39 +67,40 @@ class TestDesignParams:
             DesignParams(nu=1.0, n=n)
 
 
-class TestCellProb:
+class TestCellProbs:
     def test_logit_zero(self):
-        assert cell_prob(0.0, 0.0, 0.0, 1, 1) == 0.5
+        assert cell_probs(0.0, 0.0, 0.0)[1, 1] == 0.5
 
     def test_direct_evaluation(self):
-        assert_allclose(cell_prob(1.0, 1.0, 0.0, 1, 0),
+        assert_allclose(cell_probs(1.0, 1.0, 0.0)[1, 0],
                         math.e**2 / (1.0 + math.e**2), rtol=1e-15)
 
     def test_deep_tail_does_not_underflow(self):
-        p = cell_prob(-30.0, 0.0, 0.0, 0, 0)
+        p = cell_probs(-30.0, 0.0, 0.0)[0, 0]
         assert_allclose(p, 9.357622968839299e-14, rtol=1e-12)
         assert p > 0.0
 
     def test_stable_to_700(self):
-        assert cell_prob(700.0, 0.0, 0.0, 0, 0) == 1.0
-        assert 0.0 < cell_prob(-700.0, 0.0, 0.0, 0, 0) < 1e-300
+        assert cell_probs(700.0, 0.0, 0.0)[0, 0] == 1.0
+        assert 0.0 < cell_probs(-700.0, 0.0, 0.0)[0, 0] < 1e-300
 
     def test_monotone_in_alpha(self):
         alphas = np.linspace(-8.0, 8.0, 33)
-        vals = [cell_prob(a, 0.7, -0.2, 1, 1) for a in alphas]
+        vals = [cell_probs(a, 0.7, -0.2)[1, 1] for a in alphas]
         assert np.all(np.diff(vals) > 0.0)
 
-    def test_cell_probs_layout_matches_scalar(self):
+    def test_layout_is_covariate_by_exposure(self):
         grid = cell_probs(-1.0, 2.0, -0.5)
+        assert grid.shape == (2, 2)
         for i in (0, 1):
             for j in (0, 1):
-                assert grid[i, j] == cell_prob(-1.0, 2.0, -0.5, i, j)
+                assert grid[i, j] == expit(-1.0 + 2.0 * i + -0.5 * j)
 
 
 class TestPrevalence:
     def test_collapses_to_sigmoid_without_effects(self):
         p = PopulationParams(alpha=-1.3, beta=0.0, gamma=0.0, theta=0.3, pi=0.6)
-        assert_allclose(prevalence(p), 1.0 / (1.0 + math.exp(1.3)), rtol=1e-15)
+        assert_allclose(p.f, 1.0 / (1.0 + math.exp(1.3)), rtol=1e-15)
 
     def test_boundary_theta_accepted_by_raw_function(self):
         # theta = 0 collapses the covariate mixture onto X = 0
@@ -124,38 +121,6 @@ class TestPrevalence:
 
     def test_mixture_weights_sum_to_one(self):
         assert_allclose(mixture_weights(0.37, 0.81).sum(), 1.0, rtol=1e-15)
-
-
-class TestThetaFromConstraint:
-    def test_numerator_zero_returns_zero(self):
-        p = cell_probs(-2.0, 1.0, 0.3)
-        f_at_theta0 = p[0, 1] * 0.5 + p[0, 0] * 0.5
-        assert theta_from_constraint(-2.0, 1.0, 0.3, 0.5, f_at_theta0) == 0.0
-
-    def test_beta_zero_is_degenerate(self):
-        with pytest.raises(DegenerateConstraint):
-            theta_from_constraint(-2.0, 0.0, 0.3, 0.5, 0.2)
-
-    def test_infeasible_prevalence(self):
-        with pytest.raises(InfeasiblePrevalence):
-            theta_from_constraint(-2.0, 1.0, 0.3, 0.5, 0.9)
-
-    def test_round_trip_canonical(self, canonical):
-        theta = theta_from_constraint(
-            canonical.alpha, canonical.beta, canonical.gamma, canonical.pi, canonical.f
-        )
-        assert abs(theta - 0.4) <= 1e-10
-
-    def test_round_trip_random_grid(self):
-        rng = np.random.default_rng(8)
-        grid = draw_params(rng, 400)
-        grid = grid[np.abs(grid[:, 1]) > 1e-3]  # keep beta away from the singularity
-        for alpha, beta, gamma, theta, pi, _ in grid:
-            f = prevalence_at(alpha, beta, gamma, theta, pi)
-            got = theta_from_constraint(alpha, beta, gamma, pi, f)
-            assert abs(got - theta) <= 1e-10 * max(1.0, abs(theta))
-            # and the recovered theta reproduces f
-            assert_allclose(prevalence_at(alpha, beta, gamma, got, pi), f, rtol=1e-12)
 
 
 class TestAlphaFromPrevalence:

@@ -67,6 +67,21 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             self.base(**kw)
 
+    @pytest.mark.parametrize("kw", [
+        {"replicates": 2.5},
+        {"replicates": "10"},
+        {"methods": ("foo",)},
+        {"methods": ("mar", "foo")},
+        {"methods": ()},
+    ])
+    def test_rejects_values_outside_the_field_type_before_any_work(self, kw):
+        with pytest.raises(InvalidInput):
+            self.base(**kw)
+
+    def test_integer_like_replicates_become_int(self):
+        cfg = self.base(replicates=np.int64(10))
+        assert cfg.replicates == 10 and type(cfg.replicates) is int
+
 
 class TestExpectedTable:
     def test_masses_match_enumeration(self, canonical, balanced_design):
