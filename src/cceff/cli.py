@@ -175,18 +175,25 @@ def _parse_bool(text):
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _parse_grid(text):
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError("grid must be min:max:points")
-    lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
-    if n < 1:
-        raise ValueError("grid needs at least one point")
+def _parse_grid(r, name):
+    """The points of the min:max:points grid r[name]; a malformed grid raises InvalidInput."""
+    parts = r[name].split(":")
+    try:
+        if len(parts) != 3:
+            raise ValueError("grid must be min:max:points")
+        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+        if n < 1:
+            raise ValueError("grid needs at least one point")
+    except ValueError as exc:
+        raise InvalidInput(f"{_flag(name)}: {exc}") from None
     return [float(x) for x in np.linspace(lo, hi, n)]
 
 
 def _parse_float_list(text):
-    return [float(x) for x in text.split(",") if x.strip() != ""]
+    values = [float(x) for x in text.split(",") if x.strip() != ""]
+    if not values:
+        raise argparse.ArgumentTypeError(f"give one or more comma-separated numbers (got {text!r})")
+    return values
 
 
 def _parse_methods(text):
@@ -212,21 +219,22 @@ def _parse_config_value(name, text):
     return parse_fn(text)
 
 
-def _resolve(ns, parser):
+def _resolve(ns):
     """Merge CLI flags over config-file values over defaults for ns.command.
 
     Flags are declared with default=None so an unset flag falls through to
     the config file, then to the command's own default or the OPTIONS one.
-    A config key that the command does not take raises InvalidInput.  Then
-    the command's requirements are checked: each named option must be set,
-    and of each tuple of options exactly one.
+    Then the command's requirements are checked: each named option must be
+    set, and of each tuple of options exactly one.  A config file that cannot
+    be read, a config key the command does not take, a config value that does
+    not parse and a broken requirement each raise InvalidInput.
     """
     config = {}
     if getattr(ns, "config", None):
         try:
             config = {k.replace("-", "_"): v for k, v in parse_manifest(ns.config).items()}
         except (OSError, ValueError) as exc:
-            parser.error(str(exc))
+            raise InvalidInput(str(exc)) from None
     _, _, names, defaults, required = COMMANDS[ns.command]
     for key in config:
         if key not in names:
@@ -238,16 +246,16 @@ def _resolve(ns, parser):
             try:
                 value = _parse_config_value(name, config[name])
             except (ValueError, argparse.ArgumentTypeError) as exc:
-                parser.error(f"config value for {name}: {exc}")
+                raise InvalidInput(f"config value for {name}: {exc}") from None
         if value is None:
             value = defaults.get(name, OPTIONS[name][1])
         resolved[name] = value
     for need in required:
         if isinstance(need, str):
             if resolved[need] is None:
-                parser.error(f"{_flag(need)} is required")
+                raise InvalidInput(f"{_flag(need)} is required")
         elif sum(resolved[name] is not None for name in need) != 1:
-            parser.error(f"exactly one of {', '.join(map(_flag, need))} must be given")
+            raise InvalidInput(f"exactly one of {', '.join(map(_flag, need))} must be given")
     return resolved
 
 
@@ -267,11 +275,8 @@ def _truth_params(resolved):
 
 # ---------------------------------------------------------------- theory
 
-def cmd_theory(r, parser):
-    try:
-        grid = _parse_grid(r["f_grid"])
-    except ValueError as exc:
-        parser.error(f"--f-grid: {exc}")
+def cmd_theory(r):
+    grid = _parse_grid(r, "f_grid")
     outside = [f for f in grid if not 0.0 < f < 1.0]
     if outside:
         raise InvalidInput(f"--f-grid: prevalence {outside[0]:.17g} outside (0, 1)")
@@ -341,11 +346,11 @@ def _read_table_file(path, columns):
     return w
 
 
-def cmd_fit(r, parser):
+def cmd_fit(r):
     methods, cells = r["methods"], r["cell"]
     if cells is not None:
         if len(cells) != 8 or len({cell[:3] for cell in cells}) != 8:
-            parser.error("--cell must be given exactly once for each of the 8 (d,i,j) cells")
+            raise InvalidInput("--cell must be given exactly once for each of the 8 (d,i,j) cells")
         w = np.zeros((2, 2, 2))
         for d, i, j, count in cells:
             w[d, i, j] = count
@@ -353,10 +358,12 @@ def cmd_fit(r, parser):
         path = r["counts_file"] or r["subjects_file"]
         try:
             w = _read_table_file(path, 4 if r["counts_file"] else 3)
-        except OSError as exc:
-            parser.error(str(exc))
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InvalidInput(str(exc)) from None
     if Method.ADJCON in methods and r["prevalence"] is None:
-        parser.error("--prevalence is required when method adjcon is requested")
+        raise InvalidInput("--prevalence is required when method adjcon is requested")
+    if not 0.0 < r["level"] < 1.0:  # wald_test would find it only after a fit succeeds
+        raise InvalidInput("level must lie in (0, 1)")
     table = CaseControlTable(w)
 
     started = _now()
@@ -390,7 +397,7 @@ def cmd_fit(r, parser):
 
 # ---------------------------------------------------------------- simulate
 
-def cmd_simulate(r, parser):
+def cmd_simulate(r):
     params = _truth_params(r)
     design = DesignParams(nu=r["nu"], n=r["n"])
     started = _now()
@@ -429,16 +436,10 @@ def cmd_simulate(r, parser):
 
 # ---------------------------------------------------------------- misspec
 
-def cmd_misspec(r, parser):
+def cmd_misspec(r):
     params = _truth_params(r)
     design = DesignParams(nu=r["nu"], n=r["n"])
-    if r["f1_grid"] is not None:
-        try:
-            grid = _parse_grid(r["f1_grid"])
-        except ValueError as exc:
-            parser.error(f"--f1-grid: {exc}")
-    else:
-        grid = r["f1_list"]
+    grid = _parse_grid(r, "f1_grid") if r["f1_grid"] is not None else r["f1_list"]
 
     started = _now()
     rows = misspec_sweep(
@@ -557,10 +558,9 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = build_parser().parse_args(argv)
     try:
-        return COMMANDS[ns.command][0](_resolve(ns, parser), parser)
+        return COMMANDS[ns.command][0](_resolve(ns))
     except CCEffError as exc:
         print(f"cceff {ns.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -431,11 +431,22 @@ def misspec_sweep(
     constrained fit with the misspecified prevalence concentrates on
     gamma*_{f1}.  A row that fails records its error in the row's error
     field.  The limit at the true f0 and every f1 are lanes of one
-    ``limiting_values`` call.  A level outside (0, 1) raises InvalidInput
-    before any row is computed.
+    ``limiting_values`` call.  A level outside (0, 1), or an mc_confirm
+    outside the DesignParams or SimConfig domain, raises InvalidInput before
+    any row is computed.
     """
     if not (0.0 < level < 1.0):
         raise InvalidInput("level must lie in (0, 1)")
+    if mc_confirm is not None:
+        mc_n, mc_reps = mc_confirm
+        mc_config = SimConfig(
+            params=truth,
+            design=DesignParams(nu=design.nu, n=mc_n),
+            replicates=mc_reps,
+            seed=seed,
+            level=level,
+            methods=(Method.ADJCON,),
+        )
     f_grid = [float(f1) for f1 in f_grid]
     base, *limits = limiting_values(truth, design, [truth.f, *f_grid], eps)
     if isinstance(base, CCEffError):
@@ -458,17 +469,7 @@ def misspec_sweep(
                 ratio_sigma=dev_sigma / gap if gap > 0 else math.nan,
             )
             if mc_confirm is not None:
-                mc_n, mc_reps = mc_confirm
-                cfg = SimConfig(
-                    params=truth,
-                    design=DesignParams(nu=design.nu, n=mc_n),
-                    replicates=mc_reps,
-                    seed=seed + idx,
-                    level=level,
-                    methods=(Method.ADJCON,),
-                    f_supplied=f1,
-                )
-                st = run_mc(cfg).stats[0]
+                st = run_mc(dataclasses.replace(mc_config, seed=seed + idx, f_supplied=f1)).stats[0]
                 row = dataclasses.replace(
                     row, mc_mean_gamma=st.mean_gamma, mc_mean_gamma_se=st.mean_gamma_mc_se
                 )

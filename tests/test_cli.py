@@ -167,16 +167,14 @@ class TestTheory:
         assert rc == 0
         assert out.read_bytes() == first
 
-    def test_missing_parameter_is_usage_error(self, tmp_path):
-        with pytest.raises(SystemExit) as ei:
-            run("theory", "--gamma", "0.3", "--theta", "0.4", "--pi", "0.5",
-                "--f-grid", "0.1:0.9:3", "--out", tmp_path / "x.csv")
-        assert ei.value.code == 2
+    def test_missing_parameter_is_usage_error(self, tmp_path, capsys):
+        assert run("theory", "--gamma", "0.3", "--theta", "0.4", "--pi", "0.5",
+                   "--f-grid", "0.1:0.9:3", "--out", tmp_path / "x.csv") == 2
+        assert capsys.readouterr().err == "cceff theory: --beta is required\n"
 
-    def test_bad_grid_is_usage_error(self, tmp_path):
-        with pytest.raises(SystemExit) as ei:
-            run("theory", *CANON, "--f-grid", "0.1:0.9", "--out", tmp_path / "x.csv")
-        assert ei.value.code == 2
+    def test_bad_grid_is_usage_error(self, tmp_path, capsys):
+        assert run("theory", *CANON, "--f-grid", "0.1:0.9", "--out", tmp_path / "x.csv") == 2
+        assert capsys.readouterr().err == "cceff theory: --f-grid: grid must be min:max:points\n"
 
     @pytest.mark.parametrize("grid", ["0:0.5:2", "0.5:1:2", "0.5:1.5:3"])
     def test_grid_point_outside_unit_interval_is_usage_error(self, tmp_path, capsys, grid):
@@ -301,10 +299,9 @@ class TestFit:
 
     def test_adjcon_requires_prevalence(self, capsys):
         w = [[[10.0] * 2] * 2] * 2
-        with pytest.raises(SystemExit) as ei:
-            run("fit", *self.cells(w), "--methods", "adjcon")
-        assert ei.value.code == 2
-        assert "--prevalence" in capsys.readouterr().err
+        assert run("fit", *self.cells(w), "--methods", "adjcon") == 2
+        assert capsys.readouterr().err == \
+            "cceff fit: --prevalence is required when method adjcon is requested\n"
 
     @pytest.mark.parametrize("first, error", [
         ("1.0,0,0,5", "could not parse d,i,j,count"),
@@ -400,16 +397,15 @@ class TestFit:
         assert [r[5:7] for r in rows] == [["true", "true"], ["true", "true"], ["false", "false"]]
         assert _fmt(np.True_) == "true" and _fmt(np.False_) == "false"
 
-    def test_cell_list_must_cover_all_cells(self):
+    def test_cell_list_must_cover_all_cells(self, capsys):
         w = [[[10.0] * 2] * 2] * 2
+        line = "cceff fit: --cell must be given exactly once for each of the 8 (d,i,j) cells\n"
         argv = self.cells(w)[:-2]  # drop the last cell
-        with pytest.raises(SystemExit) as ei:
-            run("fit", *argv, "--methods", "mar")
-        assert ei.value.code == 2
+        assert run("fit", *argv, "--methods", "mar") == 2
+        assert capsys.readouterr().err == line
         dup = self.cells(w)[:-2] + ["--cell", "0,0,0,3"]
-        with pytest.raises(SystemExit) as ei:
-            run("fit", *dup, "--methods", "mar")
-        assert ei.value.code == 2
+        assert run("fit", *dup, "--methods", "mar") == 2
+        assert capsys.readouterr().err == line
 
     def test_manifest_rebuild(self, tmp_path):
         w = np.array([[[30, 12], [18, 25]], [[20, 22], [10, 40]]], dtype=float)
@@ -494,15 +490,14 @@ class TestSimulate:
         assert err.count("\n") == 1 and err.startswith("cceff simulate: ")
         assert not out.exists()
 
-    def test_exactly_one_of_alpha_and_f(self, tmp_path):
+    def test_exactly_one_of_alpha_and_f(self, tmp_path, capsys):
         base = ["simulate", *CANON, "--n", "400", "--replicates", "4",
                 "--out", tmp_path / "x.csv"]
-        with pytest.raises(SystemExit) as ei:
-            run(*base)
-        assert ei.value.code == 2
-        with pytest.raises(SystemExit) as ei:
-            run(*base, "--alpha", "-2", "--f", "0.3")
-        assert ei.value.code == 2
+        line = "cceff simulate: exactly one of --alpha, --f must be given\n"
+        assert run(*base) == 2
+        assert capsys.readouterr().err == line
+        assert run(*base, "--alpha", "-2", "--f", "0.3") == 2
+        assert capsys.readouterr().err == line
 
     def test_all_failures_exit_one(self, tmp_path, capsys):
         rc = run("simulate", "--alpha", "-2", "--beta", "1", "--gamma", "0.3",
@@ -565,15 +560,14 @@ class TestMisspec:
         assert math.isnan(float(rows[1][5]))
         assert "1 failed" in capsys.readouterr().out
 
-    def test_exactly_one_grid_spec(self, tmp_path):
+    def test_exactly_one_grid_spec(self, tmp_path, capsys):
         out = tmp_path / "mis.csv"
-        with pytest.raises(SystemExit) as ei:
-            run("misspec", *self.TRUTH, "--out", out)
-        assert ei.value.code == 2
-        with pytest.raises(SystemExit) as ei:
-            run("misspec", *self.TRUTH, "--f1-list", "0.2",
-                "--f1-grid", "0.2:0.4:3", "--out", out)
-        assert ei.value.code == 2
+        line = "cceff misspec: exactly one of --f1-grid, --f1-list must be given\n"
+        assert run("misspec", *self.TRUTH, "--out", out) == 2
+        assert capsys.readouterr().err == line
+        assert run("misspec", *self.TRUTH, "--f1-list", "0.2",
+                   "--f1-grid", "0.2:0.4:3", "--out", out) == 2
+        assert capsys.readouterr().err == line
 
     def test_f1_grid_matches_its_list_and_rebuilds(self, tmp_path):
         grid, listed = tmp_path / "grid.csv", tmp_path / "list.csv"
@@ -730,20 +724,19 @@ class TestOptionTable:
     def test_mc_confirm_in_a_config_file_needs_two_values(self, tmp_path, capsys, line):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(line + "\n")
-        with pytest.raises(SystemExit) as ei:
-            run("misspec", "--f", "0.3", *CANON, "--f1-list", "0.35", "--config", cfg,
-                "--out", tmp_path / "x.csv")
-        assert ei.value.code == 2
-        assert "config value for mc_confirm: expected 2 comma-separated values" in \
-            capsys.readouterr().err
+        assert run("misspec", "--f", "0.3", *CANON, "--f1-list", "0.35", "--config", cfg,
+                   "--out", tmp_path / "x.csv") == 2
+        assert capsys.readouterr().err == "cceff misspec: config value for mc_confirm: " \
+            f"expected 2 comma-separated values, got {line.count(',') + 1}\n"
 
     @pytest.mark.parametrize("text, error", [
-        ("beta 1\n", "run.cfg:1: expected key=value"),
-        ("replicates = abc\n", "config value for replicates: invalid literal for int()"),
-        ("failures_reject = maybe\n", "not a boolean: 'maybe'"),
+        ("beta 1\n", "{cfg}:1: expected key=value"),
+        ("replicates = abc\n",
+         "config value for replicates: invalid literal for int() with base 10: 'abc'"),
+        ("failures_reject = maybe\n", "config value for failures_reject: not a boolean: 'maybe'"),
         ("cell = 0,0,0,30;0,0,1\n", "config value for cell: expected d,i,j,count"),
-        ("cell = 0,0,0,-1\n", "count must be finite and nonnegative"),
-        (None, "No such file or directory"),
+        ("cell = 0,0,0,-1\n", "config value for cell: count must be finite and nonnegative"),
+        (None, "[Errno 2] No such file or directory: '{cfg}'"),
     ])
     def test_config_error_is_usage_error(self, tmp_path, capsys, text, error):
         cfg = tmp_path / "run.cfg"
@@ -751,10 +744,8 @@ class TestOptionTable:
             cfg.write_text(text)
         command = ["fit", "--methods", "mar"] if text and text.startswith("cell") else \
             ["simulate", "--f", "0.3", *CANON, "--n", "40"]
-        with pytest.raises(SystemExit) as ei:
-            run(*command, "--config", cfg, "--out", tmp_path / "x.csv")
-        assert ei.value.code == 2
-        assert error in capsys.readouterr().err
+        assert run(*command, "--config", cfg, "--out", tmp_path / "x.csv") == 2
+        assert capsys.readouterr().err == f"cceff {command[0]}: {error.format(cfg=cfg)}\n"
         assert not (tmp_path / "x.csv").exists()
 
     def test_switch_set_off_in_a_config_file_is_left_off(self, tmp_path):
@@ -775,13 +766,82 @@ class TestOptionTable:
          "exactly one of --f1-grid, --f1-list must be given"),
     ])
     def test_requirements_are_checked_once(self, tmp_path, capsys, argv, message):
-        with pytest.raises(SystemExit) as ei:
-            run(*argv, "--out", tmp_path / "x.csv")
-        assert ei.value.code == 2
-        assert message in capsys.readouterr().err
+        assert run(*argv, "--out", tmp_path / "x.csv") == 2
+        assert capsys.readouterr().err == f"cceff {argv[0]}: {message}\n"
+
+
+# Each usage error found after parsing: argv ("{dir}" is the test's directory) and the
+# bytes of the file {dir}/in.txt that it reads, or None.
+SIMULATE = ["simulate", "--f", "0.3", *CANON, "--n", "40"]
+POST_PARSE_ERRORS = {
+    "config file unreadable": ([*SIMULATE, "--config", "{dir}/in.txt"], None),
+    "config value": ([*SIMULATE, "--config", "{dir}/in.txt"], b"replicates = abc\n"),
+    "config key": ([*SIMULATE, "--config", "{dir}/in.txt"], b"bogus = 1\n"),
+    "required": (SIMULATE[:-2], None),
+    "exactly one": (["simulate", *CANON, "--n", "40"], None),
+    "f-grid": (["theory", *CANON, "--f-grid", "0.1:x:3"], None),
+    "f1-grid": (["misspec", "--f", "0.3", *CANON, "--f1-grid", "0.2:0.4:0"], None),
+    "cell count": (["fit", *CELL_ARGV[:-2], "--methods", "mar"], None),
+    "counts file unreadable": (["fit", "--counts-file", "{dir}", "--methods", "mar"], None),
+    "counts file not UTF-8": (["fit", "--counts-file", "{dir}/in.txt", "--methods", "mar"],
+                              b"\xff\xfe0,0,0,1\n"),
+    "adjcon prevalence": (["fit", *CELL_ARGV, "--methods", "adjcon"], None),
+}
 
 
 class TestFailures:
+    @pytest.mark.parametrize("case", POST_PARSE_ERRORS)
+    def test_post_parse_usage_error_is_one_line(self, tmp_path, capsys, case):
+        argv, data = POST_PARSE_ERRORS[case]
+        argv = [str(a).format(dir=tmp_path) for a in argv]
+        if data is not None:
+            (tmp_path / "in.txt").write_bytes(data)
+        out = tmp_path / "x.csv"
+        assert run(*argv, "--out", out) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and captured.err.startswith(f"cceff {argv[0]}: ")
+        assert "usage:" not in captured.err and captured.out == ""
+        assert not out.exists() and not os.path.exists(manifest_path(str(out)))
+
+    @pytest.mark.parametrize("f1_list", [",", ""])
+    def test_empty_f1_list_is_usage_error(self, tmp_path, capsys, f1_list):
+        out = tmp_path / "mis.csv"
+        argv = ["misspec", "--f", "0.3", *CANON, "--out", out]
+        with pytest.raises(SystemExit) as ei:
+            run(*argv, "--f1-list", f1_list)
+        assert ei.value.code == 2
+        assert "--f1-list: give one or more comma-separated numbers" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"f1_list = {f1_list}\n")
+        assert run(*argv, "--config", cfg) == 2
+        assert capsys.readouterr().err == "cceff misspec: config value for f1_list: " \
+            f"give one or more comma-separated numbers (got {f1_list!r})\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mc_confirm, message", [
+        (("0", "5"), "n=0 must be positive and finite"),
+        (("400", "0"), "replicates must be at least 1"),
+    ], ids=["n", "replicates"])
+    def test_mc_confirm_is_checked_before_any_limit(self, tmp_path, capsys, monkeypatch,
+                                                    mc_confirm, message):
+        def no_limits(*args):
+            raise AssertionError("a limit was computed")
+        monkeypatch.setattr(cceff.simulate, "limiting_values", no_limits)
+        out = tmp_path / "mis.csv"
+        assert run("misspec", "--f", "0.3", *CANON, "--f1-list", "1.5",
+                   "--mc-confirm", *mc_confirm, "--out", out) == 2
+        assert capsys.readouterr().err == f"cceff misspec: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("methods", [
+        ["--methods", "mar,adj"], ["--methods", "adjcon", "--prevalence", "1.5"],
+    ], ids=["fits succeed", "every fit fails"])
+    def test_fit_level_is_checked_before_any_fit(self, tmp_path, capsys, methods):
+        out = tmp_path / "fit.csv"
+        assert run("fit", *CELL_ARGV, *methods, "--level", "2", "--out", out) == 2
+        assert capsys.readouterr() == ("", "cceff fit: level must lie in (0, 1)\n")
+        assert not out.exists()
+
     def test_limit_at_the_true_prevalence_failing_exits_one(self, tmp_path, capsys):
         out = tmp_path / "mis.csv"
         rc = run("misspec", "--f", "0.9995", *CANON, "--f1-list", "0.5", "--out", out)
