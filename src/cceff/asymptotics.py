@@ -451,7 +451,7 @@ def _raise_alone(f, beta, gamma, theta, pi, nu):
     """Raise the error of the theory row at f through the one-point functions, stage by stage."""
     alpha = alpha_from_prevalence(f, beta, gamma, theta, pi)
     params = PopulationParams(alpha, beta, gamma, theta, pi)
-    bias_delta(alpha, beta, gamma, theta)
-    sigma_M_sq(params, nu), sigma_A_sq(params, nu), sigma_AC_sq(params, nu)
+    for method in Method:
+        _delta_and_variance(method, params, nu)
     pitman_are_M_vs_AC(alpha, beta, theta, pi, nu)
     raise AssertionError(f"theory row at f={f!r} is flagged by its lanes but computes alone")

@@ -144,7 +144,7 @@ def _cells(tables):
 
 
 def _one(outcomes):
-    """The single outcome of a batch of one: its FitResult, or its error raised."""
+    """The single outcome of a batch of one: its result, or its error raised."""
     (out,) = outcomes
     if isinstance(out, CCEffError):
         raise out

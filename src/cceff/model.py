@@ -69,6 +69,20 @@ class PopulationParams:
         """Marginal disease prevalence pr(D=1)."""
         return prevalence_at(self.alpha, self.beta, self.gamma, self.theta, self.pi)
 
+    @cached_property
+    def _retro(self) -> "RetroDistribution":
+        """``retro_distribution``'s laws, computed once per truth; its arrays are read-only."""
+        f, invalid, r = _retro_lanes(self.alpha, self.beta, self.gamma, self.theta, self.pi)
+        if not (0.0 < f < 1.0):
+            raise InvalidInput(f"prevalence {f!r} rounds to 0 or 1 at {self}")
+        if invalid:
+            raise InvalidInput(
+                f"the case or control law of (X, E) has an empty covariate stratum at {self}"
+            )
+        for x in (r.p_case, r.p_ctrl, r.d_mat, r.h_mat):
+            x.flags.writeable = False
+        return r
+
 
 @dataclass(frozen=True)
 class DesignParams:
@@ -379,13 +393,7 @@ def retro_distribution(params: PopulationParams) -> RetroDistribution:
     that underflows to all zeros has both strata empty).  Inside the
     PopulationParams bounds this happens when alpha + beta*i + gamma*j is
     large enough that expit rounds to 1.0.  The batch of one of
-    ``_retro_lanes``.
+    ``_retro_lanes``, computed once per ``params`` and shared by every
+    caller, so its arrays are read-only.
     """
-    f, invalid, r = _retro_lanes(params.alpha, params.beta, params.gamma, params.theta, params.pi)
-    if not (0.0 < f < 1.0):
-        raise InvalidInput(f"prevalence {f!r} rounds to 0 or 1 at {params}")
-    if invalid:
-        raise InvalidInput(
-            f"the case or control law of (X, E) has an empty covariate stratum at {params}"
-        )
-    return r
+    return params._retro

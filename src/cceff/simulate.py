@@ -20,8 +20,7 @@ from scipy.special._ufuncs import _binom_ppf
 from ._constrained import (
     _mass_lanes, expected_masses, loglik_grad_hess_s, newton_ascent, sandwich_s,
 )
-from .asymptotics import _delta_and_variance, _sigma_AC_lanes, _variance_lanes, _wald_power
-from .asymptotics import _z_half, bias_delta
+from .asymptotics import _delta_and_variance, _wald_power, _z_half
 from .errors import (
     AllReplicatesFailed,
     CCEffError,
@@ -29,7 +28,7 @@ from .errors import (
     InvalidInput,
     NonConvergence,
 )
-from .estimators import CaseControlTable, Method, _wald_lanes
+from .estimators import CaseControlTable, Method, _one, _wald_lanes
 
 # The batch entry points, bound under the one-table names so that the layer
 # trace (perfbench/spans.py) counts each batch as one call of that fit.
@@ -87,6 +86,7 @@ class SimConfig:
             raise InvalidInput("level must lie in (0, 1)")
         if self.f_supplied is not None and not (0.0 < self.f_supplied < 1.0):
             raise InvalidInput("f_supplied must lie in (0, 1)")
+        _arm_sizes(self.design)
         object.__setattr__(self, "replicates", replicates)
         object.__setattr__(self, "methods", methods)
 
@@ -130,10 +130,10 @@ class LimitPoint:
 class MisspecRow:
     f1: float
     s_star: tuple
-    dev_s: float
-    dev_sigma: float
-    ratio_s: float
-    ratio_sigma: float
+    dev_s: float = math.nan
+    dev_sigma: float = math.nan
+    ratio_s: float = math.nan
+    ratio_sigma: float = math.nan
     mc_mean_gamma: float = math.nan
     mc_mean_gamma_se: float = math.nan
     error: str = ""
@@ -173,6 +173,22 @@ def _multinomial_invcdf(u, n, probs):
     return counts
 
 
+def _arm_sizes(design):
+    """The case and control counts (n1, n0) a sample of design draws.
+
+    Raises InvalidInput unless n is an integer and both arms hold at least
+    one subject.
+    """
+    n = design.n
+    if abs(n - round(n)) > 1e-9:
+        raise InvalidInput("sampling requires an integer total sample size")
+    n1 = int(round(design.n_cases))
+    n0 = int(round(n)) - n1
+    if n1 < 1 or n0 < 1:
+        raise InvalidInput("both case and control counts must be at least 1")
+    return n1, n0
+
+
 def sample_tables(params, design, seed, replicate_indices) -> np.ndarray:
     """Retrospective samples for many replicates: cell weights of shape (k, 2, 2, 2).
 
@@ -187,13 +203,7 @@ def sample_tables(params, design, seed, replicate_indices) -> np.ndarray:
         replicate_indices = [operator.index(index) for index in replicate_indices]
     except TypeError as exc:
         raise InvalidInput(f"seed and replicate indices must be integers: {exc}") from None
-    n = design.n
-    if abs(n - round(n)) > 1e-9:
-        raise InvalidInput("sampling requires an integer total sample size")
-    n1 = int(round(design.n_cases))
-    n0 = int(round(n)) - n1
-    if n1 < 1 or n0 < 1:
-        raise InvalidInput("both case and control counts must be at least 1")
+    n1, n0 = _arm_sizes(design)
     r = retro_distribution(params)
     # Philox is counter-based, so one bit generator re-keyed per replicate (at
     # counter 0) gives the words of a fresh Philox(key=...) without the OS
@@ -254,26 +264,12 @@ def run_mc(config: SimConfig) -> MCReport:
     Every fit is bitwise independent of the batch it runs in, and the fold
     is deterministic, so the report does not depend on the batch size; the
     Wald tests and coverage checks run on arrays, one lane per replicate.
-    The theory columns come first: a point whose theory fails raises its
-    one-point error before any table is sampled or fitted.
+    The theory columns come first, through ``asymptotic_power``'s
+    one-point path: a point whose theory fails raises before any table is
+    sampled or fitted.
     """
     params, design = config.params, config.design
-    rd = retro_distribution(params)
-    var_m, var_a, bad_m, bad_a = _variance_lanes(rd, design.nu)
-    theory = {Method.MAR: (bad_m, var_m), Method.ADJ: (bad_a, var_a)}
-    if Method.ADJCON in config.methods:
-        s = np.array([[params.beta, params.gamma, params.theta, params.pi]])
-        (var_ac,), _ = _sigma_AC_lanes(np.array([params.f]), s, rd.p_case, rd.p_ctrl, design.nu)
-        theory[Method.ADJCON] = (math.isnan(var_ac), var_ac)
-    for method in config.methods:
-        bad, t_var = theory[method]
-        if bad:  # the one-point functions raise this point's error
-            _delta_and_variance(method, params, design.nu)
-        t_delta = 0.0
-        if method is Method.MAR:
-            t_delta = bias_delta(params.alpha, params.beta, params.gamma, params.theta)
-        theory[method] = (t_delta, t_var)
-
+    theory = {m: _delta_and_variance(m, params, design.nu) for m in config.methods}
     tables = sample_tables(params, design, config.seed, range(config.replicates))
     z_half = _z_half(config.level)
     f = config.f_supplied if config.f_supplied is not None else params.f
@@ -350,10 +346,7 @@ def limiting_value(
     expected masses and the true retrospective case and control
     distributions.  The batch of one of ``limiting_values``.
     """
-    (out,) = limiting_values(truth, design, [f_used], eps)
-    if isinstance(out, CCEffError):
-        raise out
-    return out
+    return _one(limiting_values(truth, design, [f_used], eps))
 
 
 def limiting_values(truth: PopulationParams, design: DesignParams, f_values, eps=DEFAULT_EPS):
@@ -432,8 +425,9 @@ def misspec_sweep(
     gamma*_{f1}.  A row that fails records its error in the row's error
     field.  The limit at the true f0 and every f1 are lanes of one
     ``limiting_values`` call.  A level outside (0, 1), or an mc_confirm
-    outside the DesignParams or SimConfig domain, raises InvalidInput before
-    any row is computed.
+    outside the DesignParams or SimConfig domain (an n too small for one
+    case and one control among them), raises InvalidInput before any row is
+    computed.
     """
     if not (0.0 < level < 1.0):
         raise InvalidInput("level must lie in (0, 1)")
@@ -475,15 +469,5 @@ def misspec_sweep(
                 )
             rows.append(row)
         except CCEffError as exc:
-            rows.append(
-                MisspecRow(
-                    f1=f1,
-                    s_star=(math.nan,) * 4,
-                    dev_s=math.nan,
-                    dev_sigma=math.nan,
-                    ratio_s=math.nan,
-                    ratio_sigma=math.nan,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            )
+            rows.append(MisspecRow(f1, (math.nan,) * 4, error=f"{type(exc).__name__}: {exc}"))
     return rows

@@ -821,7 +821,8 @@ class TestFailures:
     @pytest.mark.parametrize("mc_confirm, message", [
         (("0", "5"), "n=0 must be positive and finite"),
         (("400", "0"), "replicates must be at least 1"),
-    ], ids=["n", "replicates"])
+        (("1", "5"), "both case and control counts must be at least 1"),
+    ], ids=["n", "replicates", "arms"])
     def test_mc_confirm_is_checked_before_any_limit(self, tmp_path, capsys, monkeypatch,
                                                     mc_confirm, message):
         def no_limits(*args):

@@ -213,6 +213,12 @@ class TestRetroDistribution:
                 assert_allclose(r.p_case[i, j], p_case[(i, j)], rtol=1e-14)
                 assert_allclose(r.p_ctrl[i, j], p_ctrl[(i, j)], rtol=1e-14)
 
+    def test_laws_are_computed_once_and_read_only(self, canonical):
+        r = retro_distribution(canonical)
+        assert retro_distribution(canonical) is r
+        with pytest.raises(ValueError, match="read-only"):
+            r.p_case[0, 0] = 0.0
+
     def test_internal_identities(self, canonical):
         r = retro_distribution(canonical)
         assert_allclose(r.p_case.sum(), 1.0, atol=1e-12)

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.stats import binom, chi2
 
+import cceff.model as model_mod
 import cceff.simulate as simulate_mod
 from cceff import (
     AllReplicatesFailed,
@@ -73,6 +74,8 @@ class TestSimConfig:
         {"methods": ("foo",)},
         {"methods": ("mar", "foo")},
         {"methods": ()},
+        {"design": DesignParams(1.0, 100.5)},
+        {"design": DesignParams(1.0, 1.0)},
     ])
     def test_rejects_values_outside_the_field_type_before_any_work(self, kw):
         with pytest.raises(InvalidInput):
@@ -314,6 +317,20 @@ class TestRunMC:
         assert calls == [5]
         assert [st.n_included for st in report.stats] == [5, 5, 5]
 
+    def test_truth_laws_are_computed_once(self, monkeypatch):
+        retro_lanes = model_mod._retro_lanes
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return retro_lanes(*args)
+
+        monkeypatch.setattr(model_mod, "_retro_lanes", counted)
+        # A fresh truth: the theory columns and the sampler share its laws.
+        params = PopulationParams(-2.0, 1.0, 0.3, 0.4, 0.5)
+        run_mc(SimConfig(params=params, design=DesignParams(1.0, 1000.0), replicates=5, seed=3))
+        assert len(calls) == 1
+
     def test_theory_column_failure_raises_the_one_point_error(self, monkeypatch):
         # expit(-45 + 43 + 40) rounds to 1: the Adj fits mostly succeed, but
         # sigma_A has no finite value, and run_mc raises its one-point error
@@ -394,6 +411,15 @@ class TestMisspecSweep:
         assert rows[0].error == "" and not math.isnan(rows[0].dev_s)
         assert rows[1].error.startswith("InfeasiblePrevalence")
         assert math.isnan(rows[1].dev_s)
+
+    @pytest.mark.parametrize("f1", [0.35, 1.5])
+    def test_unsampleable_mc_confirm_is_invalid_before_any_limit(self, canonical, monkeypatch, f1):
+        def no_limits(*args):
+            raise AssertionError("a limit was computed")
+
+        monkeypatch.setattr(simulate_mod, "limiting_values", no_limits)
+        with pytest.raises(InvalidInput, match="both case and control counts must be at least 1"):
+            misspec_sweep(canonical, DesignParams(1.0, 1.0), [f1], mc_confirm=(1, 5))
 
     def test_mc_confirms_the_limit(self, canonical):
         rows = misspec_sweep(
