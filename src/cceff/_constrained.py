@@ -269,40 +269,25 @@ def _dot(a, b):
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def _solve_lanes(a, b):
-    """solve(a[r], b[r]) for every lane by one stacked solve, lane by lane if one is singular.
+def _lanewise(fn, a, *b):
+    """fn(a, *b) on every lane by one stacked LAPACK call, lane by lane if a matrix is singular.
 
-    A stacked solve fails as a whole when one matrix is singular.  Returns
-    the solutions (zero in singular lanes) and the mask of singular lanes.
+    A stacked call fails as a whole when one matrix of a is singular.
+    Returns the results, which have the shape of the last operand, NaN in
+    singular lanes, and the mask of those lanes.  A lane's fallback call is
+    a stacked call of one lane, so it rounds as the whole stack does.
     """
-    singular = np.zeros(len(b), dtype=bool)
+    singular = np.zeros(len(a), dtype=bool)
     try:
-        return np.linalg.solve(a, b[:, :, None])[:, :, 0], singular
+        return fn(a, *b), singular
     except np.linalg.LinAlgError:
-        x = np.zeros_like(b)
-        for r in range(len(b)):
+        x = np.full((b[-1] if b else a).shape, np.nan)
+        for r in range(len(a)):
             try:
-                x[r] = np.linalg.solve(a[r], b[r])
+                x[r : r + 1] = fn(a[r : r + 1], *(v[r : r + 1] for v in b))
             except np.linalg.LinAlgError:
                 singular[r] = True
         return x, singular
-
-
-def _inv_lanes(a):
-    """inv(a[r]) for every lane by one stacked inverse, lane by lane if one is singular.
-
-    Like ``_solve_lanes``; a singular lane's inverse is all NaN.
-    """
-    try:
-        return np.linalg.inv(a)
-    except np.linalg.LinAlgError:
-        x = np.full_like(a, np.nan)
-        for r in range(len(a)):
-            try:
-                x[r] = np.linalg.inv(a[r])
-            except np.linalg.LinAlgError:
-                pass
-        return x
 
 
 def _ascent_directions(g, h):
@@ -311,7 +296,8 @@ def _ascent_directions(g, h):
     Where h is singular or the Newton direction does not ascend, the
     direction is the gradient scaled to max-norm at most 1.
     """
-    direction, singular = _solve_lanes(-h, g)
+    direction, singular = _lanewise(np.linalg.solve, -h, g[:, :, None])
+    direction = direction[:, :, 0]
     gd = _dot(g, direction)
     fallback = singular | (gd <= 0.0)
     if fallback.any():

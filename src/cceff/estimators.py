@@ -30,8 +30,7 @@ from scipy.special import expit, logit
 
 from ._constrained import (
     _LL_ROUNDING,
-    _inv_lanes,
-    _solve_lanes,
+    _lanewise,
     loglik_grad_hess_s,
     nearly_singular,
     newton_ascent,
@@ -43,7 +42,6 @@ from .errors import (
     InfeasibleStart,
     InvalidInput,
     NonConvergence,
-    NotConverged,
     Separation,
     SingularInformation,
     ZeroCell,
@@ -105,14 +103,15 @@ class CaseControlTable:
         return self.w.sum(axis=1)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, kw_only=True)
 class FitResult:
+    """A converged fit; a fit that fails is its typed ``CCEffError`` instead."""
+
     method: Method
     gamma_hat: float
     se_gamma: float
     params: tuple
     loglik: float
-    converged: bool
     iterations: int
     cov: np.ndarray
     # AdjCon extras: the implied intercept and the prevalence that was supplied;
@@ -199,7 +198,6 @@ def fit_marginal_batch(tables, continuity_correction: bool = False) -> list:
             se_gamma=se,
             params=(math.log(b), gamma_hat),
             loglik=ll,
-            converged=True,
             iterations=0,
             cov=c,
             corrected=continuity_correction,
@@ -278,8 +276,6 @@ def fit_adjusted_batch(tables) -> list:
     active = np.flatnonzero(~(no_x | no_e))
     ll[active] = _adj_loglik(c1[active], mt[active], t[active])
     iterations = np.zeros(n_lanes, dtype=int)
-    p_final = np.empty((n_lanes, 2, 2))
-    converged = np.zeros(n_lanes, dtype=bool)
     for it in range(1, 101):
         if not active.size:
             break
@@ -291,15 +287,13 @@ def fit_adjusted_batch(tables) -> list:
             axis=-1,
         )
         done = np.abs(score).max(axis=1) <= 1e-13
-        converged[active[done]] = True
-        p_final[active[done]] = p[done]
         active, p, score = active[~done], p[~done], score[~done]
         if not active.size:
             break
-        step, singular = _solve_lanes(_adj_info(mt[active], p), score)
+        step, singular = _lanewise(np.linalg.solve, _adj_info(mt[active], p), score[:, :, None])
         for r in active[singular]:
             out[r] = Separation("information matrix singular during Newton iteration")
-        active, step = active[~singular], step[~singular]
+        active, step = active[~singular], step[~singular, :, 0]
         c1_a, mt_a, t_a, ll_a = c1[active], mt[active], t[active], ll[active]
         floor = ll_a - _LL_ROUNDING * (1.0 + np.abs(ll_a))
         scale = np.ones(len(active))
@@ -329,13 +323,15 @@ def fit_adjusted_batch(tables) -> list:
     for r in active:
         out[r] = NonConvergence("adjusted fit did not reach score tolerance in 100 iterations")
 
-    ok = np.flatnonzero(converged)
-    cov = _inv_lanes(_adj_info(mt[ok], p_final[ok]) * total[ok, None, None])
+    # A lane still without an outcome converged, and its t has not moved since.
+    ok = np.flatnonzero([o is None for o in out])
+    info = _adj_info(mt[ok], expit(_adj_eta(t[ok]))) * total[ok, None, None]
+    cov = _lanewise(np.linalg.inv, info)[0]
     cov = 0.5 * (cov + cov.transpose(0, 2, 1))
     usable = (0.0 < cov[:, 2, 2]) & (cov[:, 2, 2] < math.inf)
     for r, v in zip(ok[~usable], cov[~usable, 2, 2]):
         # The score vanished, but the information is singular (NaN from
-        # _inv_lanes) or rounds indefinite: too few covariate-exposure
+        # _lanewise) or rounds indefinite: too few covariate-exposure
         # patterns are filled to pin the three coefficients.
         out[r] = Separation(
             f"no unique finite MLE: information at the estimate gives gamma variance {v:.2e}"
@@ -350,7 +346,6 @@ def fit_adjusted_batch(tables) -> list:
             se_gamma=se,
             params=tuple(coef),
             loglik=loglik,
-            converged=True,
             iterations=its,
             cov=c,
         )
@@ -483,7 +478,7 @@ def fit_constrained_batch(tables, f: float, f_misspecified: bool = False, adjust
     kept = kept[~near]
     if not kept.size:
         return out
-    cov = _inv_lanes(info[kept]) / total[lanes[kept], None, None]
+    cov = _lanewise(np.linalg.inv, info[kept])[0] / total[lanes[kept], None, None]
     cov = 0.5 * (cov + cov.transpose(0, 2, 1))
     usable = (0.0 < cov[:, 1, 1]) & (cov[:, 1, 1] < math.inf)
     for k, v in zip(kept[~usable], cov[~usable, 1, 1]):
@@ -508,7 +503,6 @@ def fit_constrained_batch(tables, f: float, f_misspecified: bool = False, adjust
             se_gamma=se,
             params=tuple(s),
             loglik=loglik,
-            converged=True,
             iterations=its,
             cov=c,
             alpha_hat=alpha,
@@ -525,12 +519,17 @@ def _wald_lanes(gamma_hat, se, level):
     return z, p, p < level
 
 
-def wald_test(fit: FitResult, level: float = 0.05) -> TestResult:
-    """Two-sided Wald test of gamma = 0 from a fit; the batch of one of ``_wald_lanes``."""
+def _check_level(level):
+    """Raise InvalidInput unless a test level lies in (0, 1)."""
     if not (0.0 < level < 1.0):
         raise InvalidInput("level must lie in (0, 1)")
-    if not fit.converged or not (fit.se_gamma > 0):
-        raise NotConverged("fit did not converge or has no usable standard error")
+
+
+def wald_test(fit: FitResult, level: float = 0.05) -> TestResult:
+    """Two-sided Wald test of gamma = 0 from a fit; the batch of one of ``_wald_lanes``."""
+    _check_level(level)
+    if not (fit.se_gamma > 0):
+        raise InvalidInput(f"se_gamma={fit.se_gamma!r} gives no usable standard error")
     lanes = _wald_lanes(np.array([fit.gamma_hat]), np.array([fit.se_gamma]), level)
     z, p, reject = (x.item() for x in lanes)
     return TestResult(z=z, p_value=p, reject=reject, level=level)

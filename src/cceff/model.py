@@ -84,6 +84,12 @@ class PopulationParams:
         return r
 
 
+def _check_nu(nu):
+    """Raise InvalidInput unless the case:control ratio nu lies in [1e-6, 1e6]."""
+    if not (1e-6 <= nu <= 1e6):
+        raise InvalidInput(f"nu={nu!r} outside [1e-6, 1e6]")
+
+
 @dataclass(frozen=True)
 class DesignParams:
     """Case-control sampling design: case:control ratio nu and total size n."""
@@ -92,8 +98,7 @@ class DesignParams:
     n: float
 
     def __post_init__(self):
-        if not (1e-6 <= self.nu <= 1e6):
-            raise InvalidInput(f"nu={self.nu!r} outside [1e-6, 1e6]")
+        _check_nu(self.nu)
         if not (self.n > 0 and math.isfinite(self.n)):
             raise InvalidInput(f"n={self.n!r} must be positive and finite")
 

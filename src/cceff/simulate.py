@@ -28,7 +28,7 @@ from .errors import (
     InvalidInput,
     NonConvergence,
 )
-from .estimators import CaseControlTable, Method, _one, _wald_lanes
+from .estimators import CaseControlTable, Method, _check_level, _one, _wald_lanes
 
 # The batch entry points, bound under the one-table names so that the layer
 # trace (perfbench/spans.py) counts each batch as one call of that fit.
@@ -70,24 +70,23 @@ class SimConfig:
     failures_reject: bool = False  # count failed replicates as rejections instead of non-rejections
 
     def __post_init__(self):
-        try:
-            replicates = operator.index(self.replicates)
-        except TypeError:
-            raise InvalidInput(f"replicates={self.replicates!r} must be an integer") from None
+        for name in ("replicates", "seed"):
+            try:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise InvalidInput(f"{name}={getattr(self, name)!r} must be an integer") from None
         try:
             methods = tuple(Method(m) for m in self.methods)
         except ValueError:
             methods = ()
         if not methods:
             raise InvalidInput(f"methods={self.methods!r} must name some of mar, adj, adjcon")
-        if replicates < 1:
+        if self.replicates < 1:
             raise InvalidInput("replicates must be at least 1")
-        if not (0.0 < self.level < 1.0):
-            raise InvalidInput("level must lie in (0, 1)")
+        _check_level(self.level)
         if self.f_supplied is not None and not (0.0 < self.f_supplied < 1.0):
             raise InvalidInput("f_supplied must lie in (0, 1)")
         _arm_sizes(self.design)
-        object.__setattr__(self, "replicates", replicates)
         object.__setattr__(self, "methods", methods)
 
 
@@ -290,7 +289,7 @@ def run_mc(config: SimConfig) -> MCReport:
             raise AllReplicatesFailed(
                 f"all {total} replicates failed for method {method.value}: {dict(failures)}"
             )
-        # Every FitResult of the batch fits is converged with se_gamma > 0.
+        # Every FitResult has se_gamma > 0.
         gammas = np.array([fit.gamma_hat for fit in ok])
         ses = np.array([fit.se_gamma for fit in ok])
         rejects = int(np.count_nonzero(_wald_lanes(gammas, ses, config.level)[2]))
@@ -429,8 +428,7 @@ def misspec_sweep(
     case and one control among them), raises InvalidInput before any row is
     computed.
     """
-    if not (0.0 < level < 1.0):
-        raise InvalidInput("level must lie in (0, 1)")
+    _check_level(level)
     if mc_confirm is not None:
         mc_n, mc_reps = mc_confirm
         mc_config = SimConfig(

@@ -183,6 +183,19 @@ class TestVariances:
         with pytest.raises(InvalidInput, match="exposure margin is not inside"):
             sigma_M_sq(PopulationParams(*point), 0.5)
 
+    @pytest.mark.parametrize("fn, nu", [
+        # These used to return inf, 0.0 and nan, raise BracketFailure after two
+        # RuntimeWarnings, and raise ZeroDivisionError.
+        (sigma_M_sq, 0.0),
+        (sigma_A_sq, -1.0),
+        (sigma_M_sq, math.nan),
+        (sigma_AC_sq, -1.0),
+        (asymptotic_constants, 0.0),
+    ])
+    def test_nu_outside_the_design_domain_is_invalid_input(self, canonical, fn, nu):
+        with pytest.raises(InvalidInput, match=r"nu=.* outside \[1e-6, 1e6\]"):
+            fn(canonical, nu)
+
     def test_adjustment_never_cheaper(self):
         rng = np.random.default_rng(16)
         for alpha, beta, gamma, theta, pi, nu in draw_params(rng, 300):
@@ -400,6 +413,10 @@ class TestPower:
         shift = math.sqrt(1000.0) * gpd / math.sqrt(sigma_M_sq(canonical, 1.0))
         want = statistics.NormalDist().cdf(-z + shift) + statistics.NormalDist().cdf(-z - shift)
         assert_allclose(asymptotic_power(Method.MAR, canonical, 1.0, 1000.0), want, rtol=1e-12)
+
+    def test_unknown_method_is_invalid_input(self, canonical):
+        with pytest.raises(InvalidInput, match="method='foo' must be one of mar, adj, adjcon"):
+            asymptotic_power("foo", canonical, 1.0, 1000.0)
 
     def test_method_accepts_strings(self, canonical):
         assert asymptotic_power("mar", canonical, 1.0, 1000.0) == asymptotic_power(

@@ -13,7 +13,6 @@ from cceff import (
     DesignParams,
     InvalidInput,
     Method,
-    NotConverged,
     PopulationParams,
     Separation,
     ZeroCell,
@@ -390,9 +389,10 @@ class TestWald:
             assert res.reject == (res.p_value < 0.05)
 
     def test_requires_convergence(self):
+        # Every fit function returns a positive se; only a hand-built fit lacks one.
         fit = fit_marginal(collapsed_table(25.0, 25.0, 25.0, 25.0))
-        object.__setattr__(fit, "converged", False)
-        with pytest.raises(NotConverged):
+        object.__setattr__(fit, "se_gamma", 0.0)
+        with pytest.raises(InvalidInput, match="no usable standard error"):
             wald_test(fit)
 
     @pytest.mark.parametrize("level", [0.0, 1.0, 2.0, -0.05, float("nan")])

@@ -161,7 +161,7 @@ class TestFitLanes:
                 if method is Method.ADJCON:
                     numbers += [fit.alpha_hat, fit.f]
                 assert all(type(x) is float for x in numbers)
-                assert type(fit.iterations) is int and type(fit.converged) is bool
+                assert type(fit.iterations) is int
 
 
 class TestWaldLanes:
@@ -179,7 +179,10 @@ class TestWaldLanes:
         assert np.all(np.abs(p_lane[-200:] - level) < 1e-12)
         assert 0 < np.count_nonzero(reject_lane[-200:]) < 200
         for g, s, z1, p1, r1 in zip(gamma.tolist(), se.tolist(), z_lane, p_lane, reject_lane):
-            fit = FitResult(Method.ADJ, g, s, (0.0, 0.0, g), 0.0, True, 1, np.eye(3))
+            fit = FitResult(
+                method=Method.ADJ, gamma_hat=g, se_gamma=s, params=(0.0, 0.0, g),
+                loglik=0.0, iterations=1, cov=np.eye(3),
+            )
             test = wald_test(fit, level)
             assert (test.z, test.p_value, test.reject) == (z1, p1, r1)
             assert (type(test.z), type(test.p_value), type(test.reject)) == (float, float, bool)

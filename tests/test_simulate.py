@@ -76,6 +76,8 @@ class TestSimConfig:
         {"methods": ()},
         {"design": DesignParams(1.0, 100.5)},
         {"design": DesignParams(1.0, 1.0)},
+        {"seed": 1.5},
+        {"seed": "1"},
     ])
     def test_rejects_values_outside_the_field_type_before_any_work(self, kw):
         with pytest.raises(InvalidInput):
@@ -84,6 +86,10 @@ class TestSimConfig:
     def test_integer_like_replicates_become_int(self):
         cfg = self.base(replicates=np.int64(10))
         assert cfg.replicates == 10 and type(cfg.replicates) is int
+
+    def test_integer_like_seed_becomes_int(self):
+        cfg = self.base(seed=np.int64(7))
+        assert cfg.seed == 7 and type(cfg.seed) is int
 
 
 class TestExpectedTable:
@@ -420,6 +426,14 @@ class TestMisspecSweep:
         monkeypatch.setattr(simulate_mod, "limiting_values", no_limits)
         with pytest.raises(InvalidInput, match="both case and control counts must be at least 1"):
             misspec_sweep(canonical, DesignParams(1.0, 1.0), [f1], mc_confirm=(1, 5))
+
+    def test_non_integer_seed_is_invalid_before_any_limit(self, canonical, monkeypatch):
+        def no_limits(*args):
+            raise AssertionError("a limit was computed")
+
+        monkeypatch.setattr(simulate_mod, "limiting_values", no_limits)
+        with pytest.raises(InvalidInput, match="seed=1.5 must be an integer"):
+            misspec_sweep(canonical, DesignParams(1.0, 1.0), [0.3], mc_confirm=(200, 3), seed=1.5)
 
     def test_mc_confirms_the_limit(self, canonical):
         rows = misspec_sweep(
