@@ -29,15 +29,15 @@ from scipy.special import expit
 
 from .model import alpha_from_prevalence, retro_distribution
 
-# flattened cell order matches CaseControlTable.w.ravel(): (d, i, j) C-order
-_D8 = np.array([0, 0, 0, 0, 1, 1, 1, 1], dtype=float)
-_I8 = np.array([0, 0, 1, 1, 0, 0, 1, 1], dtype=float)
-_J8 = np.array([0, 1, 0, 1, 0, 1, 0, 1], dtype=float)
-_IJ8 = np.column_stack([_I8, _J8])
-_NIJ8 = 1.0 - _IJ8
-# Per cell, the index into (log theta, log pi, log(1 - theta), log(1 - pi)).
-_LOG_X8 = np.where(_I8 == 1.0, 0, 2)
-_LOG_E8 = np.where(_J8 == 1.0, 1, 3)
+# The eight cells (d, i, j) in CaseControlTable.w.ravel() order are rows
+# d = 0, 1 over columns ij = 00, 01, 10, 11: _D2 is d per row, _IJ4 holds
+# (i, j) per column.
+_D2 = np.array([[[0.0]], [[1.0]]])
+_IJ4 = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=float)
+_NIJ4 = 1.0 - _IJ4
+# Per column, the index into (log theta, log pi, log(1 - theta), log(1 - pi)).
+_LOG_X4 = np.where(_IJ4[:, 0] == 1.0, 0, 2)
+_LOG_E4 = np.where(_IJ4[:, 1] == 1.0, 1, 3)
 # A per-unit log-likelihood ll is taken to round at _LL_ROUNDING * (1 + |ll|).
 _LL_ROUNDING = 1e-14
 
@@ -52,48 +52,59 @@ def f_derivs(alpha, beta, gamma, theta, pi):
     added in C order (00, 01, 10, 11), as accumulating per-cell arrays
     gives, lane by lane, so each lane is bitwise what a one-lane call gives.
     """
+    grad, hess = _cell_derivs(alpha, beta, gamma, theta, pi)[:2]
+    return np.moveaxis(grad, 0, -1), np.moveaxis(hess, (0, 1), (-2, -1))
+
+
+def _cell_derivs(alpha, beta, gamma, theta, pi):
+    """``f_derivs``, and eta, p = expit(eta) and v = p (1 - p), lanes last.
+
+    For arguments of shape L the results have shapes (5,) + L, (5, 5) + L
+    and (4,) + L, the cells 00, 01, 10, 11 first.
+    """
     alpha, beta, gamma, theta, pi = (
         np.asarray(x, dtype=float) for x in (alpha, beta, gamma, theta, pi)
     )
-    cells = alpha.shape + (4,)
-    p = np.empty(cells)  # eta of cells 00, 01, 10, 11; cell 11 is (alpha + beta) + gamma
-    p[..., 0] = alpha
-    np.add(alpha, gamma, out=p[..., 1])
-    np.add(alpha, beta, out=p[..., 2])
-    np.add(p[..., 2], gamma, out=p[..., 3])
-    p = expit(p)
-    v = p * (1.0 - p)
-    tx, te = np.empty(cells), np.empty(cells)  # tx_i and te_j of each cell
-    tx[..., :2], tx[..., 2:] = (1.0 - theta)[..., None], theta[..., None]
-    te[..., ::2], te[..., 1::2] = (1.0 - pi)[..., None], pi[..., None]
-    w = tx * te
-    terms = np.empty(alpha.shape + (7, 4))
-    np.multiply(v, w, out=terms[..., 0, :])
-    np.multiply(p, te, out=terms[..., 1, :])
-    np.multiply(p, tx, out=terms[..., 2, :])
-    np.multiply(v * (1.0 - 2.0 * p), w, out=terms[..., 3, :])
-    np.multiply(v, te, out=terms[..., 4, :])
-    np.multiply(v, tx, out=terms[..., 5, :])
-    terms[..., 6, :] = p
+    lanes = alpha.shape
+    eta = np.empty((4,) + lanes)  # cell 11 is (alpha + beta) + gamma
+    eta[0] = alpha
+    np.add(alpha, gamma, out=eta[1, ...])
+    np.add(alpha, beta, out=eta[2, ...])
+    np.add(eta[2], gamma, out=eta[3, ...])
+    # Every per-cell term is a row of (p, v, v (1 - 2p)) times a row of
+    # (1, tx, te, w): tx_i and te_j of the cell and w = tx * te.
+    pv = np.empty((3, 4) + lanes)
+    p = expit(eta, out=pv[0])
+    v = np.multiply(p, 1.0 - p, out=pv[1])
+    np.multiply(v, 1.0 - 2.0 * p, out=pv[2])
+    mix = np.empty((4, 4) + lanes)
+    mix[0] = 1.0
+    mix[1, :2], mix[1, 2:] = 1.0 - theta, theta
+    mix[2, ::2], mix[2, 1::2] = 1.0 - pi, pi
+    np.multiply(mix[1], mix[2], out=mix[3])
+    terms = (pv[:, None] * mix).reshape((12, 4) + lanes)
     # Each entry is a signed sum of one term over the cells.  A four-element
     # sum runs left to right, zero coefficients add exact zeros, and the
     # final + 0.0 turns a -0.0 total into the 0.0 a sum that starts at 0.0
     # gives, so each entry is bitwise 0.0 + its cell terms in C order.
-    entries = (terms[..., _F_TERM, :] * _F_SIGN).sum(axis=-1) + 0.0
-    entries = np.concatenate([entries, np.zeros_like(entries[..., :1])], axis=-1)
-    return entries[..., :5], entries[..., _F_HESS].reshape(entries.shape[:-1] + (5, 5))
+    entries = np.empty((len(_F_ENTRIES) + 1,) + lanes)  # the last one is 0.0
+    sign = _F_SIGN.reshape(_F_SIGN.shape + (1,) * len(lanes))
+    np.add.reduce(terms[_F_TERM] * sign, axis=1, out=entries[:-1])
+    entries[:-1] += 0.0
+    entries[-1] = 0.0
+    return entries[:5], entries[_F_HESS].reshape((5, 5) + lanes), eta, p, v
 
 
-# Entries of f_derivs: (term, signs over cells 00, 01, 10, 11).  The terms are
-# v*w, p*te, p*tx, v*(1 - 2p)*w, v*te, v*tx and p; d/dtheta of w_ij is -/+ te_j
-# and d/dpi is -/+ tx_i.
+# Entries of f_derivs: (term, signs over cells 00, 01, 10, 11).  Term 4r + c
+# is row r of (p, v, v*(1 - 2p)) times row c of (1, tx, te, w); d/dtheta of
+# w_ij is -/+ te_j and d/dpi is -/+ tx_i.
 _F_ENTRIES = {
-    "g0": (0, (1, 1, 1, 1)), "g1": (0, (0, 0, 1, 1)), "g2": (0, (0, 1, 0, 1)),
-    "g3": (1, (-1, -1, 1, 1)), "g4": (2, (-1, 1, -1, 1)),
-    "h00": (3, (1, 1, 1, 1)), "h01": (3, (0, 0, 1, 1)), "h02": (3, (0, 1, 0, 1)),
-    "h12": (3, (0, 0, 0, 1)), "h03": (4, (-1, -1, 1, 1)), "h13": (4, (0, 0, 1, 1)),
-    "h23": (4, (0, -1, 0, 1)), "h04": (5, (-1, 1, -1, 1)), "h14": (5, (0, 0, -1, 1)),
-    "h24": (5, (0, 1, 0, 1)), "h34": (6, (1, -1, -1, 1)),
+    "g0": (7, (1, 1, 1, 1)), "g1": (7, (0, 0, 1, 1)), "g2": (7, (0, 1, 0, 1)),
+    "g3": (2, (-1, -1, 1, 1)), "g4": (1, (-1, 1, -1, 1)),
+    "h00": (11, (1, 1, 1, 1)), "h01": (11, (0, 0, 1, 1)), "h02": (11, (0, 1, 0, 1)),
+    "h12": (11, (0, 0, 0, 1)), "h03": (6, (-1, -1, 1, 1)), "h13": (6, (0, 0, 1, 1)),
+    "h23": (6, (0, -1, 0, 1)), "h04": (5, (-1, 1, -1, 1)), "h14": (5, (0, 0, -1, 1)),
+    "h24": (5, (0, 1, 0, 1)), "h34": (0, (1, -1, -1, 1)),
 }
 _F_TERM = np.array([term for term, _ in _F_ENTRIES.values()])
 _F_SIGN = np.array([sign for _, sign in _F_ENTRIES.values()], dtype=float)
@@ -111,25 +122,6 @@ _F_HESS = np.array(
 )
 
 
-def alpha_derivs(alpha, beta, gamma, theta, pi):
-    """d(alpha)/ds and d2(alpha)/ds2 along the prevalence level set, s = (beta, gamma, theta, pi).
-
-    Implicit differentiation of F(alpha(s), s) = f, lane by lane like
-    ``f_derivs``: shapes (..., 4) and (..., 4, 4).
-    """
-    grad, hess = f_derivs(alpha, beta, gamma, theta, pi)
-    fa = grad[..., :1]
-    a_s = -grad[..., 1:] / fa
-    fas = hess[..., 0, 1:]
-    a_ss = -(
-        hess[..., 1:, 1:]
-        + fas[..., :, None] * a_s[..., None, :]
-        + a_s[..., :, None] * fas[..., None, :]
-        + hess[..., :1, :1] * (a_s[..., :, None] * a_s[..., None, :])
-    ) / fa[..., None]
-    return a_s, a_ss
-
-
 def profile_parts(f, s):
     """Per-cell log-likelihood, gradient, and Hessian in s at prevalence f.
 
@@ -139,42 +131,62 @@ def profile_parts(f, s):
     cannot be inverted has alpha NaN.  Every operation is elementwise per
     lane (squares by ``np.float_power``, which rounds as Python's ``**``
     does), so each lane is bitwise what a one-lane call gives.
-    """
-    beta, gamma, theta, pi = (s[..., k] for k in range(4))
-    alpha = alpha_from_prevalence(f, beta, gamma, theta, pi)
-    a_s, a_ss = alpha_derivs(alpha, beta, gamma, theta, pi)
-    eta = alpha[..., None] + beta[..., None] * _I8 + gamma[..., None] * _J8
-    p = expit(eta)
-    v = p * (1.0 - p)
-    resid = _D8 - p
 
-    es = np.empty(eta.shape + (4,))
-    es[:] = a_s[..., None, :]
-    es[..., :2] += _IJ8
+    The parts are built lanes last and cell (d, i, j) as row d, column
+    2i + j.  Whatever does not depend on d (eta, p, v, log(1 + e^eta), the
+    alpha-derivative rows and the covariate terms) is computed once per
+    column and broadcast over the two rows; eta comes from ``f_derivs``'
+    cells, which for finite s differ from alpha + beta*i + gamma*j at most
+    in the sign of a zero, and no result depends on that sign.
+    """
+    n = len(s)
+    beta, gamma, theta, pi = s.T
+    alpha = alpha_from_prevalence(f, beta, gamma, theta, pi)
+    grad, hess, eta, p, v = _cell_derivs(alpha, beta, gamma, theta, pi)
+    # alpha(s) by implicit differentiation of F(alpha(s), s) = f.
+    fa = grad[0]
+    a_s = -grad[1:] / fa
+    cross = hess[0, 1:, None] * a_s  # its transpose is a_s[:, None] * hess[0, 1:]
+    a_ss = -(
+        hess[1:, 1:] + cross + cross.transpose(1, 0, 2) + hess[0, 0] * (a_s[:, None] * a_s)
+    ) / fa
+    resid = _D2 - p
+
+    es = np.empty((4, 4, n))  # d(eta)/ds per column
+    es[:] = a_s
+    es[:, :2] += _IJ4[:, :, None]
 
     # The cell's covariate and exposure terms: log theta or log(1 - theta),
     # then log pi or log(1 - pi).  The other indicator's term is an exact
     # zero, and adding it leaves a sum unchanged, so the sum is bitwise the
     # four indicator-weighted terms added in turn.
-    logs = np.empty(s.shape)
-    np.log(s[..., 2:], out=logs[..., :2])
-    np.log1p(-s[..., 2:], out=logs[..., 2:])
+    tp = s.T[2:]
+    logs = np.empty((4, n))
+    np.log(tp, out=logs[:2])
+    np.log1p(-tp, out=logs[2:])
+    # The parts are returned lanes first, in C order (the weighted sums'
+    # rounding depends on the layout), and written through views of them
+    # with the lanes last: (d, column, ..., lane).
+    l8, g8, H8 = np.empty((n, 8)), np.empty((n, 8, 4)), np.empty((n, 8, 4, 4))
+    lv = l8.reshape(n, 2, 4).transpose(1, 2, 0)
+    gv = g8.reshape(n, 2, 4, 4).transpose(1, 2, 3, 0)
+    hv = H8.reshape(n, 2, 4, 4, 4).transpose(1, 2, 3, 4, 0)
     with np.errstate(invalid="ignore"):  # logaddexp warns at a NaN alpha
-        l8 = _D8 * eta - np.logaddexp(0.0, eta) + logs[..., _LOG_X8] + logs[..., _LOG_E8]
+        np.subtract(_D2 * eta, np.logaddexp(0.0, eta), out=lv)
+    lv += logs[_LOG_X4]
+    lv += logs[_LOG_E4]
 
-    # Columns 2 and 3 take the theta and pi terms side by side; every element
-    # sees the same operations as a column-at-a-time update.
-    tp = s[..., None, 2:]
-    g8 = resid[..., None] * es
-    g8[..., 2:] += _IJ8 / tp - _NIJ8 / (1.0 - tp)
+    # Parameters 2 and 3 take the theta and pi terms side by side; every
+    # element sees the same operations as a parameter-at-a-time update.
+    otp = 1.0 - tp
+    np.multiply(resid[:, :, None], es, out=gv)
+    gv[:, :, 2:] += _IJ4[:, :, None] / tp - _NIJ4[:, :, None] / otp
 
-    H8 = (
-        -v[..., None, None] * (es[..., :, None] * es[..., None, :])
-        + resid[..., None, None] * a_ss[..., None, :, :]
-    )
-    tp2 = np.float_power(tp, 2.0)
-    otp2 = np.float_power(1.0 - tp, 2.0)
-    H8[..., (2, 3), (2, 3)] -= _IJ8 / tp2 + _NIJ8 / otp2
+    np.add(-v[:, None, None] * (es[:, :, None] * es[:, None]), resid[:, :, None, None] * a_ss,
+           out=hv)
+    curv = _IJ4[:, :, None] / np.float_power(tp, 2.0) + _NIJ4[:, :, None] / np.float_power(otp, 2.0)
+    hv[:, :, 2, 2] -= curv[:, 0]
+    hv[:, :, 3, 3] -= curv[:, 1]
     return alpha, l8, g8, H8
 
 
@@ -300,7 +312,7 @@ def _ascent_directions(g, h):
     direction = direction[:, :, 0]
     gd = _dot(g, direction)
     fallback = singular | (gd <= 0.0)
-    if fallback.any():
+    if np.count_nonzero(fallback):
         gf = g[fallback]
         direction[fallback] = gf / np.maximum(1.0, _max_abs(gf))[:, None]
         gd[fallback] = _dot(gf, direction[fallback])
@@ -311,8 +323,9 @@ def _ascent_directions(g, h):
 # failed.  An evaluation's cost is mostly per call, not per lane, and the
 # sparse-design AdjCon fits that halve their step 15 to 60 times (against
 # 0 for nearly every other fit) then take 2 or 3 rounds instead of up to
-# 60.  With 16, 32 and 64 the mc_sparse fits took the same time within 4 %
-# (medians of 15 runs; 2-vCPU Xeon VM, Python 3.11, numpy 2.4, scipy 1.17).
+# 60.  With 16 and 64 the mc_sparse fits took 3 % and 2 % more time than
+# with 32, inside the noise (medians of 12 alternated runs, in process;
+# 2-vCPU Xeon VM, Python 3.11, numpy 2.4, scipy 1.17).
 _SPECULATE = 32
 
 
@@ -387,39 +400,48 @@ def newton_ascent(evaluate, x, in_box, gtol, max_iter, accept):
             # time, and then up to _SPECULATE candidates a round.  Each lane
             # takes the candidate that the one-lane search, trying them in
             # turn, would stop at.
-            wide = halvings or halved[active[searching]].any()
+            lanes, pos = active[searching], searching
+            wide = halvings or np.count_nonzero(halved[lanes])
             k = min(max(1, _SPECULATE // len(searching)) if wide else 1, 60 - halvings)
-            scales = np.ldexp(1.0, -np.arange(halvings, halvings + k))
+            if k == 1:  # candidate r is the r-th searching lane's
+                scale = np.full(len(searching), 0.5**halvings)
+            else:
+                lanes, pos = np.repeat(lanes, k), np.repeat(pos, k)
+                scale = np.tile(np.ldexp(1.0, -np.arange(halvings, halvings + k)), len(searching))
             halvings += k
-            lanes = np.repeat(active[searching], k)
-            pos = np.repeat(searching, k)
-            scale = np.tile(scales, len(searching))
             cand = x[lanes] + scale[:, None] * direction[pos]
-            inside = np.flatnonzero(in_box(cand))
+            # The candidates inside the box are evaluated; when that is all
+            # of them they are taken by a slice, not an index array.
+            inside = in_box(cand)
+            evaluated = np.count_nonzero(inside)
+            inside = slice(None) if evaluated == len(cand) else np.flatnonzero(inside)
             verdict = np.zeros(len(cand), dtype=np.int8)  # 1 accepted, 2 failed
-            if inside.size:
+            if evaluated:
                 new = evaluate(cand[inside], lanes[inside])
                 ll_new, at = new[0], pos[inside]
                 improved = ll_new >= ll[at] + 1e-4 * scale[inside] * gd[at]
                 closer = (ll_new >= ll_floor[at]) & (_max_abs(new[1]) < stop_norm[at])
                 verdict[inside] = np.where(np.isnan(ll_new), 2, (improved | closer).astype(np.int8))
             verdict = verdict.reshape(len(searching), k)
-            stops = np.flatnonzero(verdict.any(axis=1))
-            picked = stops * k + verdict[stops].argmax(axis=1)
-            failed[lanes[picked[verdict.ravel()[picked] == 2]]] = True
-            took = verdict.ravel()[picked] == 1
+            stopped = verdict.any(axis=1)
+            picked = np.flatnonzero(stopped)
+            if k > 1:
+                picked = picked * k + verdict[picked].argmax(axis=1)
+            kind = verdict.ravel()[picked]
+            failed[lanes[picked[kind == 2]]] = True
+            picked = picked[kind == 1]
             # A lane whose accepted candidate is bitwise its point is at an
             # exact fixed point: it stops without moving.
-            took[took] = np.any(cand[picked[took]] != x[lanes[picked[took]]], axis=1)
-            picked = picked[took]
+            picked = picked[np.any(cand[picked] != x[lanes[picked]], axis=1)]
             if picked.size:
-                halved[lanes[picked]] = scale[picked] < 1.0
-                x[lanes[picked]] = cand[picked]
-                rows = np.searchsorted(inside, picked)
+                to = lanes[picked]
+                halved[to] = scale[picked] < 1.0
+                x[to] = cand[picked]
+                rows = picked if isinstance(inside, slice) else np.searchsorted(inside, picked)
                 for part, value in zip(state, new):
-                    part[lanes[picked]] = value[rows]
+                    part[to] = value[rows]
                 moved[pos[picked]] = True
-            searching = np.delete(searching, stops)
+            searching = searching[~stopped]
         active = active[moved]
         if not active.size:
             break

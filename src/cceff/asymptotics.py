@@ -8,8 +8,10 @@ ARE expansion e_P(Mar, AdjCon) = 1 + tau*rho^2 + O(rho^3) with rho = e^alpha,
 and two-sided Wald power.  Marginal and covariate-stratified variances
 follow Woolf and Gart (1962) respectively; the constrained variance comes
 from the exact Fisher information of the constrained model.  The one-point
-variances and ``asymptotic_constants`` first reject, with InvalidInput, a
-case:control ratio nu outside ``DesignParams``' domain.
+variances, ``asymptotic_constants`` and the scalar closed forms that take nu
+first reject, with InvalidInput, a case:control ratio nu outside
+``DesignParams``' domain, and those that take theta or pi also a value
+outside ``PopulationParams``' bounds.
 """
 
 from dataclasses import dataclass
@@ -27,6 +29,7 @@ from .model import (
     PopulationParams,
     _alpha_error,
     _check_nu,
+    _check_prob,
     _retro_lanes,
     alpha_from_prevalence,
     prevalence_at,
@@ -208,8 +211,20 @@ def _variance_lanes(r, nu):
     return var_m, var_a, bad_m, bad_a
 
 
+def _check_closed_form(nu, **probs):
+    """Raise InvalidInput unless nu and the named probabilities lie in the model's domain."""
+    _check_nu(nu)
+    for name, v in probs.items():
+        _check_prob(name, v)
+
+
 def sigma0_sq(nu: float, pi: float) -> float:
     """Common null variance (2 + nu + 1/nu)/{pi(1 - pi)}."""
+    _check_closed_form(nu, pi=pi)
+    return _sigma0_sq(nu, pi)
+
+
+def _sigma0_sq(nu, pi):
     return (2.0 + nu + 1.0 / nu) / (pi * (1.0 - pi))
 
 
@@ -250,6 +265,11 @@ def _sigma_AC_lanes(f, s, p_case, p_ctrl, nu):
 
 def lambda_ratio(alpha, beta, theta, nu):
     """gamma -> 0 limit of sigma_A_sq / sigma_M_sq; at least 1, equal 1 iff beta = 0."""
+    _check_closed_form(nu, theta=theta)
+    return _lambda_ratio(alpha, beta, theta, nu)
+
+
+def _lambda_ratio(alpha, beta, theta, nu):
     if beta == 0.0:
         return 1.0
     # (1 + e^(alpha+beta))/(1 + e^alpha) computed through logaddexp for large |alpha|
@@ -261,6 +281,7 @@ def lambda_ratio(alpha, beta, theta, nu):
 
 def lambda0(beta, theta, nu):
     """Rare-outcome limit of lambda: 1 + nu theta(1-theta)(1-e^beta)^2 / [(1+nu){(1-theta+e^beta theta)^2 + nu e^beta}]."""
+    _check_closed_form(nu, theta=theta)
     em = math.expm1(beta)
     c = 1.0 + theta * em
     return 1.0 + nu * theta * (1.0 - theta) * em * em / (
@@ -270,8 +291,13 @@ def lambda0(beta, theta, nu):
 
 def pitman_are_M_vs_A(alpha, beta, theta, nu):
     """Pitman ARE of the marginal test relative to the adjusted test."""
+    _check_closed_form(nu, theta=theta)
+    return _are_M_vs_A(alpha, beta, theta, nu)
+
+
+def _are_M_vs_A(alpha, beta, theta, nu):
     slope = attenuation_slope(alpha, beta, theta)
-    return slope * slope * lambda_ratio(alpha, beta, theta, nu)
+    return slope * slope * _lambda_ratio(alpha, beta, theta, nu)
 
 
 def pitman_are_M_vs_AC(alpha, beta, theta, pi, nu):
@@ -282,6 +308,7 @@ def pitman_are_M_vs_AC(alpha, beta, theta, pi, nu):
     has no closed form) while the marginal variance at gamma = 0 is exactly
     sigma0_sq.
     """
+    _check_closed_form(nu, theta=theta, pi=pi)
     if beta == 0.0:
         return 1.0
     var = sigma_AC_sq(PopulationParams(alpha, beta, 1e-8, theta, pi), nu)
@@ -291,7 +318,7 @@ def pitman_are_M_vs_AC(alpha, beta, theta, pi, nu):
 def _are_M_vs_AC(alpha, beta, theta, pi, nu, var_ac0):
     """``pitman_are_M_vs_AC`` from the constrained variance at gamma = 1e-8."""
     slope = attenuation_slope(alpha, beta, theta)
-    return slope * slope * var_ac0 / sigma0_sq(nu, pi)
+    return slope * slope * var_ac0 / _sigma0_sq(nu, pi)
 
 
 def pitman_tau(beta, theta, nu):
@@ -300,6 +327,7 @@ def pitman_tau(beta, theta, nu):
     tau <= 0 with equality iff beta = 0: adjusting with the constraint never
     loses local power for rare outcomes, to second order.
     """
+    _check_closed_form(nu, theta=theta)
     em = math.expm1(beta)
     eb = math.exp(beta)
     b1, b2 = b_factors(beta, theta)
@@ -448,7 +476,7 @@ def theory_curve(f_values, beta, gamma, theta, pi, nu, n, level=0.05):
                 power_mar=_wald_power(gamma + delta, vm, n, z),
                 power_adj=_wald_power(gamma, va, n, z),
                 power_adjcon=_wald_power(gamma, v, n, z),
-                ep_M_vs_A=pitman_are_M_vs_A(alpha, beta, theta, nu),
+                ep_M_vs_A=_are_M_vs_A(alpha, beta, theta, nu),
                 ep_M_vs_AC=_are_M_vs_AC(alpha, beta, theta, pi, nu, *v0) if v0 else 1.0,
                 f_star=f_star,
                 alpha_star=alpha_star,

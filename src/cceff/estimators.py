@@ -369,7 +369,9 @@ def _constrained_eval(w, f, zeta):
     scale[:, 2:] = s[:, 2:] * (1.0 - s[:, 2:])
     g_z = g_s * scale
     h_z = h_s * (scale[:, :, None] * scale[:, None, :])
-    h_z[:, (2, 3), (2, 3)] += g_s[:, 2:] * scale[:, 2:] * (1.0 - 2.0 * s[:, 2:])
+    curv = g_s[:, 2:] * scale[:, 2:] * (1.0 - 2.0 * s[:, 2:])
+    h_z[:, 2, 2] += curv[:, 0]
+    h_z[:, 3, 3] += curv[:, 1]
     return ll, g_s, g_z, h_z, alpha, h_s
 
 

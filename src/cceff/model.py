@@ -58,11 +58,7 @@ class PopulationParams:
             if not math.isfinite(v) or abs(v) > _COEF_BOUND:
                 raise InvalidInput(f"{name}={v!r} outside [-{_COEF_BOUND:g}, {_COEF_BOUND:g}]")
         for name in ("theta", "pi"):
-            v = getattr(self, name)
-            if not (_PROB_MARGIN <= v <= 1.0 - _PROB_MARGIN):
-                raise InvalidInput(
-                    f"{name}={v!r} outside [{_PROB_MARGIN:g}, {1.0 - _PROB_MARGIN:g}]"
-                )
+            _check_prob(name, getattr(self, name))
 
     @cached_property
     def f(self) -> float:
@@ -82,6 +78,12 @@ class PopulationParams:
         for x in (r.p_case, r.p_ctrl, r.d_mat, r.h_mat):
             x.flags.writeable = False
         return r
+
+
+def _check_prob(name, v):
+    """Raise InvalidInput unless the probability v, called name, lies in [1e-8, 1 - 1e-8]."""
+    if not (_PROB_MARGIN <= v <= 1.0 - _PROB_MARGIN):
+        raise InvalidInput(f"{name}={v!r} outside [{_PROB_MARGIN:g}, {1.0 - _PROB_MARGIN:g}]")
 
 
 def _check_nu(nu):
@@ -173,13 +175,14 @@ def _alpha_error(f):
 # Bisection midpoints evaluated ahead in one batch by a lane still iterating
 # after _CHAIN_AFTER steps, see alpha_from_prevalence.  Safeguarded Newton
 # converges in about 7 steps; a lane whose Newton step rounds onto the
-# bracket end bisects back from the far end, about 50 steps.  Over the 26
-# inversions of the mc_sparse fits (3 blocks of 6 tables), chains of 32
-# points took 7 % more time than 48 and 64 points 2 % less (inside the
-# noise); starting them after 6 or 10 steps instead of 8 took 4-6 % more.
-# Over 125 inversions of 128-table blocks at that point, those four took
-# 12 %, 8 %, 20 % and 7 % more (paired medians of 30 runs, 2-vCPU VM,
-# Python 3.11, numpy 2.4).
+# bracket end bisects back from the far end, about 50 steps.  A chained pass
+# costs several plain passes, so chains start only once plain Newton has
+# had its steps.  Timed per benchmark pass over the inversions of the
+# mc_sparse fits and of the closed_form calls, chains of 32 points took 7 %
+# and 15 % more time than 48, and 64 points 0 % and 4 % more; starting
+# them after 6 or 10 steps instead of 8 took 10 % and 9 %, or 9 % and 4 %,
+# more (medians of 10 alternated runs, in process; 2-vCPU Xeon VM, Python
+# 3.11, numpy 2.4, scipy 1.17).
 _CHAIN = 48
 _CHAIN_AFTER = 8
 _POW2 = 2.0 ** np.arange(_CHAIN)
@@ -193,23 +196,45 @@ _TINY = np.finfo(float).tiny
 def _newton_step(a, ga, slope, lo, hi):
     """One safeguarded Newton step of alpha_from_prevalence, elementwise.
 
-    Returns the next point, the new bracket, whether the point lies above
-    the root, whether the Newton step stayed inside the bracket (otherwise
-    it bisects), and whether the lane ends there.  A slope of 0 gives an
+    Moves the bracket (lo, hi) in place: the end on a's side of the root
+    becomes a.  Returns the next point, whether a lies above the root,
+    whether the Newton step stayed inside the bracket (otherwise it
+    bisects), and whether the lane ends there.  A slope of 0 gives an
     infinite step, hence a bisection; an exact root keeps its point.
     """
     up = ga > 0.0
-    hi = np.where(up, a, hi)
-    lo = np.where(up, lo, a)
+    np.copyto(hi, a, where=up)
+    np.copyto(lo, a, where=~up)
     a_new = a - ga / slope  # a + (-ga / slope), exactly
     inside = (lo < a_new) & (a_new < hi)
-    np.copyto(a_new, 0.5 * (lo + hi), where=~inside)
-    end = np.abs(a_new - a) <= 1e-15 * (1.0 + np.abs(a_new))
-    root = ga == 0.0
-    if np.count_nonzero(root):
+    nxt = lo + hi
+    nxt *= 0.5
+    np.copyto(nxt, a_new, where=inside)
+    end = np.abs(nxt - a) <= 1e-15 * (1.0 + np.abs(nxt))
+    if np.count_nonzero(ga) < ga.size:
+        root = ga == 0.0
         end |= root
-        np.copyto(a_new, a, where=root)
-    return a_new, lo, hi, up, inside, end
+        np.copyto(nxt, a, where=root)
+    return nxt, up, inside, end
+
+
+def _prevalence_gap(a, f, gamma, w, shift):
+    """Prevalence minus f, and its alpha-slope, at the points a of each lane.
+
+    a has shape (n,) or (n, k), k points per lane, and the lane constants
+    broadcast against it, cells first: cells 00, 01, 10 are a + shift =
+    a + (0, gamma, beta) and cell 11 is (a + beta) + gamma, weighted by w.
+    Summing over the cell axis adds the four cells left to right.
+    """
+    eta = np.empty((4,) + a.shape)
+    np.add(a, shift, out=eta[:3])
+    np.add(eta[2], gamma, out=eta[3])
+    p = expit(eta, out=eta)
+    vw = 1.0 - p
+    vw *= p
+    vw *= w
+    p *= w
+    return np.add.reduce(p, axis=0) - f, np.add.reduce(vw, axis=0)
 
 
 def alpha_from_prevalence(f, beta, gamma, theta, pi):
@@ -230,10 +255,11 @@ def alpha_from_prevalence(f, beta, gamma, theta, pi):
     Lane-exact: every lane does the operations a one-lane call does, in the
     same order (the four cells summed left to right in C order, as np.sum
     sums four elements; ``expit``, never ``np.exp``), so its alpha is
-    bitwise the same whatever the other lanes hold.  A lane that keeps
-    bisecting toward one end of its bracket evaluates the coming midpoints
-    ahead, in one batch, and replays its steps in order, which changes no
-    result.
+    bitwise the same whatever the other lanes hold.  Every pass steps every
+    lane, and a lane's result is written on the pass it ends; a lane that
+    has ended is stepped on unread.  A lane that keeps bisecting toward one
+    end of its bracket evaluates the coming midpoints ahead, in one batch,
+    and replays its steps in order, which changes no result.
     """
     args = [np.asarray(x, dtype=float) for x in (f, beta, gamma, theta, pi)]
     shape = np.broadcast(*args).shape
@@ -242,44 +268,32 @@ def alpha_from_prevalence(f, beta, gamma, theta, pi):
     )
     if not f.size:
         return np.empty(shape)
-    bad = ~((0.0 < f) & (f < 1.0))
-    if shape == () and bad[0]:
-        raise _alpha_error(f[0])
-    f = np.where(bad, 0.5, f)
+    failed = ~((0.0 < f) & (f < 1.0))
+    if np.count_nonzero(failed):
+        if shape == ():
+            raise _alpha_error(f[0])
+        f = np.where(failed, 0.5, f)
     t0, e0 = 1.0 - theta, 1.0 - pi
-    # Per-lane constants, shaped to broadcast over the points of a lane.
-    w = np.empty((len(f), 1, 4))
+    # Per-lane constants of _prevalence_gap, lanes last; lane2 broadcasts
+    # over k points a lane.
+    w = np.empty((4, len(f)))
     for k, (tx, te) in enumerate(((t0, e0), (t0, pi), (theta, e0), (theta, pi))):
-        np.multiply(tx, te, out=w[:, 0, k])
-    shift = np.zeros((len(f), 1, 3))
-    shift[:, 0, 1], shift[:, 0, 2] = gamma, beta
-    lane = (f[:, None], gamma[:, None], w, shift)
-
-    def g(a, lane):
-        # Prevalence minus f, and its alpha-slope, at points a of shape (n,)
-        # or (n, k), k points per lane: cells 00, 01, 10 are
-        # a + (0, gamma, beta) and cell 11 is (a + beta) + gamma.
-        f, gamma, w, shift = lane
-        at = a.reshape(len(a), -1, 1)
-        eta = np.empty(at.shape[:2] + (4,))
-        np.add(at, shift, out=eta[..., :3])
-        np.add(eta[..., 2], gamma, out=eta[..., 3])
-        p = expit(eta)
-        pw = p * w
-        vw = p * (1.0 - p)
-        vw *= w
-        val = np.add.reduce(pw, axis=-1) - f
-        return val.reshape(a.shape), np.add.reduce(vw, axis=-1).reshape(a.shape)
+        np.multiply(tx, te, out=w[k])
+    shift = np.zeros((3, len(f)))
+    shift[1], shift[2] = gamma, beta
+    lane = (f, gamma, w, shift)
+    lane2 = tuple(x[..., None] for x in lane)
 
     # The bracket logit(f) -/+ spread holds logit(f), where Newton starts:
     # the three points are evaluated together.
     spread = np.abs(beta) + np.abs(gamma)
-    center = logit(f)
-    lo, hi = center - spread, center + spread
-    g_start, slope_start = g(np.stack([lo, hi, center], axis=1), lane)
-    failed = bad.copy()
+    start = np.empty((len(f), 3))
+    a = logit(f, out=start[:, 2])
+    lo = np.subtract(a, spread, out=start[:, 0])
+    hi = np.add(a, spread, out=start[:, 1])
+    g_start, slope_start = _prevalence_gap(start, *lane2)
     # Widening is needed only where an end of the start bracket misses the root.
-    if np.any((g_start[:, 0] > 0.0) | (g_start[:, 1] < 0.0)):
+    if np.count_nonzero((g_start[:, 0] > 0.0) | (g_start[:, 1] < 0.0)):
         for end, sign, g_end in ((lo, 1.0, g_start[:, 0]), (hi, -1.0, g_start[:, 1])):
             # Widen this end of the bracket (lo, then hi) in doubling steps
             # up to |alpha| = 750 while the root lies beyond it, or fail.
@@ -290,26 +304,22 @@ def alpha_from_prevalence(f, beta, gamma, theta, pi):
                 grow &= ~failed
                 np.copyto(end, sign * np.maximum(sign * end - width, -750.0), where=grow)
                 width = np.where(grow, width * 2.0, width)
-                grow &= sign * g(end, lane)[0] > 0.0
+                grow &= sign * _prevalence_gap(end, *lane)[0] > 0.0
 
     out = np.full(f.shape, np.nan)
-    idx = np.flatnonzero(~failed)
-    a, ga, slope = center, g_start[:, 2], slope_start[:, 2]
-    all_lanes = lane
-    if len(idx) < len(f):
-        a, lo, hi, ga, slope = (x[idx] for x in (a, lo, hi, ga, slope))
-        lane = tuple(x[idx] for x in lane)
-    chain = np.zeros(len(idx), dtype=np.int8)  # +1/-1: last step bisected toward hi/lo
-    iterations = np.zeros(len(idx), dtype=int)
+    live = ~failed
+    ga, slope = g_start[:, 2], slope_start[:, 2]
+    bisecting = np.zeros(len(f), dtype=bool)  # live, and the last step bisected (toward lo if up)
+    iterations = np.zeros(len(f), dtype=int)
     passes = 0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        while idx.size:
+        while np.count_nonzero(live):
             passes += 1
-            if passes <= _CHAIN_AFTER or not np.count_nonzero(chain):
+            if passes <= _CHAIN_AFTER or not np.count_nonzero(bisecting):
                 if passes > 1:
-                    ga, slope = g(a, lane)
-                a, lo, hi, up, inside, end = _newton_step(a, ga, slope, lo, hi)
-                steps = 1
+                    ga, slope = _prevalence_gap(a, *lane)
+                a, up, inside, end = _newton_step(a, ga, slope, lo, hi)
+                iterations += 1
             else:
                 # A lane still iterating whose last step bisected toward one
                 # bracket end (its Newton step overshot that end) also
@@ -322,39 +332,41 @@ def alpha_from_prevalence(f, beta, gamma, theta, pi):
                 # finite for |alpha| <= 750, and a used step moves more than
                 # 1e-15, so no used midpoint is subnormal), and one
                 # sequential add.accumulate builds every chain.  Any other
-                # lane takes one step, from column 0.
-                fixed = np.where(chain > 0, hi, lo)
-                c = np.empty((len(a), _CHAIN))
-                c[:, 0] = a
-                np.multiply(fixed[:, None], _POW2[:-1], out=c[:, 1:])
+                # live lane takes one step, from column 0.
+                at = np.flatnonzero(live)
+                to_hi = ~up[at, None]  # where the lane bisects toward hi
+                lo_at, hi_at = lo[at, None], hi[at, None]
+                c = np.empty((len(at), _CHAIN))
+                c[:, 0] = a[at]
+                np.multiply(np.where(to_hi, hi_at, lo_at), _POW2[:-1], out=c[:, 1:])
                 np.add.accumulate(c, axis=1, out=c)
                 c /= _POW2
-                ga, slope = g(c, lane)
+                ga_k, slope_k = _prevalence_gap(c, *(x[..., at, :] for x in lane2))
                 prev = np.concatenate([c[:, :1], c[:, :-1]], axis=1)
-                lo_k = np.where(chain[:, None] > 0, prev, lo[:, None])
-                hi_k = np.where(chain[:, None] < 0, prev, hi[:, None])
-                lo_k[:, 0], hi_k[:, 0] = lo, hi
-                step = _newton_step(c, ga, slope, lo_k, hi_k)
-                _, _, _, up, inside, end = step
-                on = ~end & ~inside & np.where(chain[:, None] > 0, ~up, up)
-                span = np.where(chain != 0, np.minimum(_CHAIN, _MAX_STEPS - iterations), 1)
+                lo_k = np.where(to_hi, prev, lo_at)
+                hi_k = np.where(to_hi, hi_at, prev)
+                lo_k[:, 0], hi_k[:, 0] = lo_at[:, 0], hi_at[:, 0]
+                step = _newton_step(c, ga_k, slope_k, lo_k, hi_k)
+                _, up_k, inside_k, end_k = step
+                on = ~(end_k | inside_k) & (up_k != to_hi)
+                span = np.where(bisecting[at], np.minimum(_CHAIN, _MAX_STEPS - iterations[at]), 1)
                 on &= np.arange(_CHAIN) < span[:, None] - 1
                 first = (~on).argmax(axis=1)
-                a, lo, hi, up, inside, end = (x[np.arange(len(a)), first] for x in step)
-                steps = first + 1
-            iterations += steps
+                rows = np.arange(len(at)), first
+                for x, x_k in zip((a, up, inside, end, lo, hi), step + (lo_k, hi_k)):
+                    x[at] = x_k[rows]
+                iterations[at] += first + 1
             if passes >= _CHAIN_AFTER:
-                chain = np.where(end | inside, 0, np.where(up, -1, 1)).astype(np.int8)
+                bisecting = live & ~(end | inside)
                 end |= iterations >= _MAX_STEPS
-            if np.count_nonzero(end):
-                out[idx[end]] = a[end]
-                keep = ~end
-                idx, a, lo, hi = idx[keep], a[keep], lo[keep], hi[keep]
-                chain, iterations = chain[keep], iterations[keep]
-                lane = tuple(x[keep] for x in lane)
+            done = end & live
+            if np.count_nonzero(done):
+                np.copyto(out, a, where=done)
+                live ^= done
     if f.min() < _TINY:  # such a lane may end on the step where expit underflows
         sub = np.flatnonzero(f < _TINY)
-        miss = np.abs(g(out[sub], tuple(x[sub] for x in all_lanes))[0]) > _REPRODUCE * f[sub]
+        gap = _prevalence_gap(out[sub], *(x[..., sub] for x in lane))[0]
+        miss = np.abs(gap) > _REPRODUCE * f[sub]
         out[sub[miss]] = np.nan
     if shape == ():
         if math.isnan(out[0]):

@@ -248,10 +248,10 @@ def _fit_block(methods, tables, f, continuity_correction):
 
 
 # Tables per batch of fits.  Fig. 1 replicates (n = 20000, all three methods)
-# cost 4.2, 0.70, 0.38, 0.22, 0.15, 0.11 and 0.09 ms each in batches of 1, 8,
-# 16, 32, 64, 128 and 256 (medians of 5 runs over 512 tables, scaled to the
-# host speed of perfbench/calib.py; 2-vCPU Xeon VM, Python 3.11, numpy 2.4,
-# scipy 1.17).  Past 128 little is left to gain.
+# cost 3.4, 0.45, 0.23, 0.16, 0.11, 0.058, 0.053 and 0.062 ms each in
+# batches of 1, 8, 16, 32, 64, 128, 256 and 512 (medians of 7 alternated
+# runs over 512 tables, in process; 2-vCPU Xeon VM, Python 3.11, numpy
+# 2.4, scipy 1.17).  Past 128 little is left to gain.
 _CHUNK = 128
 
 

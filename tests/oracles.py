@@ -7,9 +7,10 @@ formula implementations, so agreement is evidence rather than tautology.
 
 The exception is the block of frozen references at the end: verbatim
 copies of the small-array prevalence inversion and prevalence derivatives
-that the plain-float kernels replaced, and of the one-table-at-a-time
-sampler that the batch sampler replaced.  They are the judge of the
-replacements' bitwise identity, not of their mathematics.
+that the plain-float kernels replaced, of the one-table-at-a-time sampler
+that the batch sampler replaced, and of the lane form of the constrained
+profile likelihood that the per-cell kernels replaced.  They are the judge
+of the replacements' bitwise identity, not of their mathematics.
 """
 
 import math
@@ -333,3 +334,141 @@ def sample_table(params, design, seed, replicate_index):
     cases = _multinomial_invcdf(rng, n1, r.p_case.ravel())
     ctrls = _multinomial_invcdf(rng, n0, r.p_ctrl.ravel())
     return np.stack([ctrls.reshape(2, 2), cases.reshape(2, 2)]).astype(float)
+
+
+# ------------------------------ frozen lane form of the profile likelihood
+# Verbatim copies of cceff._constrained.profile_parts and loglik_grad_hess_s
+# (with the lane forms of f_derivs and alpha_derivs they call) as they stood
+# before the per-cell kernels: every cell quantity computed over eight cells.
+# The intercept comes from the frozen inversion above, lane by lane, NaN
+# where it fails.  Do not edit: the kernels must reproduce them bit for bit.
+
+_D8 = np.array([0, 0, 0, 0, 1, 1, 1, 1], dtype=float)
+_I8 = np.array([0, 0, 1, 1, 0, 0, 1, 1], dtype=float)
+_J8 = np.array([0, 1, 0, 1, 0, 1, 0, 1], dtype=float)
+_IJ8 = np.column_stack([_I8, _J8])
+_NIJ8 = 1.0 - _IJ8
+_LOG_X8 = np.where(_I8 == 1.0, 0, 2)
+_LOG_E8 = np.where(_J8 == 1.0, 1, 3)
+
+_F_ENTRIES = {
+    "g0": (0, (1, 1, 1, 1)), "g1": (0, (0, 0, 1, 1)), "g2": (0, (0, 1, 0, 1)),
+    "g3": (1, (-1, -1, 1, 1)), "g4": (2, (-1, 1, -1, 1)),
+    "h00": (3, (1, 1, 1, 1)), "h01": (3, (0, 0, 1, 1)), "h02": (3, (0, 1, 0, 1)),
+    "h12": (3, (0, 0, 0, 1)), "h03": (4, (-1, -1, 1, 1)), "h13": (4, (0, 0, 1, 1)),
+    "h23": (4, (0, -1, 0, 1)), "h04": (5, (-1, 1, -1, 1)), "h14": (5, (0, 0, -1, 1)),
+    "h24": (5, (0, 1, 0, 1)), "h34": (6, (1, -1, -1, 1)),
+}
+_F_TERM = np.array([term for term, _ in _F_ENTRIES.values()])
+_F_SIGN = np.array([sign for _, sign in _F_ENTRIES.values()], dtype=float)
+_F_HESS = np.array(
+    [
+        list(_F_ENTRIES).index(name) if name != "0" else len(_F_ENTRIES)
+        for name in """
+            h00 h01 h02 h03 h04
+            h01 h01 h12 h13 h14
+            h02 h12 h02 h23 h24
+            h03 h13 h23 0 h34
+            h04 h14 h24 h34 0
+        """.split()
+    ]
+)
+
+
+def f_derivs_lanes(alpha, beta, gamma, theta, pi):
+    """Gradient and Hessian of the prevalence, one lane per element."""
+    alpha, beta, gamma, theta, pi = (
+        np.asarray(x, dtype=float) for x in (alpha, beta, gamma, theta, pi)
+    )
+    cells = alpha.shape + (4,)
+    p = np.empty(cells)
+    p[..., 0] = alpha
+    np.add(alpha, gamma, out=p[..., 1])
+    np.add(alpha, beta, out=p[..., 2])
+    np.add(p[..., 2], gamma, out=p[..., 3])
+    p = expit(p)
+    v = p * (1.0 - p)
+    tx, te = np.empty(cells), np.empty(cells)
+    tx[..., :2], tx[..., 2:] = (1.0 - theta)[..., None], theta[..., None]
+    te[..., ::2], te[..., 1::2] = (1.0 - pi)[..., None], pi[..., None]
+    w = tx * te
+    terms = np.empty(alpha.shape + (7, 4))
+    np.multiply(v, w, out=terms[..., 0, :])
+    np.multiply(p, te, out=terms[..., 1, :])
+    np.multiply(p, tx, out=terms[..., 2, :])
+    np.multiply(v * (1.0 - 2.0 * p), w, out=terms[..., 3, :])
+    np.multiply(v, te, out=terms[..., 4, :])
+    np.multiply(v, tx, out=terms[..., 5, :])
+    terms[..., 6, :] = p
+    entries = (terms[..., _F_TERM, :] * _F_SIGN).sum(axis=-1) + 0.0
+    entries = np.concatenate([entries, np.zeros_like(entries[..., :1])], axis=-1)
+    return entries[..., :5], entries[..., _F_HESS].reshape(entries.shape[:-1] + (5, 5))
+
+
+def alpha_derivs_lanes(alpha, beta, gamma, theta, pi):
+    """d(alpha)/ds and d2(alpha)/ds2 along the prevalence level set."""
+    grad, hess = f_derivs_lanes(alpha, beta, gamma, theta, pi)
+    fa = grad[..., :1]
+    a_s = -grad[..., 1:] / fa
+    fas = hess[..., 0, 1:]
+    a_ss = -(
+        hess[..., 1:, 1:]
+        + fas[..., :, None] * a_s[..., None, :]
+        + a_s[..., :, None] * fas[..., None, :]
+        + hess[..., :1, :1] * (a_s[..., :, None] * a_s[..., None, :])
+    ) / fa[..., None]
+    return a_s, a_ss
+
+
+def _alpha_lanes(f, beta, gamma, theta, pi):
+    out = []
+    for args in zip(np.broadcast_to(f, beta.shape), beta, gamma, theta, pi):
+        try:
+            out.append(alpha_from_prevalence(*(float(x) for x in args)))
+        except BracketFailure:
+            out.append(math.nan)
+    return np.array(out, dtype=float)
+
+
+def profile_parts(f, s):
+    """Per-cell log-likelihood, gradient, and Hessian in s at prevalence f."""
+    beta, gamma, theta, pi = (s[..., k] for k in range(4))
+    alpha = _alpha_lanes(f, beta, gamma, theta, pi)
+    a_s, a_ss = alpha_derivs_lanes(alpha, beta, gamma, theta, pi)
+    eta = alpha[..., None] + beta[..., None] * _I8 + gamma[..., None] * _J8
+    p = expit(eta)
+    v = p * (1.0 - p)
+    resid = _D8 - p
+
+    es = np.empty(eta.shape + (4,))
+    es[:] = a_s[..., None, :]
+    es[..., :2] += _IJ8
+
+    logs = np.empty(s.shape)
+    np.log(s[..., 2:], out=logs[..., :2])
+    np.log1p(-s[..., 2:], out=logs[..., 2:])
+    with np.errstate(invalid="ignore"):
+        l8 = _D8 * eta - np.logaddexp(0.0, eta) + logs[..., _LOG_X8] + logs[..., _LOG_E8]
+
+    tp = s[..., None, 2:]
+    g8 = resid[..., None] * es
+    g8[..., 2:] += _IJ8 / tp - _NIJ8 / (1.0 - tp)
+
+    H8 = (
+        -v[..., None, None] * (es[..., :, None] * es[..., None, :])
+        + resid[..., None, None] * a_ss[..., None, :, :]
+    )
+    tp2 = np.float_power(tp, 2.0)
+    otp2 = np.float_power(1.0 - tp, 2.0)
+    H8[..., (2, 3), (2, 3)] -= _IJ8 / tp2 + _NIJ8 / otp2
+    return alpha, l8, g8, H8
+
+
+def loglik_grad_hess_s(weights, f, s):
+    """Weighted log-likelihood with gradient and Hessian in s."""
+    alpha, l8, g8, H8 = profile_parts(f, s)
+    hess = np.einsum("rk,rkij->rij", weights, H8)
+    loglik = (weights[:, None, :] @ l8[:, :, None])[:, 0, 0]
+    grad = (weights[:, None, :] @ g8)[:, 0, :]
+    hess = 0.5 * (hess + hess.transpose(0, 2, 1))
+    return alpha, loglik, grad, hess

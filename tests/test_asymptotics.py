@@ -287,8 +287,10 @@ class TestLambda:
                             lambda0(beta, theta, nu), rtol=1e-6)
 
     def test_theta_extremes_give_one(self):
-        assert_allclose(lambda0(1.0, 1e-12, 1.0), 1.0, atol=1e-11)
-        assert_allclose(lambda0(1.0, 1.0 - 1e-12, 1.0), 1.0, atol=1e-11)
+        # lambda0 - 1 carries the factor theta (1 - theta): 4.0e-9 and 1.5e-9
+        # at the edges of the theta domain, which ends 1e-8 from 0 and 1.
+        assert_allclose(lambda0(1.0, 1e-8, 1.0), 1.0, rtol=0.0, atol=1e-8)
+        assert_allclose(lambda0(1.0, 1.0 - 1e-8, 1.0), 1.0, rtol=0.0, atol=1e-8)
 
 
 class TestAttenuationSlope:
@@ -483,3 +485,21 @@ class TestConstantsBundle:
             # tau < 0 in exact arithmetic; near beta = 0 the two O(beta^2)
             # terms cancel at roundoff level
             assert c.tau <= 1e-12
+
+
+class TestClosedFormDomain:
+    @pytest.mark.parametrize("fn, args", [
+        # These used to raise ZeroDivisionError.
+        (sigma0_sq, (0.0, 0.5)),
+        (lambda_ratio, (-2.0, 1.0, 0.4, -1.0)),
+        (lambda0, (1.0, 0.4, -1.0)),
+        (pitman_tau, (1.0, 0.4, 0.0)),
+        (lambda_ratio, (-2.0, 1.0, 0.0, 1.0)),
+        # These used to return 0.0, nan and 1.0.
+        (sigma0_sq, (-1.0, 0.5)),
+        (pitman_are_M_vs_A, (-2.0, 1.0, 0.4, math.nan)),
+        (pitman_are_M_vs_AC, (-2.0, 0.0, 0.4, 0.5, -1.0)),
+    ])
+    def test_outside_the_domain_is_invalid_input(self, fn, args):
+        with pytest.raises(InvalidInput, match=r"^(nu|theta)=.* outside \["):
+            fn(*args)

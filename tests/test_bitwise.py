@@ -15,6 +15,7 @@ panels with digests of every field.
 from itertools import combinations
 import hashlib
 import re
+import warnings
 
 import numpy as np
 from numpy.testing import assert_allclose
@@ -39,7 +40,7 @@ from cceff import (
     sample_tables,
     theory_curve,
 )
-from cceff._constrained import expected_masses, f_derivs, loglik_grad_hess_s
+from cceff._constrained import expected_masses, f_derivs, loglik_grad_hess_s, profile_parts
 
 import oracles
 
@@ -59,6 +60,49 @@ BRANCH_CASES = {
         0.06020736746410309, 0.060237327045930475,
     ),
 }
+
+
+# Lanes of the constrained likelihood kernels: (f, s, cell weights).  The
+# weights include empty cells, and the listed prevalences lie outside (0, 1)
+# or are subnormal, so that some inversions fail and give NaN lanes.
+FAILING_F = [0.0, 1.0, 1e-320, 1e-310]
+kernel_lane = st.tuples(
+    st.one_of(prevalence, st.sampled_from(FAILING_F)),
+    st.tuples(coef, coef, prob, prob),
+    st.lists(st.one_of(st.just(0.0), st.floats(0.0, 100.0)), min_size=8, max_size=8),
+)
+# The bisection point, a subnormal f whose root lies beyond -750, and an
+# inversion that fails next to one that does not.
+KERNEL_LANES = [
+    (BRANCH_CASES["bisection"][0], BRANCH_CASES["bisection"][1:], [81, 11, 7, 1, 35, 3, 11, 1]),
+    (1e-320, (50.0, 50.0, 0.5, 0.5), [0, 0, 6, 0, 0, 2, 4, 0]),
+    (0.3, (1.0, 0.3, 0.4, 0.5), [40, 30, 20, 10, 25, 0, 15, 0]),
+    (1.0, (1.0, 0.3, 0.4, 0.5), [1.0] * 8),
+]
+
+
+def kernel_args(lanes):
+    """The (f, s, weights) arrays of a list of kernel lanes."""
+    f, s, w = zip(*lanes)
+    return np.array(f, dtype=float), np.array(s, dtype=float), np.array(w, dtype=float)
+
+
+def quietly(fn, *args):
+    """fn(*args), and whether it warned.
+
+    The frozen lane form warns where the prevalence slope in alpha rounds to
+    0 (f one ulp below 1), and leaves inf and NaN in that lane's parts.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        return fn(*args), bool(caught)
+
+
+def same_bits(x, y):
+    """Whether x and y hold the same bits, a NaN matching any NaN."""
+    x, y = np.asarray(x), np.asarray(y)
+    nan = np.isnan(x)
+    return np.array_equal(nan, np.isnan(y)) and _bits(x[~nan]) == _bits(y[~nan])
 
 
 def _args(branch):
@@ -160,6 +204,26 @@ class TestFloatKernels:
                 for k, a in enumerate(points)
                 for x, y in combinations(points[:k], 2)
             )
+
+
+class TestProfileKernels:
+    @given(lanes=st.lists(kernel_lane, min_size=1, max_size=8), shared_f=st.booleans())
+    @example(lanes=KERNEL_LANES, shared_f=False)
+    @example(lanes=KERNEL_LANES[2:], shared_f=True)
+    def test_match_frozen_lane_form(self, lanes, shared_f):
+        f, s, w = kernel_args(lanes)
+        if shared_f:
+            f = f[0]
+        for kernel, frozen_kernel, args in (
+            (profile_parts, oracles.profile_parts, (f, s)),
+            (loglik_grad_hess_s, oracles.loglik_grad_hess_s, (w, f, s)),
+        ):
+            new, warned = quietly(kernel, *args)
+            ref, frozen_warned = quietly(frozen_kernel, *args)
+            assert frozen_warned or not warned
+            for part, frozen in zip(new, ref):
+                assert part.shape == frozen.shape
+                assert all(same_bits(a, b) for a, b in zip(part, frozen))
 
 
 SPARSE = PopulationParams(

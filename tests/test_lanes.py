@@ -37,10 +37,13 @@ from cceff import (
     theory_curve,
     wald_test,
 )
+from cceff._constrained import loglik_grad_hess_s, profile_parts
 from cceff.estimators import _wald_lanes
 from cceff.model import _retro_lanes
 
-from test_bitwise import BRANCH_CASES
+from test_bitwise import (
+    BRANCH_CASES, KERNEL_LANES, kernel_args, kernel_lane, quietly, same_bits,
+)
 
 
 def _outcome(value):
@@ -315,6 +318,20 @@ class TestAlphaLanes:
                 assert np.isnan(value)
             else:
                 assert np.float64(alone).tobytes() == value.tobytes()
+
+
+class TestProfileLanes:
+    @given(lanes=st.lists(kernel_lane, min_size=2, max_size=8))
+    @example(lanes=KERNEL_LANES)
+    def test_each_lane_is_evaluated_as_alone(self, lanes):
+        f, s, w = kernel_args(lanes)
+        batch = quietly(profile_parts, f, s)[0], quietly(loglik_grad_hess_s, w, f, s)[0]
+        for k in range(len(lanes)):
+            one = f[k], s[k : k + 1]
+            alone = (quietly(profile_parts, *one)[0],
+                     quietly(loglik_grad_hess_s, w[k : k + 1], *one)[0])
+            for parts, lone in zip(batch, alone):
+                assert all(same_bits(part[k], lone_part[0]) for part, lone_part in zip(parts, lone))
 
 
 params = st.tuples(
