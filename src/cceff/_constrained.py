@@ -89,10 +89,10 @@ def _cell_derivs(alpha, beta, gamma, theta, pi):
     # gives, so each entry is bitwise 0.0 + its cell terms in C order.
     entries = np.empty((len(_F_ENTRIES) + 1,) + lanes)  # the last one is 0.0
     sign = _F_SIGN.reshape(_F_SIGN.shape + (1,) * len(lanes))
-    np.add.reduce(terms[_F_TERM] * sign, axis=1, out=entries[:-1])
+    np.add.reduce(terms.take(_F_TERM, axis=0) * sign, axis=1, out=entries[:-1])
     entries[:-1] += 0.0
     entries[-1] = 0.0
-    return entries[:5], entries[_F_HESS].reshape((5, 5) + lanes), eta, p, v
+    return entries[:5], entries.take(_F_HESS, axis=0).reshape((5, 5) + lanes), eta, p, v
 
 
 # Entries of f_derivs: (term, signs over cells 00, 01, 10, 11).  Term 4r + c
@@ -122,6 +122,10 @@ _F_HESS = np.array(
 )
 
 
+# A NaN alpha makes logaddexp warn.  Where dF/dalpha rounds to 0 at the
+# intercept (every p (1 - p) is 0 there), a_s is -grad / 0, the parts are
+# inf and NaN, and a zero cell weight times an inf part is NaN.  None warns.
+@np.errstate(divide="ignore", invalid="ignore")
 def profile_parts(f, s):
     """Per-cell log-likelihood, gradient, and Hessian in s at prevalence f.
 
@@ -171,10 +175,9 @@ def profile_parts(f, s):
     lv = l8.reshape(n, 2, 4).transpose(1, 2, 0)
     gv = g8.reshape(n, 2, 4, 4).transpose(1, 2, 3, 0)
     hv = H8.reshape(n, 2, 4, 4, 4).transpose(1, 2, 3, 4, 0)
-    with np.errstate(invalid="ignore"):  # logaddexp warns at a NaN alpha
-        np.subtract(_D2 * eta, np.logaddexp(0.0, eta), out=lv)
-    lv += logs[_LOG_X4]
-    lv += logs[_LOG_E4]
+    np.subtract(_D2 * eta, np.logaddexp(0.0, eta), out=lv)
+    lv += logs.take(_LOG_X4, axis=0)
+    lv += logs.take(_LOG_E4, axis=0)
 
     # Parameters 2 and 3 take the theta and pi terms side by side; every
     # element sees the same operations as a parameter-at-a-time update.
@@ -190,6 +193,7 @@ def profile_parts(f, s):
     return alpha, l8, g8, H8
 
 
+@np.errstate(invalid="ignore")  # see profile_parts
 def loglik_grad_hess_s(weights, f, s):
     """Weighted log-likelihood with gradient and Hessian in s.
 
@@ -276,6 +280,41 @@ def _max_abs(x):
     return np.abs(x).max(axis=-1)
 
 
+def _fails(ll, norm):
+    """Where a point fails to evaluate: its ll is NaN or its stopping gradient's max-norm is not finite."""
+    return np.isnan(ll) | ~np.isfinite(norm)
+
+
+def note_flat(flat, k, alpha, grad):
+    """Record in flat, per lane of k with a failing row, whether that row has no derivatives.
+
+    newton_ascent fails a row whose gradient is not finite and stops the
+    row's lane at its first such row of a round.  Where that row's
+    intercept is finite, flat[lane] is set: every p (1 - p) rounds to 0
+    there (f within rounding of 1), so dF/dalpha is 0 and the likelihood
+    has no derivatives in s.  Else the intercept's inversion failed.
+    """
+    bad = ~np.isfinite(_max_abs(grad))
+    if np.count_nonzero(bad):
+        rows = bad.nonzero()[0]
+        stops, first = np.unique(k[rows], return_index=True)
+        flat[stops] = ~np.isnan(alpha[rows[first]])
+
+
+def no_derivatives(f):
+    """Why a lane that note_flat marks failed, at prevalence f."""
+    return (
+        f"every p (1 - p) rounds to 0 at the intercept for prevalence f={f!r}, "
+        "so dF/dalpha is 0 and the constrained likelihood has no derivatives"
+    )
+
+
+def _rows(keep, *arrays):
+    """The rows of each array where the mask keep is true, by one take each."""
+    rows = keep.nonzero()[0]
+    return [x.take(rows, axis=0) for x in arrays]
+
+
 def _dot(a, b):
     """Row-wise dot products, each bitwise the one-lane ``a[r] @ b[r]``."""
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
@@ -327,6 +366,8 @@ def _ascent_directions(g, h):
 # with 32, inside the noise (medians of 12 alternated runs, in process;
 # 2-vCPU Xeon VM, Python 3.11, numpy 2.4, scipy 1.17).
 _SPECULATE = 32
+# The step lengths 2^-h of a line search, h = 0, ..., 59.
+_STEPS = np.ldexp(1.0, -np.arange(60))
 
 
 def newton_ascent(evaluate, x, in_box, gtol, max_iter, accept):
@@ -337,8 +378,9 @@ def newton_ascent(evaluate, x, in_box, gtol, max_iter, accept):
     arrays with one leading row per lane, holding the objective, the
     gradient whose max-norm is tested against gtol, the gradient and
     Hessian in the search coordinates x, and whatever else the caller
-    keeps.  A lane whose ll is NaN failed to evaluate.  in_box(x) tells,
-    per row, whether a point may be evaluated.
+    keeps.  A point fails to evaluate where its ll is NaN or its stopping
+    gradient is not finite (at a lane's start its ll is then set to NaN).
+    in_box(x) tells, per row, whether a point may be evaluated.
 
     Each iteration tries the Newton direction, or the gradient scaled to
     max-norm at most 1 where the Hessian is singular or the Newton
@@ -376,73 +418,106 @@ def newton_ascent(evaluate, x, in_box, gtol, max_iter, accept):
     x = np.array(x, dtype=float)
     state = list(evaluate(x, np.arange(len(x))))
     iterations = np.zeros(len(x), dtype=int)
-    halved = np.zeros(len(x), dtype=bool)  # the lane's last accepted step was not full
-    failed = np.isnan(state[0])
-    active = np.flatnonzero(~failed)
+    failed = _fails(state[0], _max_abs(state[1]))
+    state[0] = np.where(failed, np.nan, state[0])
+    # The lanes still iterating, and each one's point, state, stopping norm
+    # and whether its last accepted step was short, packed in the order of
+    # active.  A lane's rows go back to x and state when it stops.
+    active = (~failed).nonzero()[0]
+    xa, sa = x.take(active, axis=0), [part.take(active, axis=0) for part in state]
+    norm = _max_abs(sa[1])
+    halved = np.zeros(len(active), dtype=bool)
+    moved = np.ones(len(active), dtype=bool)
     for it in range(1, max_iter + 1):
-        iterations[active] = it
-        stop_norm = _max_abs(state[1][active])
-        going = ~(stop_norm <= gtol)
-        active, stop_norm = active[going], stop_norm[going]
+        going = moved & ~(norm <= gtol)
+        if np.count_nonzero(going) < len(going):
+            # A lane within gtol stops at this iteration, one that did not
+            # move stopped at the last.
+            iterations[active] = np.where(moved, it, it - 1)
+            x[active] = xa
+            for part, rows in zip(state, sa):
+                part[active] = rows
+            active, xa, norm, halved, *sa = _rows(going, active, xa, norm, halved, *sa)
         if not active.size:
             break
-        ll = state[0][active]
-        direction, gd = _ascent_directions(state[2][active], state[3][active])
+        ll = sa[0]
+        direction, gd = _ascent_directions(sa[2], sa[3])
         rounding = _LL_ROUNDING * (1.0 + np.abs(ll))
-        endgame = (stop_norm <= 100.0 * gtol) | ((stop_norm <= accept) & (gd <= rounding))
+        endgame = (norm <= 100.0 * gtol) | ((norm <= accept) & (gd <= rounding))
         ll_floor = np.where(endgame, ll - rounding, ll)
         moved = np.zeros(len(active), dtype=bool)
-        searching = np.arange(len(active))  # positions in active
+        # The searching lanes' positions in active, and their rows of what
+        # the search reads; gathered anew only when some lanes stop.
+        lanes = np.arange(len(active))
+        lx, ld, lll, lgd, lfloor, lnorm, lact = xa, direction, ll, gd, ll_floor, norm, active
+        wide = np.count_nonzero(halved)
         halvings = 0
-        while searching.size and halvings < 60:
+        while halvings < 60:
             # Try the next step lengths of every searching lane in one batch:
             # the full step alone, unless a lane needed a shorter step last
-            # time, and then up to _SPECULATE candidates a round.  Each lane
-            # takes the candidate that the one-lane search, trying them in
-            # turn, would stop at.
-            lanes, pos = active[searching], searching
-            wide = halvings or np.count_nonzero(halved[lanes])
-            k = min(max(1, _SPECULATE // len(searching)) if wide else 1, 60 - halvings)
-            if k == 1:  # candidate r is the r-th searching lane's
-                scale = np.full(len(searching), 0.5**halvings)
-            else:
-                lanes, pos = np.repeat(lanes, k), np.repeat(pos, k)
-                scale = np.tile(np.ldexp(1.0, -np.arange(halvings, halvings + k)), len(searching))
+            # time, and then up to _SPECULATE candidates a round.  Candidate
+            # (r, j) is lane r's point plus its direction scaled by
+            # 2^-(halvings + j); each lane takes the candidate that the
+            # one-lane search, trying them in turn, would stop at, except
+            # that a candidate that fails to evaluate outranks an earlier
+            # accepted one of the same round.
+            n = len(lanes)
+            k = min(max(1, _SPECULATE // n) if wide else 1, 60 - halvings)
+            steps = _STEPS[halvings : halvings + k]
             halvings += k
-            cand = x[lanes] + scale[:, None] * direction[pos]
+            grid = lx[:, None] + steps[:, None] * ld[:, None]
+            cand = grid.reshape(n * k, -1)  # row r * k + j is candidate (r, j)
             # The candidates inside the box are evaluated; when that is all
             # of them they are taken by a slice, not an index array.
             inside = in_box(cand)
             evaluated = np.count_nonzero(inside)
-            inside = slice(None) if evaluated == len(cand) else np.flatnonzero(inside)
-            verdict = np.zeros(len(cand), dtype=np.int8)  # 1 accepted, 2 failed
+            sub = slice(None) if evaluated == n * k else inside.nonzero()[0]
             if evaluated:
-                new = evaluate(cand[inside], lanes[inside])
-                ll_new, at = new[0], pos[inside]
-                improved = ll_new >= ll[at] + 1e-4 * scale[inside] * gd[at]
-                closer = (ll_new >= ll_floor[at]) & (_max_abs(new[1]) < stop_norm[at])
-                verdict[inside] = np.where(np.isnan(ll_new), 2, (improved | closer).astype(np.int8))
-            verdict = verdict.reshape(len(searching), k)
+                new = evaluate(cand[sub], np.repeat(lact, k)[sub])
+                ll_new, new_norm = new[0], _max_abs(new[1])
+                if not isinstance(sub, slice):  # spread over every candidate's row
+                    full = np.zeros((2, n * k))
+                    full[:, sub] = ll_new, new_norm
+                    ll_new, new_norm = full
+                ll_k, norm_k = ll_new.reshape(n, k), new_norm.reshape(n, k)
+                improved = ll_k >= lll[:, None] + 1e-4 * steps * lgd[:, None]
+                closer = (ll_k >= lfloor[:, None]) & (norm_k < lnorm[:, None])
+                ok, bad = improved | closer, _fails(ll_k, norm_k)
+                if not isinstance(sub, slice):
+                    ok &= inside.reshape(n, k)
+                    bad &= inside.reshape(n, k)
+            else:
+                ok = bad = np.zeros((n, k), dtype=bool)
+            # 1 accepted, 2 failed; the first highest counts.  An accepted
+            # candidate that is bitwise its point is an exact fixed point:
+            # the lane stops there without moving.
+            verdict = np.where(bad, 2, ok)
             stopped = verdict.any(axis=1)
-            picked = np.flatnonzero(stopped)
-            if k > 1:
-                picked = picked * k + verdict[picked].argmax(axis=1)
-            kind = verdict.ravel()[picked]
-            failed[lanes[picked[kind == 2]]] = True
-            picked = picked[kind == 1]
-            # A lane whose accepted candidate is bitwise its point is at an
-            # exact fixed point: it stops without moving.
-            picked = picked[np.any(cand[picked] != x[lanes[picked]], axis=1)]
-            if picked.size:
-                to = lanes[picked]
-                halved[to] = scale[picked] < 1.0
-                x[to] = cand[picked]
-                rows = picked if isinstance(inside, slice) else np.searchsorted(inside, picked)
-                for part, value in zip(state, new):
-                    part[to] = value[rows]
-                moved[pos[picked]] = True
-            searching = searching[~stopped]
-        active = active[moved]
-        if not active.size:
-            break
+            r = stopped.nonzero()[0]
+            c = r * k + verdict.take(r, axis=0).argmax(axis=1)  # the candidates stopped at
+            kind = verdict.ravel()[c]
+            if np.count_nonzero(kind == 2):
+                failed[lact[r[kind == 2]]] = True
+            fresh = np.logical_or.reduce(grid != lx[:, None], axis=2).ravel()[c]
+            moving = (kind == 1) & fresh
+            r, c = r[moving], c[moving]
+            if r.size:
+                rows = c if isinstance(sub, slice) else np.searchsorted(sub, c)
+                to = lanes[r]
+                halved[to] = steps[c - r * k] < 1.0
+                xa[to] = cand.take(c, axis=0)
+                norm[to] = new_norm[c]
+                for part, value in zip(sa, new):
+                    part[to] = value.take(rows, axis=0)
+                moved[to] = True
+            if np.count_nonzero(stopped) == n:
+                break
+            lanes, lx, ld, lll, lgd, lfloor, lnorm, lact = _rows(
+                ~stopped, lanes, lx, ld, lll, lgd, lfloor, lnorm, lact
+            )
+            wide = True
+    iterations[active] = max_iter
+    x[active] = xa
+    for part, rows in zip(state, sa):
+        part[active] = rows
     return x, tuple(state), iterations, failed

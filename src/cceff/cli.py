@@ -68,10 +68,10 @@ MISSPEC_COLUMNS = [
 
 
 def _fmt(value):
+    if isinstance(value, float):  # most cells, so tested first; no bool is a float
+        return format(value, ".17g")
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".17g")
     if isinstance(value, Method):
         return value.value
     if isinstance(value, (list, tuple)):  # a sequence of sequences joins with ";"

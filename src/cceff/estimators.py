@@ -31,9 +31,12 @@ from scipy.special import expit, logit
 from ._constrained import (
     _LL_ROUNDING,
     _lanewise,
+    _rows,
     loglik_grad_hess_s,
     nearly_singular,
     newton_ascent,
+    no_derivatives,
+    note_flat,
     sandwich_s,
 )
 from .errors import (
@@ -229,7 +232,7 @@ def _adj_info(mt, p):
     b = mv[:, 1].sum(axis=1)
     c = mv[:, :, 1].sum(axis=1)
     d = mv[:, 1, 1]
-    return np.stack([a, b, c, b, b, d, c, d, c], axis=-1).reshape(-1, 3, 3)
+    return np.array([a, b, c, b, b, d, c, d, c]).T.copy().reshape(-1, 3, 3)
 
 
 def fit_adjusted(table: CaseControlTable) -> FitResult:
@@ -273,35 +276,45 @@ def fit_adjusted_batch(tables) -> list:
     t = np.zeros((n_lanes, 3))
     t[:, 0] = logit(c1.reshape(n_lanes, 4).sum(axis=1))
     ll = np.full(n_lanes, np.nan)
-    active = np.flatnonzero(~(no_x | no_e))
-    ll[active] = _adj_loglik(c1[active], mt[active], t[active])
     iterations = np.zeros(n_lanes, dtype=int)
+    # The lanes still iterating, and their cells, coefficients and
+    # log-likelihoods packed in the order of active; a lane that converges
+    # writes its coefficients and log-likelihood back to t and ll.
+    active = (~(no_x | no_e)).nonzero()[0]
+    c1_a, mt_a, t_a = (x.take(active, axis=0) for x in (c1, mt, t))
+    ll_a = _adj_loglik(c1_a, mt_a, t_a)
     for it in range(1, 101):
         if not active.size:
             break
         iterations[active] = it
-        p = expit(_adj_eta(t[active]))
-        resid = c1[active] - mt[active] * p
-        score = np.stack(
-            [resid.reshape(-1, 4).sum(axis=1), resid[:, 1].sum(axis=1), resid[:, :, 1].sum(axis=1)],
-            axis=-1,
-        )
+        p = expit(_adj_eta(t_a))
+        resid = c1_a - mt_a * p
+        score = np.array(
+            [resid.reshape(-1, 4).sum(axis=1), resid[:, 1].sum(axis=1), resid[:, :, 1].sum(axis=1)]
+        ).T.copy()
         done = np.abs(score).max(axis=1) <= 1e-13
-        active, p, score = active[~done], p[~done], score[~done]
-        if not active.size:
-            break
-        step, singular = _lanewise(np.linalg.solve, _adj_info(mt[active], p), score[:, :, None])
-        for r in active[singular]:
-            out[r] = Separation("information matrix singular during Newton iteration")
-        active, step = active[~singular], step[~singular, :, 0]
-        c1_a, mt_a, t_a, ll_a = c1[active], mt[active], t[active], ll[active]
+        if np.count_nonzero(done):
+            t[active[done]], ll[active[done]] = t_a[done], ll_a[done]
+            active, p, score, c1_a, mt_a, t_a, ll_a = _rows(
+                ~done, active, p, score, c1_a, mt_a, t_a, ll_a
+            )
+            if not active.size:
+                break
+        step, singular = _lanewise(np.linalg.solve, _adj_info(mt_a, p), score[:, :, None])
+        step = step[:, :, 0]
+        if np.count_nonzero(singular):
+            for r in active[singular]:
+                out[r] = Separation("information matrix singular during Newton iteration")
+            active, step, c1_a, mt_a, t_a, ll_a = _rows(
+                ~singular, active, step, c1_a, mt_a, t_a, ll_a
+            )
         floor = ll_a - _LL_ROUNDING * (1.0 + np.abs(ll_a))
         scale = np.ones(len(active))
         ll_new = np.full(len(active), np.nan)
         searching = np.arange(len(active))
         for _ in range(50):
-            cand = t_a[searching] + scale[searching, None] * step[searching]
-            ll_cand = _adj_loglik(c1_a[searching], mt_a[searching], cand)
+            c1_s, mt_s, t_s, step_s = (x.take(searching, axis=0) for x in (c1_a, mt_a, t_a, step))
+            ll_cand = _adj_loglik(c1_s, mt_s, t_s + scale[searching][:, None] * step_s)
             ok = ll_cand >= floor[searching]
             ll_new[searching[ok]] = ll_cand[ok]
             searching = searching[~ok]
@@ -311,15 +324,18 @@ def fit_adjusted_batch(tables) -> list:
         t_a = t_a + scale[:, None] * step
         if searching.size:
             # No halving was accepted: the step taken is one more halving.
-            ll_new[searching] = _adj_loglik(c1_a[searching], mt_a[searching], t_a[searching])
-        t[active], ll[active] = t_a, ll_new
+            c1_s, mt_s, t_s = (x.take(searching, axis=0) for x in (c1_a, mt_a, t_a))
+            ll_new[searching] = _adj_loglik(c1_s, mt_s, t_s)
+        ll_a = ll_new
         coef = np.abs(t_a).max(axis=1)
-        for k in np.flatnonzero(coef > _COEF_BOUND):
-            out[active[k]] = Separation(
-                f"estimates diverged (max |coef| = {coef[k]:.1f}); "
-                "the MLE appears to be infinite"
-            )
-        active = active[coef <= _COEF_BOUND]
+        diverged = coef > _COEF_BOUND
+        if np.count_nonzero(diverged):
+            for k in diverged.nonzero()[0]:
+                out[active[k]] = Separation(
+                    f"estimates diverged (max |coef| = {coef[k]:.1f}); "
+                    "the MLE appears to be infinite"
+                )
+            active, c1_a, mt_a, t_a, ll_a = _rows(~diverged, active, c1_a, mt_a, t_a, ll_a)
     for r in active:
         out[r] = NonConvergence("adjusted fit did not reach score tolerance in 100 iterations")
 
@@ -354,31 +370,17 @@ def fit_adjusted_batch(tables) -> list:
 
 def _zeta_to_s(zeta):
     s = zeta.copy()
-    s[:, 2:] = expit(zeta[:, 2:])
+    expit(zeta[:, 2:], out=s[:, 2:])
     return s
 
 
-def _constrained_eval(w, f, zeta):
-    """newton_ascent's evaluation in zeta, one lane per row.
-
-    The extras are alpha and the Hessian in s.
-    """
-    s = _zeta_to_s(zeta)
-    alpha, ll, g_s, h_s = loglik_grad_hess_s(w, f, s)
-    scale = np.ones_like(s)  # d s / d zeta
-    scale[:, 2:] = s[:, 2:] * (1.0 - s[:, 2:])
-    g_z = g_s * scale
-    h_z = h_s * (scale[:, :, None] * scale[:, None, :])
-    curv = g_s[:, 2:] * scale[:, 2:] * (1.0 - 2.0 * s[:, 2:])
-    h_z[:, 2, 2] += curv[:, 0]
-    h_z[:, 3, 3] += curv[:, 1]
-    return ll, g_s, g_z, h_z, alpha, h_s
+# Bounds on |zeta|: expit(36) = 1 - 2.3e-16 still differs from 1.0; past
+# about 37 it rounds to 1.0 and log1p(-theta) in the likelihood is -inf.
+_ZETA_BOX = np.array([60.0, 60.0, 36.0, 36.0])
 
 
 def _in_zeta_box(zeta):
-    # expit(36) = 1 - 2.3e-16 still differs from 1.0; past about 37 it rounds
-    # to 1.0 and log1p(-theta) in the likelihood is -inf.
-    return (np.abs(zeta[:, :2]).max(axis=1) <= 60.0) & (np.abs(zeta[:, 2:]).max(axis=1) <= 36.0)
+    return np.logical_and.reduce(np.abs(zeta) <= _ZETA_BOX, axis=1)
 
 
 # A constrained fit whose gradient max-norm ends within this bar is converged.
@@ -445,19 +447,41 @@ def fit_constrained_batch(tables, f: float, f_misspecified: bool = False, adjust
     cells = w.reshape(n_lanes, 8)[lanes]
     coef = np.array([adjusted[r].params[1:] for r in lanes])
     zeta = np.column_stack([coef, logit(theta0[lanes]), logit(pi0[lanes])])
+    flat = np.zeros(len(lanes), dtype=bool)  # see note_flat
+
+    # A failing row's inf and NaN parts would warn in the chart change; newton_ascent drops them.
+    @np.errstate(invalid="ignore")
+    def evaluate(z, k):
+        # newton_ascent's evaluation in zeta; the extras are alpha and the Hessian in s.
+        s = _zeta_to_s(z)
+        alpha, ll, g_s, h_s = loglik_grad_hess_s(cells.take(k, axis=0), f, s)
+        note_flat(flat, k, alpha, g_s)
+        tp = s[:, 2:]
+        dtp = tp * (1.0 - tp)  # d s / d zeta of theta and pi
+        scale = np.ones_like(s)
+        scale[:, 2:] = dtp
+        g_z = g_s * scale
+        h_z = h_s * (scale[:, :, None] * scale[:, None, :])
+        # The curvature of the logit charts, on entries (2, 2) and (3, 3).
+        h_z.reshape(-1, 16)[:, 10::5] += g_s[:, 2:] * dtp * (1.0 - 2.0 * tp)
+        return ll, g_s, g_z, h_z, alpha, h_s
+
     zeta, (ll, g_s, _, _, alpha_hat, h_s), iterations, failed = newton_ascent(
-        lambda z, k: _constrained_eval(cells[k], f, z), zeta, _in_zeta_box, 1e-13, 100, _ACCEPT
+        evaluate, zeta, _in_zeta_box, 1e-13, 100, _ACCEPT
     )
     s_hat = _zeta_to_s(zeta)
     gmax = np.abs(g_s).max(axis=1)
     info = -h_s
-    # Verdicts in priority order: failed inversion (at the start, or later), stalled, boundary.
+    # Verdicts in priority order: failed evaluation (an intercept where dF/dalpha
+    # is 0, else a failed inversion at the start or later), stalled, boundary.
     stalled = ~failed & (gmax > _ACCEPT)
     edge = (np.abs(s_hat[:, :2]).max(axis=1) > _COEF_BOUND) | ~(
         (_PROB_MARGIN < s_hat[:, 2:]) & (s_hat[:, 2:] < 1.0 - _PROB_MARGIN)
     ).all(axis=1)
     for k in np.flatnonzero(failed | stalled | edge):
-        if failed[k] and iterations[k] == 0:
+        if failed[k] and flat[k]:
+            out[lanes[k]] = InfeasibleStart(no_derivatives(f))
+        elif failed[k] and iterations[k] == 0:
             out[lanes[k]] = InfeasibleStart(str(_alpha_error(f)))
         elif failed[k]:
             out[lanes[k]] = _alpha_error(f)

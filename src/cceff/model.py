@@ -255,16 +255,17 @@ def alpha_from_prevalence(f, beta, gamma, theta, pi):
     Lane-exact: every lane does the operations a one-lane call does, in the
     same order (the four cells summed left to right in C order, as np.sum
     sums four elements; ``expit``, never ``np.exp``), so its alpha is
-    bitwise the same whatever the other lanes hold.  Every pass steps every
+    bitwise the same whatever the other lanes hold.  A pass steps every
     lane, and a lane's result is written on the pass it ends; a lane that
     has ended is stepped on unread.  A lane that keeps bisecting toward one
     end of its bracket evaluates the coming midpoints ahead, in one batch,
-    and replays its steps in order, which changes no result.
+    and replays its steps in order, which changes no result; the other
+    lanes take their plain step, unless every live lane is in a chain.
     """
     args = [np.asarray(x, dtype=float) for x in (f, beta, gamma, theta, pi)]
     shape = np.broadcast(*args).shape
     f, beta, gamma, theta, pi = (
-        x.ravel() if x.shape == shape else np.full(shape, x).ravel() for x in args
+        x.reshape(-1) if x.shape == shape else np.full(shape, x).reshape(-1) for x in args
     )
     if not f.size:
         return np.empty(shape)
@@ -274,27 +275,27 @@ def alpha_from_prevalence(f, beta, gamma, theta, pi):
             raise _alpha_error(f[0])
         f = np.where(failed, 0.5, f)
     t0, e0 = 1.0 - theta, 1.0 - pi
-    # Per-lane constants of _prevalence_gap, lanes last; lane2 broadcasts
-    # over k points a lane.
-    w = np.empty((4, len(f)))
+    # Per-lane constants of _prevalence_gap, lanes last, in one block so
+    # that a chain gathers its lanes' rows at once: the weights w, then the
+    # shifts (0, gamma, beta).
+    consts = np.empty((7, len(f)))
     for k, (tx, te) in enumerate(((t0, e0), (t0, pi), (theta, e0), (theta, pi))):
-        np.multiply(tx, te, out=w[k])
-    shift = np.zeros((3, len(f)))
-    shift[1], shift[2] = gamma, beta
+        np.multiply(tx, te, out=consts[k])
+    consts[4], consts[5], consts[6] = 0.0, gamma, beta
+    w, shift = consts[:4], consts[4:]
     lane = (f, gamma, w, shift)
-    lane2 = tuple(x[..., None] for x in lane)
 
     # The bracket logit(f) -/+ spread holds logit(f), where Newton starts:
     # the three points are evaluated together.
     spread = np.abs(beta) + np.abs(gamma)
-    start = np.empty((len(f), 3))
-    a = logit(f, out=start[:, 2])
-    lo = np.subtract(a, spread, out=start[:, 0])
-    hi = np.add(a, spread, out=start[:, 1])
-    g_start, slope_start = _prevalence_gap(start, *lane2)
+    start = np.empty((3, len(f)))
+    a = logit(f, out=start[2])
+    lo = np.subtract(a, spread, out=start[0])
+    hi = np.add(a, spread, out=start[1])
+    g_start, slope_start = _prevalence_gap(start, f, gamma, w[:, None], shift[:, None])
     # Widening is needed only where an end of the start bracket misses the root.
-    if np.count_nonzero((g_start[:, 0] > 0.0) | (g_start[:, 1] < 0.0)):
-        for end, sign, g_end in ((lo, 1.0, g_start[:, 0]), (hi, -1.0, g_start[:, 1])):
+    if np.count_nonzero((g_start[0] > 0.0) | (g_start[1] < 0.0)):
+        for end, sign, g_end in ((lo, 1.0, g_start[0]), (hi, -1.0, g_start[1])):
             # Widen this end of the bracket (lo, then hi) in doubling steps
             # up to |alpha| = 750 while the root lies beyond it, or fail.
             width = np.maximum(hi - lo, 1.0)
@@ -308,23 +309,20 @@ def alpha_from_prevalence(f, beta, gamma, theta, pi):
 
     out = np.full(f.shape, np.nan)
     live = ~failed
-    ga, slope = g_start[:, 2], slope_start[:, 2]
-    bisecting = np.zeros(len(f), dtype=bool)  # live, and the last step bisected (toward lo if up)
-    iterations = np.zeros(len(f), dtype=int)
+    n_live = np.count_nonzero(live)
+    ga, slope = g_start[2], slope_start[2]
+    # A lane has taken passes + extra[lane] steps: one a pass, and its
+    # chains' further steps.
+    extra = np.zeros(len(f), dtype=int)
     passes = 0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        while np.count_nonzero(live):
+        while n_live:
             passes += 1
-            if passes <= _CHAIN_AFTER or not np.count_nonzero(bisecting):
-                if passes > 1:
-                    ga, slope = _prevalence_gap(a, *lane)
-                a, up, inside, end = _newton_step(a, ga, slope, lo, hi)
-                iterations += 1
-            else:
+            if passes > _CHAIN_AFTER and np.count_nonzero(bisecting):
                 # A lane still iterating whose last step bisected toward one
-                # bracket end (its Newton step overshot that end) also
-                # evaluates the next _CHAIN - 1 midpoints toward it, in the
-                # same batch; its steps are replayed in order up to the first
+                # bracket end (its Newton step overshot that end) evaluates
+                # the next _CHAIN - 1 midpoints toward it as well, in one
+                # batch; its steps are replayed in order up to the first
                 # that leaves the chain.  0.5 * (lo + hi) with the other end
                 # e fixed is x_k = (x_{k-1} + e) * 0.5: + is commutative.
                 # Scaled by 2^k that is y_k = y_{k-1} + 2^(k-1) e, with the
@@ -332,16 +330,26 @@ def alpha_from_prevalence(f, beta, gamma, theta, pi):
                 # finite for |alpha| <= 750, and a used step moves more than
                 # 1e-15, so no used midpoint is subnormal), and one
                 # sequential add.accumulate builds every chain.  Any other
-                # live lane takes one step, from column 0.
-                at = np.flatnonzero(live)
-                to_hi = ~up[at, None]  # where the lane bisects toward hi
-                lo_at, hi_at = lo[at, None], hi[at, None]
+                # live lane takes one plain step.
+                at = bisecting.nonzero()[0]
+                to_hi = ~up[at][:, None]  # where the lane bisects toward hi
+                lo_at, hi_at = lo[at][:, None], hi[at][:, None]
                 c = np.empty((len(at), _CHAIN))
                 c[:, 0] = a[at]
+            else:
+                at = None
+            if at is None or len(at) < n_live:  # some live lane takes a plain step
+                if passes > 1:
+                    ga, slope = _prevalence_gap(a, *lane)
+                a, up, inside, end = _newton_step(a, ga, slope, lo, hi)
+            if at is not None:
                 np.multiply(np.where(to_hi, hi_at, lo_at), _POW2[:-1], out=c[:, 1:])
                 np.add.accumulate(c, axis=1, out=c)
                 c /= _POW2
-                ga_k, slope_k = _prevalence_gap(c, *(x[..., at, :] for x in lane2))
+                const_at = consts.take(at, axis=1)[..., None]
+                ga_k, slope_k = _prevalence_gap(
+                    c, f[at][:, None], const_at[5], const_at[:4], const_at[4:]
+                )
                 prev = np.concatenate([c[:, :1], c[:, :-1]], axis=1)
                 lo_k = np.where(to_hi, prev, lo_at)
                 hi_k = np.where(to_hi, hi_at, prev)
@@ -349,20 +357,22 @@ def alpha_from_prevalence(f, beta, gamma, theta, pi):
                 step = _newton_step(c, ga_k, slope_k, lo_k, hi_k)
                 _, up_k, inside_k, end_k = step
                 on = ~(end_k | inside_k) & (up_k != to_hi)
-                span = np.where(bisecting[at], np.minimum(_CHAIN, _MAX_STEPS - iterations[at]), 1)
+                span = np.minimum(_CHAIN, _MAX_STEPS - (passes - 1) - extra[at])
                 on &= np.arange(_CHAIN) < span[:, None] - 1
                 first = (~on).argmax(axis=1)
-                rows = np.arange(len(at)), first
+                taken = np.arange(0, len(at) * _CHAIN, _CHAIN) + first  # in each x_k.ravel()
                 for x, x_k in zip((a, up, inside, end, lo, hi), step + (lo_k, hi_k)):
-                    x[at] = x_k[rows]
-                iterations[at] += first + 1
+                    x[at] = x_k.ravel()[taken]
+                extra[at] += first
             if passes >= _CHAIN_AFTER:
-                bisecting = live & ~(end | inside)
-                end |= iterations >= _MAX_STEPS
+                end |= passes + extra >= _MAX_STEPS
+                bisecting = live & ~(end | inside)  # the last step bisected, toward lo if up
             done = end & live
-            if np.count_nonzero(done):
+            n_done = np.count_nonzero(done)
+            if n_done:
                 np.copyto(out, a, where=done)
                 live ^= done
+                n_live -= n_done
     if f.min() < _TINY:  # such a lane may end on the step where expit underflows
         sub = np.flatnonzero(f < _TINY)
         gap = _prevalence_gap(out[sub], *(x[..., sub] for x in lane))[0]

@@ -18,7 +18,8 @@ import numpy as np
 from scipy.special._ufuncs import _binom_ppf
 
 from ._constrained import (
-    _mass_lanes, expected_masses, loglik_grad_hess_s, newton_ascent, sandwich_s,
+    _mass_lanes, expected_masses, loglik_grad_hess_s, newton_ascent, no_derivatives, note_flat,
+    sandwich_s,
 )
 from .asymptotics import _delta_and_variance, _wald_power, _z_half
 from .errors import (
@@ -56,6 +57,9 @@ __all__ = [
 DEFAULT_EPS = 1e-3
 # A misspecification limit whose gradient max-norm ends within this bar is converged.
 _LIMIT_BAR = 1e-10
+# The open box a limit's iterate stays in: |beta|, |gamma| < 60 and theta, pi in (0, 1).
+_S_LOW = np.array([-60.0, -60.0, 0.0, 0.0])
+_S_HIGH = np.array([60.0, 60.0, 1.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -247,12 +251,17 @@ def _fit_block(methods, tables, f, continuity_correction):
     return [fits[method] for method in methods]
 
 
-# Tables per batch of fits.  Fig. 1 replicates (n = 20000, all three methods)
-# cost 3.4, 0.45, 0.23, 0.16, 0.11, 0.058, 0.053 and 0.062 ms each in
-# batches of 1, 8, 16, 32, 64, 128, 256 and 512 (medians of 7 alternated
-# runs over 512 tables, in process; 2-vCPU Xeon VM, Python 3.11, numpy
-# 2.4, scipy 1.17).  Past 128 little is left to gain.
-_CHUNK = 128
+# Tables per batch of fits, a memory budget: every Newton round of a batch
+# has a fixed cost, paid once a batch, and the batch runs until its slowest
+# lane, so fewer batches are faster, while the peak memory of a batch's fits
+# grows by about 5 KiB a table.  Peak RSS of a 10,000-replicate Fig. 1 run
+# was 77 MiB in batches of 128, 86 MiB in batches of 2048 and 128 MiB as
+# one batch, for equal reports (in process; 2-vCPU Xeon VM, Python 3.11,
+# numpy 2.4, scipy 1.17), so 2048 tables hold a batch within about 10 MiB.
+# Only a run of more than 128 replicates (the CLI's default is 1000) takes
+# fewer batches than before; perfbench's blocks of 40 and 6 tables fit one
+# batch either way, so its workloads cannot show the change.
+_CHUNK = 2048
 
 
 def run_mc(config: SimConfig) -> MCReport:
@@ -372,21 +381,24 @@ def limiting_values(truth: PopulationParams, design: DesignParams, f_values, eps
     p_case, p_ctrl = (np.tile(p.reshape(4), (len(lanes), 1)) for p in (rd.p_case, rd.p_ctrl))
     nu = np.full(len(lanes), design.nu)
     f_lane = np.array(f_values)[lanes]
+    flat = np.zeros(len(lanes), dtype=bool)  # see note_flat
 
     def evaluate(s, k):
-        _, ll, grad, hess = loglik_grad_hess_s(masses[k], f_lane[k], s)
+        alpha, ll, grad, hess = loglik_grad_hess_s(masses.take(k, axis=0), f_lane[k], s)
+        note_flat(flat, k, alpha, grad)
         return ll, grad, grad, hess
 
     def in_box(s):
-        inside = (0.0 < s[:, 2]) & (s[:, 2] < 1.0) & (0.0 < s[:, 3]) & (s[:, 3] < 1.0)
-        return inside & (np.abs(s[:, :2]).max(axis=1) < 60.0)
+        return np.logical_and.reduce((_S_LOW < s) & (s < _S_HIGH), axis=1)
 
     s0 = np.tile([truth.beta, truth.gamma, truth.theta, truth.pi], (len(lanes), 1))
     s, (ll, grad, _, _), _, failed = newton_ascent(evaluate, s0, in_box, 1e-12, 200, _LIMIT_BAR)
     gmax = np.abs(grad).max(axis=1)
     good = []
     for k, r in enumerate(lanes):
-        if failed[k]:
+        if failed[k] and flat[k]:
+            out[r] = InfeasiblePrevalence(no_derivatives(f_values[r]))
+        elif failed[k]:
             out[r] = _alpha_error(f_lane[k])
         elif gmax[k] > _LIMIT_BAR:
             out[r] = NonConvergence(

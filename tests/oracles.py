@@ -8,8 +8,9 @@ formula implementations, so agreement is evidence rather than tautology.
 The exception is the block of frozen references at the end: verbatim
 copies of the small-array prevalence inversion and prevalence derivatives
 that the plain-float kernels replaced, of the one-table-at-a-time sampler
-that the batch sampler replaced, and of the lane form of the constrained
-profile likelihood that the per-cell kernels replaced.  They are the judge
+that the batch sampler replaced, of the lane form of the constrained
+profile likelihood that the per-cell kernels replaced, and of the damped
+Newton routine whose per-round bookkeeping was packed.  They are the judge
 of the replacements' bitwise identity, not of their mathematics.
 """
 
@@ -472,3 +473,137 @@ def loglik_grad_hess_s(weights, f, s):
     grad = (weights[:, None, :] @ g8)[:, 0, :]
     hess = 0.5 * (hess + hess.transpose(0, 2, 1))
     return alpha, loglik, grad, hess
+
+
+# ---------------------------------------- frozen damped-Newton line search
+# A verbatim copy of cceff._constrained.newton_ascent (with the helpers it
+# calls) as it stood before its bookkeeping was packed per lane: the state
+# gathered from full-length arrays every iteration and every accepted row
+# scattered back.  Do not edit: the routine must reproduce it bit for bit.
+
+_LL_ROUNDING = 1e-14
+_SPECULATE = 32
+
+
+def _max_abs(x):
+    return np.abs(x).max(axis=-1)
+
+
+def _dot(a, b):
+    """Row-wise dot products, each bitwise the one-lane ``a[r] @ b[r]``."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _lanewise(fn, a, *b):
+    """fn(a, *b) on every lane by one stacked LAPACK call, lane by lane if a matrix is singular.
+
+    A stacked call fails as a whole when one matrix of a is singular.
+    Returns the results, which have the shape of the last operand, NaN in
+    singular lanes, and the mask of those lanes.  A lane's fallback call is
+    a stacked call of one lane, so it rounds as the whole stack does.
+    """
+    singular = np.zeros(len(a), dtype=bool)
+    try:
+        return fn(a, *b), singular
+    except np.linalg.LinAlgError:
+        x = np.full((b[-1] if b else a).shape, np.nan)
+        for r in range(len(a)):
+            try:
+                x[r : r + 1] = fn(a[r : r + 1], *(v[r : r + 1] for v in b))
+            except np.linalg.LinAlgError:
+                singular[r] = True
+        return x, singular
+
+
+def _ascent_directions(g, h):
+    """Newton directions solve(-h, g) per lane, and their dot products with g.
+
+    Where h is singular or the Newton direction does not ascend, the
+    direction is the gradient scaled to max-norm at most 1.
+    """
+    direction, singular = _lanewise(np.linalg.solve, -h, g[:, :, None])
+    direction = direction[:, :, 0]
+    gd = _dot(g, direction)
+    fallback = singular | (gd <= 0.0)
+    if np.count_nonzero(fallback):
+        gf = g[fallback]
+        direction[fallback] = gf / np.maximum(1.0, _max_abs(gf))[:, None]
+        gd[fallback] = _dot(gf, direction[fallback])
+    return direction, gd
+
+
+def newton_ascent(evaluate, x, in_box, gtol, max_iter, accept):
+    """Maximize by damped Newton steps with backtracking, one lane per row of x."""
+    x = np.array(x, dtype=float)
+    state = list(evaluate(x, np.arange(len(x))))
+    iterations = np.zeros(len(x), dtype=int)
+    halved = np.zeros(len(x), dtype=bool)  # the lane's last accepted step was not full
+    failed = np.isnan(state[0])
+    active = np.flatnonzero(~failed)
+    for it in range(1, max_iter + 1):
+        iterations[active] = it
+        stop_norm = _max_abs(state[1][active])
+        going = ~(stop_norm <= gtol)
+        active, stop_norm = active[going], stop_norm[going]
+        if not active.size:
+            break
+        ll = state[0][active]
+        direction, gd = _ascent_directions(state[2][active], state[3][active])
+        rounding = _LL_ROUNDING * (1.0 + np.abs(ll))
+        endgame = (stop_norm <= 100.0 * gtol) | ((stop_norm <= accept) & (gd <= rounding))
+        ll_floor = np.where(endgame, ll - rounding, ll)
+        moved = np.zeros(len(active), dtype=bool)
+        searching = np.arange(len(active))  # positions in active
+        halvings = 0
+        while searching.size and halvings < 60:
+            # Try the next step lengths of every searching lane in one batch:
+            # the full step alone, unless a lane needed a shorter step last
+            # time, and then up to _SPECULATE candidates a round.  Each lane
+            # takes the candidate that the one-lane search, trying them in
+            # turn, would stop at.
+            lanes, pos = active[searching], searching
+            wide = halvings or np.count_nonzero(halved[lanes])
+            k = min(max(1, _SPECULATE // len(searching)) if wide else 1, 60 - halvings)
+            if k == 1:  # candidate r is the r-th searching lane's
+                scale = np.full(len(searching), 0.5**halvings)
+            else:
+                lanes, pos = np.repeat(lanes, k), np.repeat(pos, k)
+                scale = np.tile(np.ldexp(1.0, -np.arange(halvings, halvings + k)), len(searching))
+            halvings += k
+            cand = x[lanes] + scale[:, None] * direction[pos]
+            # The candidates inside the box are evaluated; when that is all
+            # of them they are taken by a slice, not an index array.
+            inside = in_box(cand)
+            evaluated = np.count_nonzero(inside)
+            inside = slice(None) if evaluated == len(cand) else np.flatnonzero(inside)
+            verdict = np.zeros(len(cand), dtype=np.int8)  # 1 accepted, 2 failed
+            if evaluated:
+                new = evaluate(cand[inside], lanes[inside])
+                ll_new, at = new[0], pos[inside]
+                improved = ll_new >= ll[at] + 1e-4 * scale[inside] * gd[at]
+                closer = (ll_new >= ll_floor[at]) & (_max_abs(new[1]) < stop_norm[at])
+                verdict[inside] = np.where(np.isnan(ll_new), 2, (improved | closer).astype(np.int8))
+            verdict = verdict.reshape(len(searching), k)
+            stopped = verdict.any(axis=1)
+            picked = np.flatnonzero(stopped)
+            if k > 1:
+                picked = picked * k + verdict[picked].argmax(axis=1)
+            kind = verdict.ravel()[picked]
+            failed[lanes[picked[kind == 2]]] = True
+            picked = picked[kind == 1]
+            # A lane whose accepted candidate is bitwise its point is at an
+            # exact fixed point: it stops without moving.
+            picked = picked[np.any(cand[picked] != x[lanes[picked]], axis=1)]
+            if picked.size:
+                to = lanes[picked]
+                halved[to] = scale[picked] < 1.0
+                x[to] = cand[picked]
+                rows = picked if isinstance(inside, slice) else np.searchsorted(inside, picked)
+                for part, value in zip(state, new):
+                    part[to] = value[rows]
+                moved[pos[picked]] = True
+            searching = searching[~stopped]
+        active = active[moved]
+        if not active.size:
+            break
+    return x, tuple(state), iterations, failed

@@ -8,10 +8,12 @@ max|grad| 1.56e-8 against a 1e-8 bar), where a last-ulp change could flip
 a NonConvergence.  The kernels are therefore compared bit for bit with the
 frozen array forms in ``oracles``, and the stalled fits and limits with
 digests of their outputs.  The batch sampler is compared bit for bit with
-the frozen one-table sampler, and the theory curves of the benchmark's
+the frozen one-table sampler, ``newton_ascent`` with its frozen form on the
+fits' and limits' own evaluations, and the theory curves of the benchmark's
 panels with digests of every field.
 """
 
+from contextlib import contextmanager
 from itertools import combinations
 import hashlib
 import re
@@ -20,10 +22,11 @@ import warnings
 import numpy as np
 from numpy.testing import assert_allclose
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import logit
 
+import cceff.estimators as estimators_mod
 import cceff.model as model_mod
 import cceff.simulate as simulate_mod
 from cceff import (
@@ -34,7 +37,9 @@ from cceff import (
     PopulationParams,
     alpha_from_prevalence,
     fit_constrained,
+    fit_constrained_batch,
     limiting_value,
+    limiting_values,
     retro_distribution,
     sample_table,
     sample_tables,
@@ -329,6 +334,100 @@ class TestStalledInputs:
         assert _max_grad(table.w / table.n, FIG1.f, fit.params) <= 1e-13
         assert_allclose(fit.params, params, rtol=1e-9)
         assert_allclose(fit.se_gamma, se_gamma, rtol=1e-9)
+
+
+def _ascent_bits(result):
+    x, state, iterations, failed = result
+    return _bits(x), [_bits(part) for part in state], iterations.tobytes(), failed.tobytes()
+
+
+def _nan_where_failing(evaluate):
+    """evaluate, with ll NaN at every point whose stopping gradient is not finite.
+
+    The routine fails such a point; the frozen one fails a point only on a
+    NaN ll.
+    """
+
+    def wrapped(x, lanes):
+        ll, stop_grad, *rest = evaluate(x, lanes)
+        return np.where(np.isfinite(np.abs(stop_grad).max(axis=1)), ll, np.nan), stop_grad, *rest
+
+    return wrapped
+
+
+@contextmanager
+def _beside_frozen_ascent(module):
+    """Run each newton_ascent that module calls through the frozen routine too.
+
+    Yields the list of (routine, frozen) result bits, one pair a call.
+    """
+    pairs = []
+    routine = module.newton_ascent
+
+    def both(evaluate, *args):
+        got = routine(evaluate, *args)
+        frozen = oracles.newton_ascent(_nan_where_failing(evaluate), *args)
+        pairs.append((_ascent_bits(got), _ascent_bits(frozen)))
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "newton_ascent", both)
+        yield pairs
+
+
+# A table: its eight cells, or a replicate (design, seed, index) of the
+# sparse or the Fig. 1 Monte Carlo.  Small counts give the typed failures.
+ascent_table = st.one_of(
+    st.lists(st.integers(0, 60), min_size=8, max_size=8),
+    st.lists(st.integers(0, 20000), min_size=8, max_size=8),
+    st.tuples(st.sampled_from(["sparse", "fig1"]), st.integers(0, 30), st.integers(0, 60)),
+)
+# 1e-5 sends some line-search candidates of small tables out of the box;
+# at 0.9999999999999999 every p (1 - p) rounds to 0 at some intercepts.
+ascent_f = st.sampled_from([SPARSE.f, FIG1.f, 0.3, 0.9, 1e-5, 1e-200, 0.9999999999999999])
+STALLED = [("sparse", 5, 2), ("sparse", 5, 3), ("sparse", 7, 2), ("fig1", 1, 36), ("fig1", 4, 2)]
+
+
+def _table_cells(table):
+    if isinstance(table, tuple):
+        design, seed, index = table
+        truth = {"sparse": (SPARSE, SPARSE_DESIGN), "fig1": (FIG1, FIG1_DESIGN)}[design]
+        return sample_table(*truth, seed, index).w.ravel()
+    return np.array(table, dtype=float)
+
+
+class TestNewtonAscent:
+    """``newton_ascent`` against its frozen form: x, state, iterations, failed mask."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(block=st.lists(ascent_table, min_size=1, max_size=8), f=ascent_f)
+    @example(block=STALLED[:3], f=SPARSE.f)
+    @example(block=STALLED[3:], f=FIG1.f)
+    @example(block=[[40, 30, 20, 10, 25, 5, 15, 8], [81, 11, 7, 1, 35, 3, 11, 1]],
+             f=0.9999999999999999)
+    @example(block=[[5, 2, 0, 0, 6, 1, 4, 7], [6, 0, 7, 0, 6, 0, 3, 2],
+                    [40, 30, 20, 10, 25, 5, 15, 8]], f=1e-5)
+    def test_fit_lanes_match_frozen_routine(self, block, f):
+        w = np.array([_table_cells(t) for t in block]).reshape(-1, 2, 2, 2)
+        w = w[(w[:, 0].sum(axis=(1, 2)) > 0) & (w[:, 1].sum(axis=(1, 2)) > 0)]
+        if not len(w):
+            return
+        with _beside_frozen_ascent(estimators_mod) as pairs:
+            fit_constrained_batch(w, f)
+        for got, want in pairs:
+            assert got == want
+
+    @settings(max_examples=8, deadline=None)
+    @given(f1s=st.lists(st.floats(0.01, 0.99), min_size=1, max_size=5),
+           truth=st.sampled_from(["fig1", "sparse"]))
+    @example(f1s=[0.08, 0.19, 0.84], truth="fig1")
+    def test_limit_lanes_match_frozen_routine(self, f1s, truth):
+        params, design = {"sparse": (SPARSE, SPARSE_DESIGN), "fig1": (FIG1, FIG1_DESIGN)}[truth]
+        with _beside_frozen_ascent(simulate_mod) as pairs:
+            limiting_values(params, design, f1s)
+        assert pairs
+        for got, want in pairs:
+            assert got == want
 
 
 design_nu = st.floats(1e-6, 1e6)

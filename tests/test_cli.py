@@ -5,12 +5,14 @@ from pathlib import Path
 import subprocess
 import sys
 
+from hypothesis import given
+from hypothesis import strategies as st
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import cceff
-from cceff import DesignParams, PopulationParams, expected_table, theory_curve
+from cceff import DesignParams, Method, PopulationParams, expected_table, theory_curve
 from cceff.cli import (
     COMMANDS,
     FIT_COLUMNS,
@@ -34,6 +36,46 @@ def read_csv(path):
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def _frozen_fmt(value):
+    """``cli._fmt`` as it stood when it tested for a bool before a float."""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format(value, ".17g")
+    if isinstance(value, Method):
+        return value.value
+    if isinstance(value, (list, tuple)):  # a sequence of sequences joins with ";"
+        sep = ";" if value and isinstance(value[0], (list, tuple)) else ","
+        return sep.join(_frozen_fmt(v) for v in value)
+    if isinstance(value, dict):
+        return ";".join(f"{k}={_frozen_fmt(v)}" for k, v in sorted(value.items()))
+    return str(value)
+
+
+class TestFmt:
+    """Every CSV cell and manifest value keeps its text."""
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            -0.0, 0.0, 0.1, 1.0 / 3.0, 1e300, -2.5e-7, math.nan, math.inf, -math.inf,
+            5e-324, 2.2250738585072014e-308 / 3.0,  # subnormals
+            np.float64(0.1), np.float64(-0.0), np.float64(math.nan), np.float64(5e-324),
+            True, False, np.True_, np.False_, 0, 3, -7, np.int64(12),
+            Method.MAR, Method.ADJCON, "adj", None,
+            [0.1, 2.0], (np.float64(1.5), True), [], [[0.2, 0.3], [1.0, np.float64(4.0)]],
+            [(Method.ADJ, 1), (2, np.False_)],
+            {"b": 1.5, "a": [np.float64(3.0), Method.MAR]}, {"ZeroCell": 2, "Separation": 1},
+        ],
+    )
+    def test_matches_the_frozen_form(self, value):
+        assert _fmt(value) == _frozen_fmt(value)
+
+    @given(st.floats(allow_nan=True, allow_infinity=True))
+    def test_every_float_keeps_its_text(self, value):
+        assert _fmt(value) == _frozen_fmt(value) == _fmt(np.float64(value))
 
 
 CANON = ["--beta", "1", "--gamma", "0.3", "--theta", "0.4", "--pi", "0.5"]

@@ -1,5 +1,6 @@
 import math
 import statistics
+import warnings
 
 import numpy as np
 import pytest
@@ -278,6 +279,22 @@ class TestConstrained:
         with pytest.raises(BracketFailure, match=r"^bracket expansion for alpha exceeded"):
             fit_constrained(t, 0.1)
         assert len(calls) > 1
+
+    def test_prevalence_one_ulp_below_one_is_a_typed_error(self):
+        # Every p (1 - p) rounds to 0 at some intercepts of this fit, so
+        # dF/dalpha is 0 there: the fit raises, names the cause and does not
+        # warn (it used to warn, then raise a BracketFailure at a later step).
+        t = CaseControlTable(np.reshape([40, 30, 20, 10, 25, 5, 15, 8], (2, 2, 2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InfeasibleStart) as error:
+                fit_constrained(t, 0.9999999999999999)
+            (batch,) = fit_constrained_batch(t.w[None], 0.9999999999999999)
+        assert str(error.value) == (
+            "every p (1 - p) rounds to 0 at the intercept for prevalence f=0.9999999999999999, "
+            "so dF/dalpha is 0 and the constrained likelihood has no derivatives"
+        )
+        assert type(batch) is InfeasibleStart and str(batch) == str(error.value)
 
     def test_observed_information_positive_definite(self, canonical):
         from cceff._constrained import loglik_grad_hess_s

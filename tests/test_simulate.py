@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -299,7 +300,7 @@ class TestRunMC:
         with pytest.raises(AllReplicatesFailed, match="ZeroCell"):
             run_mc(cfg)
 
-    @pytest.mark.parametrize("chunk", [1, 7])
+    @pytest.mark.parametrize("chunk", [1, 7, 30])  # 30: one batch, as the default gives
     def test_batch_size_does_not_change_the_report(self, canonical, monkeypatch, chunk):
         cfg = SimConfig(
             params=canonical, design=DesignParams(1.0, 1000.0), replicates=30, seed=11
@@ -390,6 +391,15 @@ class TestLimitingValue:
             limiting_value(canonical, d, 0.0)
         with pytest.raises(InfeasiblePrevalence):
             limiting_value(canonical, d, 0.75, eps=0.3)
+
+    def test_prevalence_one_ulp_below_one_is_a_typed_error(self, canonical):
+        # eps = 1e-17 admits f_used = 1 - 2^-53, where every p (1 - p)
+        # rounds to 0 at the truth's intercept: no derivatives, so no limit.
+        # It used to warn and return the truth as a LimitPoint.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InfeasiblePrevalence, match="dF/dalpha is 0"):
+                limiting_value(canonical, DesignParams(1.0, 1.0), 0.9999999999999999, eps=1e-17)
 
 
 class TestMisspecSweep:
