@@ -285,24 +285,14 @@ def _fails(ll, norm):
     return np.isnan(ll) | ~np.isfinite(norm)
 
 
-def note_flat(flat, k, alpha, grad):
-    """Record in flat, per lane of k with a failing row, whether that row has no derivatives.
-
-    newton_ascent fails a row whose gradient is not finite and stops the
-    row's lane at its first such row of a round.  Where that row's
-    intercept is finite, flat[lane] is set: every p (1 - p) rounds to 0
-    there (f within rounding of 1), so dF/dalpha is 0 and the likelihood
-    has no derivatives in s.  Else the intercept's inversion failed.
-    """
-    bad = ~np.isfinite(_max_abs(grad))
-    if np.count_nonzero(bad):
-        rows = bad.nonzero()[0]
-        stops, first = np.unique(k[rows], return_index=True)
-        flat[stops] = ~np.isnan(alpha[rows[first]])
-
-
 def no_derivatives(f):
-    """Why a lane that note_flat marks failed, at prevalence f."""
+    """Why a lane failed at prevalence f where its failing evaluation has a finite intercept.
+
+    ``newton_ascent`` fails a point whose stopping gradient is not finite.
+    Where the intercept there is finite, every p (1 - p) rounds to 0 (f
+    within rounding of 1), so dF/dalpha is 0 and the likelihood has no
+    derivatives in s; else the intercept's inversion failed.
+    """
     return (
         f"every p (1 - p) rounds to 0 at the intercept for prevalence f={f!r}, "
         "so dF/dalpha is 0 and the constrained likelihood has no derivatives"
@@ -379,8 +369,8 @@ def newton_ascent(evaluate, x, in_box, gtol, max_iter, accept):
     gradient whose max-norm is tested against gtol, the gradient and
     Hessian in the search coordinates x, and whatever else the caller
     keeps.  A point fails to evaluate where its ll is NaN or its stopping
-    gradient is not finite (at a lane's start its ll is then set to NaN).
-    in_box(x) tells, per row, whether a point may be evaluated.
+    gradient is not finite.  in_box(x) tells, per row, whether a point may
+    be evaluated; a candidate outside it is neither accepted nor failed.
 
     Each iteration tries the Newton direction, or the gradient scaled to
     max-norm at most 1 where the Hessian is singular or the Newton
@@ -400,7 +390,8 @@ def newton_ascent(evaluate, x, in_box, gtol, max_iter, accept):
     a point that its last rounding decides.  Farther out the objective
     still resolves a step's gain, so a lower objective there marks a worse
     step.  A flat step must shrink the max-norm in either case, so flat
-    steps cannot cycle.  A lane ends at the gradient tolerance, after
+    steps cannot cycle.  An iteration ends at its first candidate that is
+    accepted or fails.  A lane ends at the gradient tolerance, after
     max_iter iterations, when no candidate is accepted, when the accepted
     candidate is bitwise equal to its point (an exact fixed point, where
     every later iteration would repeat this one), or when an evaluation
@@ -411,15 +402,15 @@ def newton_ascent(evaluate, x, in_box, gtol, max_iter, accept):
     from stacked solves (lane by lane where one is singular) and row-wise
     matmul dot products, which round each lane as a one-lane call does.
 
-    Returns (x, state, iterations, failed): the final points, the last
-    accepted evaluation of each lane, the iteration at which each lane
-    stopped, and a mask of the lanes whose evaluation failed.
+    Returns (x, state, iterations, failed): the last accepted point of each
+    lane, the evaluation it ended on (the one at that point, or for a failed
+    lane the one that failed), the iteration at which it stopped, and a mask
+    of the lanes whose evaluation failed.
     """
     x = np.array(x, dtype=float)
     state = list(evaluate(x, np.arange(len(x))))
     iterations = np.zeros(len(x), dtype=int)
     failed = _fails(state[0], _max_abs(state[1]))
-    state[0] = np.where(failed, np.nan, state[0])
     # The lanes still iterating, and each one's point, state, stopping norm
     # and whether its last accepted step was short, packed in the order of
     # active.  A lane's rows go back to x and state when it stops.
@@ -457,58 +448,48 @@ def newton_ascent(evaluate, x, in_box, gtol, max_iter, accept):
             # the full step alone, unless a lane needed a shorter step last
             # time, and then up to _SPECULATE candidates a round.  Candidate
             # (r, j) is lane r's point plus its direction scaled by
-            # 2^-(halvings + j); each lane takes the candidate that the
-            # one-lane search, trying them in turn, would stop at, except
-            # that a candidate that fails to evaluate outranks an earlier
-            # accepted one of the same round.
+            # 2^-(halvings + j); each lane stops at its first candidate that
+            # is accepted or fails, as the one-lane search, trying them in
+            # turn, would.
             n = len(lanes)
             k = min(max(1, _SPECULATE // n) if wide else 1, 60 - halvings)
             steps = _STEPS[halvings : halvings + k]
             halvings += k
             grid = lx[:, None] + steps[:, None] * ld[:, None]
             cand = grid.reshape(n * k, -1)  # row r * k + j is candidate (r, j)
-            # The candidates inside the box are evaluated; when that is all
-            # of them they are taken by a slice, not an index array.
+            # The candidates inside the box are evaluated, by a slice when
+            # that is all of them; one outside reads as ll -inf and norm 0.
             inside = in_box(cand)
             evaluated = np.count_nonzero(inside)
             sub = slice(None) if evaluated == n * k else inside.nonzero()[0]
+            ll_new, new_norm = np.full(n * k, -np.inf), np.zeros(n * k)
             if evaluated:
                 new = evaluate(cand[sub], np.repeat(lact, k)[sub])
-                ll_new, new_norm = new[0], _max_abs(new[1])
-                if not isinstance(sub, slice):  # spread over every candidate's row
-                    full = np.zeros((2, n * k))
-                    full[:, sub] = ll_new, new_norm
-                    ll_new, new_norm = full
-                ll_k, norm_k = ll_new.reshape(n, k), new_norm.reshape(n, k)
-                improved = ll_k >= lll[:, None] + 1e-4 * steps * lgd[:, None]
-                closer = (ll_k >= lfloor[:, None]) & (norm_k < lnorm[:, None])
-                ok, bad = improved | closer, _fails(ll_k, norm_k)
-                if not isinstance(sub, slice):
-                    ok &= inside.reshape(n, k)
-                    bad &= inside.reshape(n, k)
-            else:
-                ok = bad = np.zeros((n, k), dtype=bool)
-            # 1 accepted, 2 failed; the first highest counts.  An accepted
+                ll_new[sub], new_norm[sub] = new[0], _max_abs(new[1])
+            ll_k, norm_k = ll_new.reshape(n, k), new_norm.reshape(n, k)
+            improved = ll_k >= lll[:, None] + 1e-4 * steps * lgd[:, None]
+            closer = (ll_k >= lfloor[:, None]) & (norm_k < lnorm[:, None])
+            bad = _fails(ll_k, norm_k)
+            decisive = improved | closer | bad
+            stopped = decisive.any(axis=1)
+            r = stopped.nonzero()[0]
+            c = r * k + decisive.take(r, axis=0).argmax(axis=1)  # the candidates stopped at
+            lost = bad.ravel()[c]
+            failed[lact[r[lost]]] = True
+            # A failed lane keeps the evaluation that failed.  An accepted
             # candidate that is bitwise its point is an exact fixed point:
             # the lane stops there without moving.
-            verdict = np.where(bad, 2, ok)
-            stopped = verdict.any(axis=1)
-            r = stopped.nonzero()[0]
-            c = r * k + verdict.take(r, axis=0).argmax(axis=1)  # the candidates stopped at
-            kind = verdict.ravel()[c]
-            if np.count_nonzero(kind == 2):
-                failed[lact[r[kind == 2]]] = True
             fresh = np.logical_or.reduce(grid != lx[:, None], axis=2).ravel()[c]
-            moving = (kind == 1) & fresh
-            r, c = r[moving], c[moving]
+            r, c, lost = _rows(lost | fresh, r, c, lost)
             if r.size:
                 rows = c if isinstance(sub, slice) else np.searchsorted(sub, c)
                 to = lanes[r]
+                for part, value in zip(sa, new):
+                    part[to] = value.take(rows, axis=0)
+                r, c, to = _rows(~lost, r, c, to)
                 halved[to] = steps[c - r * k] < 1.0
                 xa[to] = cand.take(c, axis=0)
                 norm[to] = new_norm[c]
-                for part, value in zip(sa, new):
-                    part[to] = value.take(rows, axis=0)
                 moved[to] = True
             if np.count_nonzero(stopped) == n:
                 break

@@ -36,7 +36,6 @@ from ._constrained import (
     nearly_singular,
     newton_ascent,
     no_derivatives,
-    note_flat,
     sandwich_s,
 )
 from .errors import (
@@ -134,12 +133,15 @@ class TestResult:
 
 
 def _cells(tables):
-    """Cell weights (R, 2, 2, 2) of a batch; each table finite, nonnegative, margins positive."""
+    """Cell weights (R, 2, 2, 2); each table nonnegative, its total finite, its margins positive."""
     w = np.asarray(tables, dtype=float)
     if w.ndim != 4 or w.shape[1:] != (2, 2, 2):
         raise InvalidInput(f"tables must have shape (R, 2, 2, 2), got {w.shape}")
-    if not np.all(np.isfinite(w)) or np.any(w < 0):
-        raise InvalidInput("cell weights must be finite and nonnegative")
+    # A NaN or infinite cell, or cells that overflow together, give a total that is not finite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = w.reshape(len(w), 8).sum(axis=1)
+    if np.any(w < 0) or not np.all(np.isfinite(total)):
+        raise InvalidInput("cell weights must be finite and nonnegative, with a finite total")
     if np.any(w[:, 1].sum(axis=(1, 2)) <= 0) or np.any(w[:, 0].sum(axis=(1, 2)) <= 0):
         raise InvalidInput("both case and control margins must be positive")
     return w
@@ -447,15 +449,12 @@ def fit_constrained_batch(tables, f: float, f_misspecified: bool = False, adjust
     cells = w.reshape(n_lanes, 8)[lanes]
     coef = np.array([adjusted[r].params[1:] for r in lanes])
     zeta = np.column_stack([coef, logit(theta0[lanes]), logit(pi0[lanes])])
-    flat = np.zeros(len(lanes), dtype=bool)  # see note_flat
 
-    # A failing row's inf and NaN parts would warn in the chart change; newton_ascent drops them.
-    @np.errstate(invalid="ignore")
+    @np.errstate(invalid="ignore")  # a failing row's inf and NaN parts warn in the chart change
     def evaluate(z, k):
         # newton_ascent's evaluation in zeta; the extras are alpha and the Hessian in s.
         s = _zeta_to_s(z)
         alpha, ll, g_s, h_s = loglik_grad_hess_s(cells.take(k, axis=0), f, s)
-        note_flat(flat, k, alpha, g_s)
         tp = s[:, 2:]
         dtp = tp * (1.0 - tp)  # d s / d zeta of theta and pi
         scale = np.ones_like(s)
@@ -472,14 +471,15 @@ def fit_constrained_batch(tables, f: float, f_misspecified: bool = False, adjust
     s_hat = _zeta_to_s(zeta)
     gmax = np.abs(g_s).max(axis=1)
     info = -h_s
-    # Verdicts in priority order: failed evaluation (an intercept where dF/dalpha
-    # is 0, else a failed inversion at the start or later), stalled, boundary.
+    # Verdicts in priority order: failed evaluation (a finite intercept, where
+    # dF/dalpha is 0, else a failed inversion at the start or later), stalled,
+    # boundary.
     stalled = ~failed & (gmax > _ACCEPT)
     edge = (np.abs(s_hat[:, :2]).max(axis=1) > _COEF_BOUND) | ~(
         (_PROB_MARGIN < s_hat[:, 2:]) & (s_hat[:, 2:] < 1.0 - _PROB_MARGIN)
     ).all(axis=1)
     for k in np.flatnonzero(failed | stalled | edge):
-        if failed[k] and flat[k]:
+        if failed[k] and np.isfinite(alpha_hat[k]):
             out[lanes[k]] = InfeasibleStart(no_derivatives(f))
         elif failed[k] and iterations[k] == 0:
             out[lanes[k]] = InfeasibleStart(str(_alpha_error(f)))

@@ -18,8 +18,7 @@ import numpy as np
 from scipy.special._ufuncs import _binom_ppf
 
 from ._constrained import (
-    _mass_lanes, expected_masses, loglik_grad_hess_s, newton_ascent, no_derivatives, note_flat,
-    sandwich_s,
+    _mass_lanes, expected_masses, loglik_grad_hess_s, newton_ascent, no_derivatives, sandwich_s,
 )
 from .asymptotics import _delta_and_variance, _wald_power, _z_half
 from .errors import (
@@ -179,12 +178,14 @@ def _multinomial_invcdf(u, n, probs):
 def _arm_sizes(design):
     """The case and control counts (n1, n0) a sample of design draws.
 
-    Raises InvalidInput unless n is an integer and both arms hold at least
-    one subject.
+    Raises InvalidInput unless n is an integer of at most 2^53, so that
+    every count is an exact float, and both arms hold at least one subject.
     """
     n = design.n
     if abs(n - round(n)) > 1e-9:
         raise InvalidInput("sampling requires an integer total sample size")
+    if n > 2.0**53:
+        raise InvalidInput("sampling requires a total sample size of at most 2**53")
     n1 = int(round(design.n_cases))
     n0 = int(round(n)) - n1
     if n1 < 1 or n0 < 1:
@@ -381,22 +382,22 @@ def limiting_values(truth: PopulationParams, design: DesignParams, f_values, eps
     p_case, p_ctrl = (np.tile(p.reshape(4), (len(lanes), 1)) for p in (rd.p_case, rd.p_ctrl))
     nu = np.full(len(lanes), design.nu)
     f_lane = np.array(f_values)[lanes]
-    flat = np.zeros(len(lanes), dtype=bool)  # see note_flat
 
     def evaluate(s, k):
         alpha, ll, grad, hess = loglik_grad_hess_s(masses.take(k, axis=0), f_lane[k], s)
-        note_flat(flat, k, alpha, grad)
-        return ll, grad, grad, hess
+        return ll, grad, grad, hess, alpha
 
     def in_box(s):
         return np.logical_and.reduce((_S_LOW < s) & (s < _S_HIGH), axis=1)
 
     s0 = np.tile([truth.beta, truth.gamma, truth.theta, truth.pi], (len(lanes), 1))
-    s, (ll, grad, _, _), _, failed = newton_ascent(evaluate, s0, in_box, 1e-12, 200, _LIMIT_BAR)
+    s, (ll, grad, _, _, alpha), _, failed = newton_ascent(
+        evaluate, s0, in_box, 1e-12, 200, _LIMIT_BAR
+    )
     gmax = np.abs(grad).max(axis=1)
     good = []
     for k, r in enumerate(lanes):
-        if failed[k] and flat[k]:
+        if failed[k] and np.isfinite(alpha[k]):
             out[r] = InfeasiblePrevalence(no_derivatives(f_values[r]))
         elif failed[k]:
             out[r] = _alpha_error(f_lane[k])

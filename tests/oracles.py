@@ -479,7 +479,11 @@ def loglik_grad_hess_s(weights, f, s):
 # A verbatim copy of cceff._constrained.newton_ascent (with the helpers it
 # calls) as it stood before its bookkeeping was packed per lane: the state
 # gathered from full-length arrays every iteration and every accepted row
-# scattered back.  Do not edit: the routine must reproduce it bit for bit.
+# scattered back.  It was re-frozen once, when a round came to stop at a
+# lane's first accepted or failed candidate (it had taken the first highest
+# verdict, so a failure outranked an earlier acceptance) and a failed lane
+# came to keep the evaluation that failed as its state.  Do not edit: the
+# routine must reproduce it bit for bit.
 
 _LL_ROUNDING = 1e-14
 _SPECULATE = 32
@@ -587,9 +591,14 @@ def newton_ascent(evaluate, x, in_box, gtol, max_iter, accept):
             stopped = verdict.any(axis=1)
             picked = np.flatnonzero(stopped)
             if k > 1:
-                picked = picked * k + verdict[picked].argmax(axis=1)
+                picked = picked * k + (verdict[picked] != 0).argmax(axis=1)
             kind = verdict.ravel()[picked]
-            failed[lanes[picked[kind == 2]]] = True
+            lost = picked[kind == 2]
+            if lost.size:  # a failed lane keeps the evaluation that failed
+                failed[lanes[lost]] = True
+                rows = lost if isinstance(inside, slice) else np.searchsorted(inside, lost)
+                for part, value in zip(state, new):
+                    part[lanes[lost]] = value[rows]
             picked = picked[kind == 1]
             # A lane whose accepted candidate is bitwise its point is at an
             # exact fixed point: it stops without moving.

@@ -341,18 +341,14 @@ def _ascent_bits(result):
     return _bits(x), [_bits(part) for part in state], iterations.tobytes(), failed.tobytes()
 
 
-def _nan_where_failing(evaluate):
-    """evaluate, with ll NaN at every point whose stopping gradient is not finite.
+def _nan_where_failing(ll, stop_grad, *rest):
+    """A state, with ll NaN at every point whose stopping gradient is not finite.
 
     The routine fails such a point; the frozen one fails a point only on a
-    NaN ll.
+    NaN ll.  So the frozen routine evaluates through this, and a failed
+    lane's state from the routine is compared through it too.
     """
-
-    def wrapped(x, lanes):
-        ll, stop_grad, *rest = evaluate(x, lanes)
-        return np.where(np.isfinite(np.abs(stop_grad).max(axis=1)), ll, np.nan), stop_grad, *rest
-
-    return wrapped
+    return np.where(np.isfinite(np.abs(stop_grad).max(axis=1)), ll, np.nan), stop_grad, *rest
 
 
 @contextmanager
@@ -366,8 +362,10 @@ def _beside_frozen_ascent(module):
 
     def both(evaluate, *args):
         got = routine(evaluate, *args)
-        frozen = oracles.newton_ascent(_nan_where_failing(evaluate), *args)
-        pairs.append((_ascent_bits(got), _ascent_bits(frozen)))
+        frozen = oracles.newton_ascent(lambda x, k: _nan_where_failing(*evaluate(x, k)), *args)
+        x, state, iterations, failed = got
+        seen = x, _nan_where_failing(*state), iterations, failed
+        pairs.append((_ascent_bits(seen), _ascent_bits(frozen)))
         return got
 
     with pytest.MonkeyPatch.context() as mp:

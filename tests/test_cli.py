@@ -521,6 +521,7 @@ class TestSimulate:
         ("--level", "1.5"),
         ("--nu", "-1"),
         ("--n", "100.5"),
+        ("--n", "1e17"),
     ])
     def test_out_of_domain_value_is_usage_error(self, tmp_path, capsys, flag, value):
         out = tmp_path / "sim.csv"

@@ -87,10 +87,12 @@ class TestCaseControlTable:
     BATCH_FITS = [fit_marginal_batch, fit_adjusted_batch, lambda w: fit_constrained_batch(w, 0.1)]
 
     @pytest.mark.parametrize("fit", BATCH_FITS)
-    @pytest.mark.parametrize("cell, value", [((0, 1, 1), math.nan), ((1, 0, 1), -1.0), ((0,), 0.0)])
+    @pytest.mark.parametrize(
+        "cell, value", [((0, 1, 1), math.nan), ((1, 0, 1), -1.0), ((0,), 0.0), ((0,), 1e308)]
+    )
     def test_batch_fits_check_each_table_as_the_table_does(self, fit, cell, value):
         w = np.ones((2, 2, 2))
-        w[cell] = value  # a NaN cell, a negative cell, no controls at all
+        w[cell] = value  # a NaN cell, a negative cell, no controls, a total that overflows
         with pytest.raises(InvalidInput) as table_error:
             CaseControlTable(w)
         with pytest.raises(InvalidInput) as batch_error:

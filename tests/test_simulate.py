@@ -77,6 +77,7 @@ class TestSimConfig:
         {"methods": ()},
         {"design": DesignParams(1.0, 100.5)},
         {"design": DesignParams(1.0, 1.0)},
+        {"design": DesignParams(1.0, 1e17)},
         {"seed": 1.5},
         {"seed": "1"},
     ])
@@ -167,6 +168,9 @@ class TestSampleTable:
             sample_table(canonical, DesignParams(1.0, 100.5), 0, 0)
         with pytest.raises(ValueError):
             sample_table(canonical, DesignParams(1.0, 1.0), 0, 0)
+        with pytest.raises(InvalidInput, match=r"at most 2\*\*53"):  # counts beyond exact floats
+            sample_table(canonical, DesignParams(1.0, 1e17), 0, 0)
+        assert sample_table(canonical, DesignParams(1.0, 2.0**53), 0, 0).n == 2.0**53
 
     def test_cell_frequencies_follow_the_law(self, canonical):
         # one large table; every cell within 5 binomial standard errors
