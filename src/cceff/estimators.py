@@ -107,7 +107,10 @@ class CaseControlTable:
 
 @dataclass(frozen=True, eq=False, kw_only=True)
 class FitResult:
-    """A converged fit; a fit that fails is its typed ``CCEffError`` instead."""
+    """A converged fit whose numbers are all finite, with a positive gamma variance.
+
+    A fit without them, or that fails, is its typed ``CCEffError`` instead.
+    """
 
     method: Method
     gamma_hat: float
@@ -145,6 +148,37 @@ def _cells(tables):
     if np.any(w[:, 1].sum(axis=(1, 2)) <= 0) or np.any(w[:, 0].sum(axis=(1, 2)) <= 0):
         raise InvalidInput("both case and control margins must be positive")
     return w
+
+
+def _results(out, rows, method, params, gamma_index, cov, loglik, iterations, refuse,
+             alpha_hat=None, f=None, cov_sandwich=None, corrected=False):
+    """Write each lane's FitResult, or its error refuse(message naming what failed), into out.
+
+    Lane k goes to out[rows[k]]; params (R, p), cov and cov_sandwich (R, p, p), loglik,
+    iterations and alpha_hat (R,) hold the lanes' numbers, and gamma_index is gamma's column.
+    """
+    var = cov[:, gamma_index, gamma_index]
+    refusals = [
+        ("positive finite gamma variance", ~((0.0 < var) & (var < math.inf))),
+        ("finite covariance", ~np.isfinite(cov).all(axis=(1, 2))),
+        ("finite log-likelihood", ~np.isfinite(loglik)),
+        ("finite coefficients", ~np.isfinite(params).all(axis=1)),
+    ]
+    if cov_sandwich is not None:
+        refusals.append(("finite sandwich covariance", ~np.isfinite(cov_sandwich).all(axis=(1, 2))))
+    bad = np.logical_or.reduce([mask for _, mask in refusals])
+    for k in np.flatnonzero(bad):
+        what = next(what for what, mask in refusals if mask[k])
+        out[rows[k]] = refuse(f"no {what} at the estimate (gamma variance {var[k]:.2e})")
+    keep, none = ~bad, [None] * len(rows)
+    lanes = zip(rows[keep].tolist(), params[keep].tolist(), np.sqrt(var[keep]).tolist(),
+                loglik[keep].tolist(), iterations[keep].tolist(), cov[keep],
+                none if alpha_hat is None else alpha_hat[keep].tolist(),
+                none if cov_sandwich is None else cov_sandwich[keep])
+    for r, p, se, ll, its, c, alpha, c_sw in lanes:
+        out[r] = FitResult(method=method, gamma_hat=p[gamma_index], se_gamma=se, params=tuple(p),
+                           loglik=ll, iterations=its, cov=c, alpha_hat=alpha, f=f,
+                           cov_sandwich=c_sw, corrected=corrected)
 
 
 def _one(outcomes):
@@ -187,26 +221,20 @@ def fit_marginal_batch(tables, continuity_correction: bool = False) -> list:
         )
     live = np.flatnonzero(~zero)
     m = m[live]
-    var_gamma = (1.0 / m).reshape(len(m), 4).sum(axis=1)
-    var_alpha0 = 1.0 / m[:, 1, 0] + 1.0 / m[:, 0, 0]
+    # A collapsed cell too small for its reciprocal or too far from another
+    # cell overflows here, and ``_results`` refuses the lane.
+    with np.errstate(over="ignore", divide="ignore"):
+        var_gamma = (1.0 / m).reshape(len(m), 4).sum(axis=1)
+        var_alpha0 = 1.0 / m[:, 1, 0] + 1.0 / m[:, 0, 0]
+        col = m.sum(axis=1)
+        loglik = (m * np.log(m / col[:, None, :])).reshape(len(m), 4).sum(axis=1)
+        ratios = m[:, (1, 1, 0), (0, 1, 1)] / m[:, (0, 1, 0), (0, 0, 0)]  # base, odds1, odds0
     cov = np.stack([var_alpha0, -var_alpha0, -var_alpha0, var_gamma], axis=-1).reshape(-1, 2, 2)
-    col = m.sum(axis=1)
-    loglik = (m * np.log(m / col[:, None, :])).reshape(len(m), 4).sum(axis=1)
-    odds1, odds0, base = m[:, 1, 1] / m[:, 1, 0], m[:, 0, 1] / m[:, 0, 0], m[:, 1, 0] / m[:, 0, 0]
-    results = zip(live, odds1.tolist(), odds0.tolist(), base.tolist(),
-                np.sqrt(var_gamma).tolist(), loglik.tolist(), cov)
-    for r, o1, o0, b, se, ll, c in results:
-        gamma_hat = math.log(o1) - math.log(o0)
-        out[r] = FitResult(
-            method=Method.MAR,
-            gamma_hat=gamma_hat,
-            se_gamma=se,
-            params=(math.log(b), gamma_hat),
-            loglik=ll,
-            iterations=0,
-            cov=c,
-            corrected=continuity_correction,
-        )
+    ratios[ratios == 0.0] = math.nan  # math.log(0.0) raises; a NaN estimate is refused
+    params = np.array([(math.log(b), math.log(o1) - math.log(o0))
+                       for b, o1, o0 in ratios.tolist()]).reshape(-1, 2)
+    _results(out, live, Method.MAR, params, 1, cov, loglik, np.zeros(len(live), dtype=int),
+             ZeroCell, corrected=continuity_correction)
     return out
 
 
@@ -251,11 +279,11 @@ def fit_adjusted_batch(tables) -> list:
     Newton iteration from (logit of the case fraction, 0, 0) until the
     score's max-norm is at most 1e-13 (at most 100 iterations); each step
     is halved up to 50 times until the log-likelihood does not fall by more
-    than 1e-14 * (1 + |loglik|).  A singular information or coefficients
-    beyond 50 raise Separation, as does a converged fit whose information
-    gives no positive finite variance of gamma.  The log-likelihood of an
-    accepted step is the one the halving computed, and the information is
-    taken at the last iteration's probabilities.
+    than 1e-14 * (1 + |loglik|).  A case share that rounds to 0 or 1 (no
+    finite start), a singular information or coefficients beyond 50 raise
+    Separation, as does a converged fit that no FitResult can hold.  The
+    log-likelihood of an accepted step is the one the halving computed, and
+    the information is taken at the last iteration's probabilities.
 
     Returns one outcome per table: its FitResult, or the error it raises
     alone.  Lanes iterate together but stop on their own; the reductions,
@@ -274,15 +302,20 @@ def fit_adjusted_batch(tables) -> list:
     for r in np.flatnonzero(no_x | no_e):
         stratum = "a covariate" if no_x[r] else "an exposure"
         out[r] = ZeroMargin(f"{stratum} stratum contains no observations")
+    share = c1.reshape(n_lanes, 4).sum(axis=1)  # the start's intercept is logit(share)
+    rounded = ~(no_x | no_e | ((0.0 < share) & (share < 1.0)))
+    for r in np.flatnonzero(rounded):
+        arm = "case" if share[r] <= 0.0 else "control"
+        out[r] = Separation(f"the {arm} share of the table rounds to 0: no finite start")
 
     t = np.zeros((n_lanes, 3))
-    t[:, 0] = logit(c1.reshape(n_lanes, 4).sum(axis=1))
+    t[:, 0] = logit(share)
     ll = np.full(n_lanes, np.nan)
     iterations = np.zeros(n_lanes, dtype=int)
     # The lanes still iterating, and their cells, coefficients and
     # log-likelihoods packed in the order of active; a lane that converges
     # writes its coefficients and log-likelihood back to t and ll.
-    active = (~(no_x | no_e)).nonzero()[0]
+    active = (~(no_x | no_e | rounded)).nonzero()[0]
     c1_a, mt_a, t_a = (x.take(active, axis=0) for x in (c1, mt, t))
     ll_a = _adj_loglik(c1_a, mt_a, t_a)
     for it in range(1, 101):
@@ -342,31 +375,16 @@ def fit_adjusted_batch(tables) -> list:
         out[r] = NonConvergence("adjusted fit did not reach score tolerance in 100 iterations")
 
     # A lane still without an outcome converged, and its t has not moved since.
+    # Its information is singular (NaN from _lanewise) or rounds indefinite
+    # where too few covariate-exposure patterns are filled to pin the three
+    # coefficients; ``_results`` refuses it then.
     ok = np.flatnonzero([o is None for o in out])
     info = _adj_info(mt[ok], expit(_adj_eta(t[ok]))) * total[ok, None, None]
     cov = _lanewise(np.linalg.inv, info)[0]
-    cov = 0.5 * (cov + cov.transpose(0, 2, 1))
-    usable = (0.0 < cov[:, 2, 2]) & (cov[:, 2, 2] < math.inf)
-    for r, v in zip(ok[~usable], cov[~usable, 2, 2]):
-        # The score vanished, but the information is singular (NaN from
-        # _lanewise) or rounds indefinite: too few covariate-exposure
-        # patterns are filled to pin the three coefficients.
-        out[r] = Separation(
-            f"no unique finite MLE: information at the estimate gives gamma variance {v:.2e}"
-        )
-    ok, cov = ok[usable], cov[usable]
-    results = zip(ok, t[ok].tolist(), np.sqrt(cov[:, 2, 2]).tolist(),
-                (ll[ok] * total[ok]).tolist(), iterations[ok].tolist(), cov)
-    for r, coef, se, loglik, its, c in results:
-        out[r] = FitResult(
-            method=Method.ADJ,
-            gamma_hat=coef[2],
-            se_gamma=se,
-            params=tuple(coef),
-            loglik=loglik,
-            iterations=its,
-            cov=c,
-        )
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = 0.5 * (cov + cov.transpose(0, 2, 1))
+        loglik = ll[ok] * total[ok]
+    _results(out, ok, Method.ADJ, t[ok], 2, cov, loglik, iterations[ok], Separation)
     return out
 
 
@@ -402,8 +420,8 @@ def fit_constrained(
     adjusted estimates projected onto the constraint surface).  When the
     adjusted fit fails, this fit raises the same error.  The covariance of
     (beta, gamma, theta, pi) is the inverse observed information in s; an
-    information that is nearly singular, or gives no positive finite
-    variance of gamma, raises SingularInformation.  With f_misspecified the
+    information that is nearly singular, or a fit that no FitResult can
+    hold, raises SingularInformation.  With f_misspecified the
     plug-in ``sandwich_s`` on the table's own cells is attached as a robust
     covariance as well.
 
@@ -502,39 +520,19 @@ def fit_constrained_batch(tables, f: float, f_misspecified: bool = False, adjust
             f"observed information nearly singular (min eig {e:.2e})"
         )
     kept = kept[~near]
-    if not kept.size:
-        return out
-    cov = _lanewise(np.linalg.inv, info[kept])[0] / total[lanes[kept], None, None]
-    cov = 0.5 * (cov + cov.transpose(0, 2, 1))
-    usable = (0.0 < cov[:, 1, 1]) & (cov[:, 1, 1] < math.inf)
-    for k, v in zip(kept[~usable], cov[~usable, 1, 1]):
-        out[lanes[k]] = SingularInformation(f"observed information gives gamma variance {v:.2e}")
-    kept, cov = kept[usable], cov[usable]
-    if not kept.size:
-        return out
     good = lanes[kept]
-    cov_sw = [None] * len(good)
-    if f_misspecified:
-        wk = w[good].reshape(-1, 8)
-        p_ctrl, p_case = (x / x.sum(axis=1)[:, None] for x in (wk[:, :4], wk[:, 4:]))
-        nu = n_cases[good] / n_controls[good]
-        cov_sw = sandwich_s(wk, p_case, p_ctrl, nu, f, s_hat[kept]) / total[good, None, None]
-    results = zip(good, s_hat[kept].tolist(), np.sqrt(cov[:, 1, 1]).tolist(),
-                (ll[kept] * total[good]).tolist(), iterations[kept].tolist(),
-                alpha_hat[kept].tolist(), cov, cov_sw)
-    for r, s, se, loglik, its, alpha, c, c_sw in results:
-        out[r] = FitResult(
-            method=Method.ADJCON,
-            gamma_hat=s[1],
-            se_gamma=se,
-            params=tuple(s),
-            loglik=loglik,
-            iterations=its,
-            cov=c,
-            alpha_hat=alpha,
-            f=float(f),
-            cov_sandwich=c_sw,
-        )
+    cov_sw = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = _lanewise(np.linalg.inv, info[kept])[0] / total[good, None, None]
+        cov = 0.5 * (cov + cov.transpose(0, 2, 1))
+        loglik = ll[kept] * total[good]
+        if f_misspecified:
+            wk = w[good].reshape(-1, 8)
+            p_ctrl, p_case = (x / x.sum(axis=1)[:, None] for x in (wk[:, :4], wk[:, 4:]))
+            nu = n_cases[good] / n_controls[good]
+            cov_sw = sandwich_s(wk, p_case, p_ctrl, nu, f, s_hat[kept]) / total[good, None, None]
+    _results(out, good, Method.ADJCON, s_hat[kept], 1, cov, loglik, iterations[kept],
+             SingularInformation, alpha_hat=alpha_hat[kept], f=float(f), cov_sandwich=cov_sw)
     return out
 
 

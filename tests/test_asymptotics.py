@@ -486,6 +486,12 @@ class TestConstantsBundle:
             # terms cancel at roundoff level
             assert c.tau <= 1e-12
 
+    def test_beta_zero_has_no_bias_minimizer(self):
+        # delta vanishes identically, so f_star and alpha_star are NaN.
+        c = asymptotic_constants(PopulationParams(-2.0, 0.0, 0.3, 0.4, 0.5), 1.0)
+        assert math.isnan(c.f_star) and math.isnan(c.alpha_star)
+        assert c.delta == 0.0
+
 
 class TestClosedFormDomain:
     @pytest.mark.parametrize("fn, args", [

@@ -16,6 +16,7 @@ from cceff import (
     Method,
     PopulationParams,
     Separation,
+    SingularInformation,
     ZeroCell,
     ZeroMargin,
     bias_delta,
@@ -63,6 +64,20 @@ def canonical_table(canonical, balanced_design):
 
 positive_cells = st.lists(st.floats(0.5, 500.0), min_size=8, max_size=8)
 
+CI_TABLE = np.array([30, 12, 18, 25, 20, 22, 10, 40], dtype=float)
+# Tables with a finite total whose covariance, log-likelihood or estimate
+# cannot be represented at their weight.
+EXTREME_TABLES = [
+    CI_TABLE * 1e-309,  # Adj's and AdjCon's covariances overflow
+    CI_TABLE * 1e-310,  # so does Mar's Woolf variance
+    np.full(8, 2e307),  # AdjCon's log-likelihood overflows
+    [3.2695592245902645e-286, 7.519434173154918e-286, 1.63522921761235e-310,
+     6.936330515043081e-300, 4.3775160199230856e-307, 1.8646457644068248e-299,
+     2.7988467835797735e-308, 9.218176187979284e-305],  # Adj's covariance holds +-inf
+    [1, 1, 1, 1, 1e300, 1e-300, 1, 1e-300],  # Mar's case odds underflow to 0
+    [1, 1, 1, 1, 1e-300, 1e300, 1e-300, 1],  # Mar's case odds overflow
+]
+
 
 class TestCaseControlTable:
     def test_margins_and_nu(self):
@@ -104,6 +119,32 @@ class TestCaseControlTable:
         shape = r"^tables must have shape \(R, 2, 2, 2\), got \(2, 2, 2\)$"
         with pytest.raises(InvalidInput, match=shape):
             fit(np.ones((2, 2, 2)))
+
+    @pytest.mark.parametrize("fit", BATCH_FITS)
+    @pytest.mark.parametrize("cells", EXTREME_TABLES)
+    def test_a_fit_holds_finite_numbers_or_is_a_typed_error(self, fit, cells):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (out,) = fit(np.reshape(cells, (1, 2, 2, 2)))
+        if not isinstance(out, CCEffError):
+            numbers = [out.gamma_hat, out.se_gamma, out.loglik, *out.params, *out.cov.ravel()]
+            if out.cov_sandwich is not None:
+                numbers += out.cov_sandwich.ravel().tolist()
+            assert out.se_gamma > 0.0
+            assert np.isfinite(numbers).all()
+
+    @pytest.mark.parametrize("fit, cells, error, why", [
+        (fit_marginal_batch, EXTREME_TABLES[1], ZeroCell, "positive finite gamma variance"),
+        (fit_adjusted_batch, EXTREME_TABLES[0], Separation, "positive finite gamma variance"),
+        (fit_adjusted_batch, EXTREME_TABLES[3], Separation, "finite covariance"),
+        (BATCH_FITS[2], EXTREME_TABLES[2], SingularInformation, "finite log-likelihood"),
+        (fit_marginal_batch, EXTREME_TABLES[4], ZeroCell, "finite coefficients"),
+        (fit_marginal_batch, EXTREME_TABLES[5], ZeroCell, "finite coefficients"),
+    ])
+    def test_a_refused_fit_names_what_failed(self, fit, cells, error, why):
+        (out,) = fit(np.reshape(cells, (1, 2, 2, 2)))
+        assert type(out) is error
+        assert str(out).startswith(f"no {why} at the estimate (gamma variance ")
 
 
 class TestMarginal:
@@ -194,7 +235,7 @@ class TestAdjusted:
     def test_unidentified_table_is_separation_in_any_block(self, cells):
         # Two filled covariate-exposure patterns cannot pin three coefficients.
         w = np.array(cells, dtype=float).reshape(2, 2, 2)
-        with pytest.raises(Separation, match="^no unique finite MLE"):
+        with pytest.raises(Separation, match="^no positive finite gamma variance at the estimate"):
             fit_adjusted(CaseControlTable(w))
         good = np.full((2, 2, 2), 5.0)
         alone = fit_adjusted(CaseControlTable(good))
@@ -202,6 +243,22 @@ class TestAdjusted:
             outcomes = fit_adjusted_batch(block)
             assert isinstance(outcomes[bad], Separation)
             assert outcomes[1 - bad].cov.tobytes() == alone.cov.tobytes()
+
+    @pytest.mark.parametrize(
+        "fit", [fit_adjusted_batch, lambda w: fit_constrained_batch(w, 0.3, True)]
+    )
+    @pytest.mark.parametrize("cells, arm", [
+        ([0, 1, 0, 0, 0, 1e16, 1000, 1000], "control"),  # the case share rounds to 1
+        ([1, 1, 1, 1, 5e-324, 0, 0, 0], "case"),  # the case share rounds to 0
+        ([1e-300, 0, 0, 0, 2, 5, 3, 3], "control"),  # the case share rounds above 1
+    ])
+    def test_a_share_that_rounds_away_is_separation_without_a_warning(self, fit, cells, arm):
+        # The start's intercept, the logit of the case share, would be infinite.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (out,) = fit(np.reshape(np.array(cells, dtype=float), (1, 2, 2, 2)))
+        assert type(out) is Separation
+        assert str(out) == f"the {arm} share of the table rounds to 0: no finite start"
 
     def test_separation(self):
         cells = {(1, i, 1): 25.0 for i in (0, 1)}

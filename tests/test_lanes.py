@@ -104,6 +104,11 @@ class TestFitLanes:
     # stops at its first accepted or failed one, whatever its batch.
     @example(block=[[44, 48, 57, 29, 31, 59, 30, 11], [16, 57, 3, 48, 39, 29, 50, 48]],
              f=0.9999999999999999, robust=False)
+    # Adj takes a step no halving was accepted for on the first table and
+    # ends at its 100-iteration cap on the second.
+    @example(block=[[0.211, 1820.0, 3010.0, 0.706, 2.01, 0.0, 71.3, 0.0],
+                    [0.0004532, 75660.0, 901.0, 0.06907, 0.0004024, 6.88e-05, 39.85, 0.01448]],
+             f=0.3, robust=True)
     def test_each_lane_is_fitted_as_alone(self, block, f, robust):
         w = np.array(block, dtype=float).reshape(-1, 2, 2, 2)
         singles = [CaseControlTable(cells) for cells in w]

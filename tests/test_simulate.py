@@ -10,6 +10,7 @@ import cceff.model as model_mod
 import cceff.simulate as simulate_mod
 from cceff import (
     AllReplicatesFailed,
+    BracketFailure,
     CaseControlTable,
     DesignParams,
     FitResult,
@@ -19,6 +20,7 @@ from cceff import (
     PopulationParams,
     SimConfig,
     ZeroMargin,
+    alpha_from_prevalence,
     asymptotic_power,
     bias_delta,
     expected_table,
@@ -404,6 +406,16 @@ class TestLimitingValue:
             warnings.simplefilter("error")
             with pytest.raises(InfeasiblePrevalence, match="dF/dalpha is 0"):
                 limiting_value(canonical, DesignParams(1.0, 1.0), 0.9999999999999999, eps=1e-17)
+
+    def test_subnormal_prevalence_is_a_bracket_failure(self):
+        # No intercept reproduces f = 1e-310, so the limit's inversion fails.
+        fig1 = PopulationParams(
+            alpha_from_prevalence(0.3, 1.0, 0.3, 0.4, 0.5), beta=1.0, gamma=0.3, theta=0.4, pi=0.5
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BracketFailure):
+                limiting_value(fig1, DesignParams(1.0, 1e5), 1e-310)
 
 
 class TestMisspecSweep:
