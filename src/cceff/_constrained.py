@@ -124,8 +124,10 @@ _F_HESS = np.array(
 
 # A NaN alpha makes logaddexp warn.  Where dF/dalpha rounds to 0 at the
 # intercept (every p (1 - p) is 0 there), a_s is -grad / 0, the parts are
-# inf and NaN, and a zero cell weight times an inf part is NaN.  None warns.
-@np.errstate(divide="ignore", invalid="ignore")
+# inf and NaN, and a zero cell weight times an inf part is NaN.  A theta or
+# pi whose square is subnormal overflows the curvature to inf.  None warns:
+# ``newton_ascent`` types the lane.
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def profile_parts(f, s):
     """Per-cell log-likelihood, gradient, and Hessian in s at prevalence f.
 

@@ -221,10 +221,6 @@ def _check_closed_form(nu, **probs):
 def sigma0_sq(nu: float, pi: float) -> float:
     """Common null variance (2 + nu + 1/nu)/{pi(1 - pi)}."""
     _check_closed_form(nu, pi=pi)
-    return _sigma0_sq(nu, pi)
-
-
-def _sigma0_sq(nu, pi):
     return (2.0 + nu + 1.0 / nu) / (pi * (1.0 - pi))
 
 
@@ -266,10 +262,6 @@ def _sigma_AC_lanes(f, s, p_case, p_ctrl, nu):
 def lambda_ratio(alpha, beta, theta, nu):
     """gamma -> 0 limit of sigma_A_sq / sigma_M_sq; at least 1, equal 1 iff beta = 0."""
     _check_closed_form(nu, theta=theta)
-    return _lambda_ratio(alpha, beta, theta, nu)
-
-
-def _lambda_ratio(alpha, beta, theta, nu):
     if beta == 0.0:
         return 1.0
     # (1 + e^(alpha+beta))/(1 + e^alpha) computed through logaddexp for large |alpha|
@@ -292,12 +284,8 @@ def lambda0(beta, theta, nu):
 def pitman_are_M_vs_A(alpha, beta, theta, nu):
     """Pitman ARE of the marginal test relative to the adjusted test."""
     _check_closed_form(nu, theta=theta)
-    return _are_M_vs_A(alpha, beta, theta, nu)
-
-
-def _are_M_vs_A(alpha, beta, theta, nu):
     slope = attenuation_slope(alpha, beta, theta)
-    return slope * slope * _lambda_ratio(alpha, beta, theta, nu)
+    return slope * slope * lambda_ratio(alpha, beta, theta, nu)
 
 
 def pitman_are_M_vs_AC(alpha, beta, theta, pi, nu):
@@ -318,7 +306,7 @@ def pitman_are_M_vs_AC(alpha, beta, theta, pi, nu):
 def _are_M_vs_AC(alpha, beta, theta, pi, nu, var_ac0):
     """``pitman_are_M_vs_AC`` from the constrained variance at gamma = 1e-8."""
     slope = attenuation_slope(alpha, beta, theta)
-    return slope * slope * var_ac0 / _sigma0_sq(nu, pi)
+    return slope * slope * var_ac0 / sigma0_sq(nu, pi)
 
 
 def pitman_tau(beta, theta, nu):
@@ -476,7 +464,7 @@ def theory_curve(f_values, beta, gamma, theta, pi, nu, n, level=0.05):
                 power_mar=_wald_power(gamma + delta, vm, n, z),
                 power_adj=_wald_power(gamma, va, n, z),
                 power_adjcon=_wald_power(gamma, v, n, z),
-                ep_M_vs_A=_are_M_vs_A(alpha, beta, theta, nu),
+                ep_M_vs_A=pitman_are_M_vs_A(alpha, beta, theta, nu),
                 ep_M_vs_AC=_are_M_vs_AC(alpha, beta, theta, pi, nu, *v0) if v0 else 1.0,
                 f_star=f_star,
                 alpha_star=alpha_star,

@@ -49,7 +49,7 @@ from .errors import (
     ZeroCell,
     ZeroMargin,
 )
-from .model import _COEF_BOUND, _PROB_MARGIN, _alpha_error
+from .model import _COEF_BOUND, _PROB_MARGIN, _TINY, _alpha_error
 
 __all__ = [
     "Method",
@@ -206,7 +206,9 @@ def fit_marginal_batch(tables, continuity_correction: bool = False) -> list:
     Returns one outcome per table, in order: its FitResult, or the ZeroCell
     error it raises alone.  Lane-exact: the array steps are elementwise or
     reduce each table's own cells in the one-table order, and the logs of
-    the estimates are taken per lane by ``math.log``.
+    the estimates are taken per lane by ``math.log``.  Where a ratio of two
+    collapsed cells, or a cell's share of its column, is not a normal float,
+    its log is the difference of the two logs.
     """
     w = _cells(tables)
     m = w.sum(axis=2)  # (R, 2, 2) exposure-by-disease margins [d, j]
@@ -221,18 +223,24 @@ def fit_marginal_batch(tables, continuity_correction: bool = False) -> list:
         )
     live = np.flatnonzero(~zero)
     m = m[live]
-    # A collapsed cell too small for its reciprocal or too far from another
-    # cell overflows here, and ``_results`` refuses the lane.
+    # A collapsed cell too small for its reciprocal overflows here, and
+    # ``_results`` refuses the lane.  A share or ratio that underflowed, is
+    # subnormal or overflowed has lost digits that the two cells still hold.
     with np.errstate(over="ignore", divide="ignore"):
         var_gamma = (1.0 / m).reshape(len(m), 4).sum(axis=1)
         var_alpha0 = 1.0 / m[:, 1, 0] + 1.0 / m[:, 0, 0]
         col = m.sum(axis=1)
-        loglik = (m * np.log(m / col[:, None, :])).reshape(len(m), 4).sum(axis=1)
-        ratios = m[:, (1, 1, 0), (0, 1, 1)] / m[:, (0, 1, 0), (0, 0, 0)]  # base, odds1, odds0
+        share = m / col[:, None, :]
+        log_share = np.where(share >= _TINY, np.log(share), np.log(m) - np.log(col)[:, None, :])
+        loglik = (m * log_share).reshape(len(m), 4).sum(axis=1)
+        num, den = m[:, (1, 1, 0), (0, 1, 1)], m[:, (0, 1, 0), (0, 0, 0)]  # base, odds1, odds0
+        ratios = num / den
+    odd = ~((ratios >= _TINY) & (ratios < math.inf))
+    logs = np.array([math.log(r) for r in np.where(odd, 1.0, ratios).ravel().tolist()])
+    logs = logs.reshape(-1, 3)
+    logs[odd] = [math.log(a) - math.log(b) for a, b in zip(num[odd].tolist(), den[odd].tolist())]
+    params = np.stack([logs[:, 0], logs[:, 1] - logs[:, 2]], axis=-1)
     cov = np.stack([var_alpha0, -var_alpha0, -var_alpha0, var_gamma], axis=-1).reshape(-1, 2, 2)
-    ratios[ratios == 0.0] = math.nan  # math.log(0.0) raises; a NaN estimate is refused
-    params = np.array([(math.log(b), math.log(o1) - math.log(o0))
-                       for b, o1, o0 in ratios.tolist()]).reshape(-1, 2)
     _results(out, live, Method.MAR, params, 1, cov, loglik, np.zeros(len(live), dtype=int),
              ZeroCell, corrected=continuity_correction)
     return out

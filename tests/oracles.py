@@ -174,6 +174,25 @@ def mp_alpha_root(f, beta, gamma, theta, pi, dps=50):
         return float(mpmath.findroot(excess, (-1000, 100), solver="anderson"))
 
 
+def mp_marginal(cells, dps=50):
+    """The marginal fit of eight cells (d, i, j) in mpmath: (alpha0, gamma, var_alpha0, var_gamma, loglik).
+
+    Collapses over i; the cells are taken exactly and every result is rounded once to a float.
+    """
+    with mpmath.workdps(dps):
+        w = [mpmath.mpf(float(c)) for c in np.ravel(cells)]
+        m = [[w[4 * d + j] + w[4 * d + 2 + j] for j in (0, 1)] for d in (0, 1)]
+        col = [m[0][j] + m[1][j] for j in (0, 1)]
+        loglik = sum(m[d][j] * mpmath.log(m[d][j] / col[j]) for d in (0, 1) for j in (0, 1))
+        return tuple(float(x) for x in (
+            mpmath.log(m[1][0] / m[0][0]),
+            mpmath.log(m[1][1] * m[0][0] / (m[1][0] * m[0][1])),
+            1 / m[1][0] + 1 / m[0][0],
+            sum(1 / m[d][j] for d in (0, 1) for j in (0, 1)),
+            loglik,
+        ))
+
+
 def fd_derivative(fn, x, h=1e-6):
     return (fn(x + h) - fn(x - h)) / (2.0 * h)
 

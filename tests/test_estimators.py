@@ -34,7 +34,7 @@ from cceff import (
     wald_test,
 )
 import cceff._constrained as constrained_mod
-from cceff.errors import CCEffError, InfeasibleStart
+from cceff.errors import CCEffError, InfeasibleStart, NonConvergence
 
 import oracles
 
@@ -66,7 +66,7 @@ positive_cells = st.lists(st.floats(0.5, 500.0), min_size=8, max_size=8)
 
 CI_TABLE = np.array([30, 12, 18, 25, 20, 22, 10, 40], dtype=float)
 # Tables with a finite total whose covariance, log-likelihood or estimate
-# cannot be represented at their weight.
+# cannot be represented at their weight, or whose Mar odds leave the floats.
 EXTREME_TABLES = [
     CI_TABLE * 1e-309,  # Adj's and AdjCon's covariances overflow
     CI_TABLE * 1e-310,  # so does Mar's Woolf variance
@@ -74,9 +74,24 @@ EXTREME_TABLES = [
     [3.2695592245902645e-286, 7.519434173154918e-286, 1.63522921761235e-310,
      6.936330515043081e-300, 4.3775160199230856e-307, 1.8646457644068248e-299,
      2.7988467835797735e-308, 9.218176187979284e-305],  # Adj's covariance holds +-inf
-    [1, 1, 1, 1, 1e300, 1e-300, 1, 1e-300],  # Mar's case odds underflow to 0
-    [1, 1, 1, 1, 1e-300, 1e300, 1e-300, 1],  # Mar's case odds overflow
+    [1, 1, 1, 1, 1e300, 1e-300, 1, 1e-300],  # Mar's case odds underflow to 0, but it fits
+    [1, 1, 1, 1, 1e-300, 1e300, 1e-300, 1],  # Mar's case odds overflow, but it fits
 ]
+
+
+def assert_mar_matches_oracle(fit, cells):
+    """Mar's estimates, variances and log-likelihood agree with the mpmath fit of the same cells.
+
+    The logs are good to a few ulps of logs up to about 1400, and the log of a
+    share near 1 to an ulp of the share, so the log-likelihood is judged
+    against the total weight as well as its own size.
+    """
+    alpha0, gamma, var_alpha0, var_gamma, loglik = oracles.mp_marginal(cells)
+    assert fit.params[0] == pytest.approx(alpha0, rel=1e-15, abs=1e-12)
+    assert fit.gamma_hat == pytest.approx(gamma, rel=1e-15, abs=1e-12)
+    assert fit.cov[0, 0] == pytest.approx(var_alpha0, rel=1e-14)
+    assert fit.cov[1, 1] == pytest.approx(var_gamma, rel=1e-14)
+    assert abs(fit.loglik - loglik) <= 1e-14 * (abs(loglik) + math.fsum(np.ravel(cells)))
 
 
 class TestCaseControlTable:
@@ -138,13 +153,18 @@ class TestCaseControlTable:
         (fit_adjusted_batch, EXTREME_TABLES[0], Separation, "positive finite gamma variance"),
         (fit_adjusted_batch, EXTREME_TABLES[3], Separation, "finite covariance"),
         (BATCH_FITS[2], EXTREME_TABLES[2], SingularInformation, "finite log-likelihood"),
-        (fit_marginal_batch, EXTREME_TABLES[4], ZeroCell, "finite coefficients"),
-        (fit_marginal_batch, EXTREME_TABLES[5], ZeroCell, "finite coefficients"),
     ])
     def test_a_refused_fit_names_what_failed(self, fit, cells, error, why):
         (out,) = fit(np.reshape(cells, (1, 2, 2, 2)))
         assert type(out) is error
         assert str(out).startswith(f"no {why} at the estimate (gamma variance ")
+
+    @pytest.mark.parametrize("cells", EXTREME_TABLES[4:])
+    def test_mar_fits_odds_beyond_the_float_range(self, cells):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_marginal(CaseControlTable(np.reshape(cells, (2, 2, 2))))
+        assert_mar_matches_oracle(fit, cells)
 
 
 class TestMarginal:
@@ -176,6 +196,17 @@ class TestMarginal:
         fit = fit_marginal(canonical_table)
         want = 0.3 + bias_delta(-2.0, 1.0, 0.3, 0.4)
         assert abs(fit.gamma_hat - want) <= 1e-10
+
+    @given(st.lists(st.floats(-300.0, 300.0), min_size=8, max_size=8))
+    def test_log_uniform_cells_fit_as_the_oracle_does(self, exponents):
+        # Cells from 1e-300 to 1e300 keep the Woolf variance finite, while a
+        # collapsed ratio or share may leave the normal floats.
+        cells = [10.0 ** e for e in exponents]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (fit,) = fit_marginal_batch(np.reshape(cells, (1, 2, 2, 2)))
+        assert not isinstance(fit, CCEffError), fit
+        assert_mar_matches_oracle(fit, cells)
 
     def test_loglik_is_maximized_binomial(self):
         t = collapsed_table(30.0, 20.0, 20.0, 30.0)
@@ -354,6 +385,17 @@ class TestConstrained:
             "so dF/dalpha is 0 and the constrained likelihood has no derivatives"
         )
         assert type(batch) is InfeasibleStart and str(batch) == str(error.value)
+
+    def test_curvature_overflow_is_a_typed_error_without_a_warning(self):
+        # Cells spanning hundreds of decades take the Newton iterates to a
+        # theta or pi whose square is subnormal, where the curvature overflows.
+        cells = [2.753554535775351e-112, 8.007448355446472e-89, 2.0354334845885512e-162,
+                 1.931635865502153e-97, 1.0744284865637203e+64, 1.3859489151138205e-299,
+                 2.137558417238647e+73, 1.3185704649160907e-105]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (out,) = fit_constrained_batch(np.reshape(cells, (1, 2, 2, 2)), 0.3)
+        assert type(out) is NonConvergence
 
     def test_observed_information_positive_definite(self, canonical):
         from cceff._constrained import loglik_grad_hess_s
