@@ -200,6 +200,13 @@ def fit_marginal(table: CaseControlTable, continuity_correction: bool = False) -
     return _one(fit_marginal_batch(table.w[None], continuity_correction))
 
 
+# A column share above this is logged as log1p(-x), x the other cell's share:
+# log(share) there is off by up to an ulp of 1, 2^-53, against |log(share)|
+# below 2^-10, and a share rounded to 1 would drop the term.  Where x is not
+# a normal float the term m log1p(-x) is -other to within x.
+_NEAR_ONE = 1.0 - 2.0**-10
+
+
 def fit_marginal_batch(tables, continuity_correction: bool = False) -> list:
     """``fit_marginal`` on each table of an (R, 2, 2, 2) array of cell weights.
 
@@ -208,7 +215,8 @@ def fit_marginal_batch(tables, continuity_correction: bool = False) -> list:
     reduce each table's own cells in the one-table order, and the logs of
     the estimates are taken per lane by ``math.log``.  Where a ratio of two
     collapsed cells, or a cell's share of its column, is not a normal float,
-    its log is the difference of the two logs.
+    its log is the difference of the two logs; a share above ``_NEAR_ONE``
+    is logged as ``log1p`` of minus the other cell's share.
     """
     w = _cells(tables)
     m = w.sum(axis=2)  # (R, 2, 2) exposure-by-disease margins [d, j]
@@ -232,7 +240,12 @@ def fit_marginal_batch(tables, continuity_correction: bool = False) -> list:
         col = m.sum(axis=1)
         share = m / col[:, None, :]
         log_share = np.where(share >= _TINY, np.log(share), np.log(m) - np.log(col)[:, None, :])
-        loglik = (m * log_share).reshape(len(m), 4).sum(axis=1)
+        terms = m * log_share
+        near_one = share > _NEAR_ONE
+        if near_one.any():
+            x, other = share[:, ::-1][near_one], m[:, ::-1][near_one]
+            terms[near_one] = np.where(x >= _TINY, m[near_one] * np.log1p(-x), -other)
+        loglik = terms.reshape(len(m), 4).sum(axis=1)
         num, den = m[:, (1, 1, 0), (0, 1, 1)], m[:, (0, 1, 0), (0, 0, 0)]  # base, odds1, odds0
         ratios = num / den
     odd = ~((ratios >= _TINY) & (ratios < math.inf))

@@ -208,6 +208,17 @@ class TestMarginal:
         assert not isinstance(fit, CCEffError), fit
         assert_mar_matches_oracle(fit, cells)
 
+    @given(st.lists(st.floats(-300.0, 300.0), min_size=8, max_size=8))
+    @example([3.9, -1.76, 0.9, -1.67, -0.66, 13.2, 19.93, 2.25])  # a share rounds to 1
+    @example([-83.6, -283.3, -42.0, -205.5, 55.2, -280.1, 281.8, -32.5])  # its partner underflows
+    def test_log_likelihood_keeps_its_relative_accuracy(self, exponents):
+        # A share within 2^-10 of 1 is logged by log1p.  The oracle works at
+        # 700 digits so that it keeps log(1 - x) for x down to 1e-600.
+        cells = [10.0 ** e for e in exponents]
+        (fit,) = fit_marginal_batch(np.reshape(cells, (1, 2, 2, 2)))
+        loglik = oracles.mp_marginal(cells, dps=700)[4]
+        assert abs(fit.loglik - loglik) <= 1e-13 * abs(loglik)
+
     def test_loglik_is_maximized_binomial(self):
         t = collapsed_table(30.0, 20.0, 20.0, 30.0)
         fit = fit_marginal(t)

@@ -1,6 +1,8 @@
 import math
 import warnings
 
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -214,6 +216,64 @@ class TestInverseCDF:
         want = binom.ppf(q, n, p)
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
+
+    # Lanes of (u, n), u on the grid of Philox uniforms k 2^-53 from 0 to
+    # 1 - 2^-53, covering the one-call path (below _GUESS_LANES lanes) and
+    # the guess.
+    uniform = st.integers(0, 2**53 - 1).map(lambda k: k * 2.0**-53)
+    lanes = st.lists(st.tuples(uniform, st.integers(1, 10**12)), min_size=1, max_size=40)
+    exponent = st.floats(-12.0, -0.3)
+    log_uniform_p = st.one_of(exponent.map(lambda e: 10.0**e), exponent.map(lambda e: 1.0 - 10.0**e))
+
+    @given(lanes=lanes, p=log_uniform_p)
+    @example(lanes=[(0.0, 10**4)] * 20, p=0.3)
+    @example(lanes=[(1.0 - 2.0**-53, 10**4)] * 20, p=0.3)
+    @example(lanes=[(2.0**-53, 10**4), (2.0**-53, 10**12)] * 10, p=0.3)
+    @example(lanes=[(0.0, 1), (1.0 - 2.0**-53, 1), (2.0**-53, 1)], p=1e-12)
+    @example(lanes=[(0.0, 10**12), (1.0 - 2.0**-53, 10**12), (2.0**-53, 7)] * 6, p=1.0 - 1e-12)
+    def test_quantile_is_binom_ppf(self, lanes, p):
+        u = np.array([lane[0] for lane in lanes])
+        n = np.array([lane[1] for lane in lanes], dtype=np.int64)
+        with warnings.catch_warnings(record=True) as solver_warned:
+            warnings.simplefilter("always")
+            want = simulate_mod._binom_ppf(u, n, p)
+        # Where the solver warns, its count is a best guess, not always the
+        # smallest count the CDF gives.
+        assume(not solver_warned)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = simulate_mod._binom_quantile(u, n, p)
+        assert got.tobytes() == want.tobytes()
+
+    @staticmethod
+    def _truth(f, beta, gamma, theta, pi):
+        return PopulationParams(alpha_from_prevalence(f, beta, gamma, theta, pi), beta, gamma, theta, pi)
+
+    def test_sample_sizes_the_solver_cannot_split_are_invalid_input(self):
+        # At n near 2^53 boost's solver finds no count for some splits; those
+        # raise instead of casting NaN to a count.  The Fig. 1 truth draws.
+        unsplittable = [
+            (self._truth(0.02, 1.5, 0.0, 0.1, 0.08), DesignParams(0.5, 2.0**53)),  # mc_sparse's truth
+            (self._truth(0.5, 3.0, 2.0, 1e-6, 0.999), DesignParams(1.0, 8e15)),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for params, design in unsplittable:
+                for replicates in (1, 200):
+                    with pytest.raises(InvalidInput, match=r"^sampling cannot split \d+ subjects"):
+                        sample_tables(params, design, 1, range(replicates))
+            fig1 = self._truth(0.3, 1.0, 0.3, 0.4, 0.5)
+            tables = sample_tables(fig1, DesignParams(1.0, 2.0**53), 1, range(200))
+        assert np.all(tables >= 0.0)
+        assert np.all(tables.sum(axis=(2, 3)) == 2.0**52)
+
+    def test_a_solver_warning_with_a_count_passes_through(self):
+        # Near u = 1 with a tiny p boost warns and answers 2, where the CDF's
+        # smallest count is 1; the sampler keeps its answer and its warning.
+        u, n = np.array([0.9999999999999966]), np.array([524])
+        with pytest.warns(RuntimeWarning, match="do_inverse_discrete_quantile"):
+            got = simulate_mod._binom_quantile(u, n, 2.968095569765316e-11)
+        assert got.tolist() == [2.0]
 
     @pytest.mark.parametrize("n, probs", [
         (10, np.full(4, 0.25)),
