@@ -28,7 +28,9 @@ from .estimators import (
     CaseControlTable,
     Method,
     _check_level,
+    _check_methods,
     _one,
+    _results,
     wald_test,
 )
 from .model import DesignParams, PopulationParams, alpha_from_prevalence
@@ -349,6 +351,7 @@ def _read_table_file(path, columns):
 
 def cmd_fit(r):
     methods, cells = r["methods"], r["cell"]
+    _check_methods(methods)
     if cells is not None:
         if len(cells) != 8 or len({cell[:3] for cell in cells}) != 8:
             raise InvalidInput("--cell must be given exactly once for each of the 8 (d,i,j) cells")
@@ -371,9 +374,9 @@ def cmd_fit(r):
     out_rows = []
     any_error = False
     print(f"{'method':<8} {'gamma_hat':>12} {'se':>12} {'z':>10} {'p':>12} converged")
-    for method, outcomes in zip(methods, fits):
+    for method, lanes in zip(methods, fits):
         try:
-            fit = _one(outcomes)
+            fit = _one(_results(lanes))
             test = wald_test(fit, r["level"])
             print(
                 f"{method.value:<8} {fit.gamma_hat:>12.6g} {fit.se_gamma:>12.6g} "

@@ -18,7 +18,10 @@ Each estimator is a kernel over a batch of tables, one lane per table
 lanes iterate together, but each keeps its own convergence, iteration count
 and typed failure, and its numbers are bitwise what it gets fitted alone.
 ``fit_marginal``, ``fit_adjusted`` and ``fit_constrained`` are the batches
-of one.
+of one.  Each batch is its lane form (``_marginal_lanes``,
+``_adjusted_lanes``, ``_constrained_lanes``), which returns the fitted lanes
+as arrays with each failed table's error, plus ``_results``, which makes
+the FitResults; the Monte Carlo reads the arrays and builds no FitResult.
 """
 
 from dataclasses import dataclass
@@ -150,12 +153,41 @@ def _cells(tables):
     return w
 
 
-def _results(out, rows, method, params, gamma_index, cov, loglik, iterations, refuse,
-             alpha_hat=None, f=None, cov_sandwich=None, corrected=False):
-    """Write each lane's FitResult, or its error refuse(message naming what failed), into out.
+@dataclass(frozen=True, eq=False)
+class _Lanes:
+    """A batch fit's outcomes as arrays: what a caller that needs no FitResult reads.
 
-    Lane k goes to out[rows[k]]; params (R, p), cov and cov_sandwich (R, p, p), loglik,
-    iterations and alpha_hat (R,) hold the lanes' numbers, and gamma_index is gamma's column.
+    failed holds, per table, the error it raises alone, or None where it
+    fits.  rows are the fitted tables in increasing order, and every array
+    holds one entry per row: the coefficients params, gamma and its
+    standard error se (positive and finite), and the rest of a FitResult.
+    """
+
+    method: Method
+    failed: list
+    rows: np.ndarray
+    params: np.ndarray
+    gamma: np.ndarray
+    se: np.ndarray
+    cov: np.ndarray
+    loglik: np.ndarray
+    iteration_counts: np.ndarray
+    alpha_hat: np.ndarray | None = None
+    f: float | None = None
+    cov_sandwich: np.ndarray | None = None
+    corrected: bool = False
+
+
+def _lanes(out, rows, method, params, gamma_index, cov, loglik, iterations, refuse,
+           alpha_hat=None, f=None, cov_sandwich=None, corrected=False):
+    """The fitted lanes of a batch, refusing each one that no FitResult can hold.
+
+    out holds each table's error so far, or None; a lane whose numbers are
+    not all finite, or whose gamma variance is not positive, gets the error
+    refuse(message naming what failed) there instead.  Lane k is table
+    rows[k]; params (R, p), cov and cov_sandwich (R, p, p), loglik,
+    iterations and alpha_hat (R,) hold the lanes' numbers, and gamma_index
+    is gamma's column.
     """
     var = cov[:, gamma_index, gamma_index]
     refusals = [
@@ -170,15 +202,34 @@ def _results(out, rows, method, params, gamma_index, cov, loglik, iterations, re
     for k in np.flatnonzero(bad):
         what = next(what for what, mask in refusals if mask[k])
         out[rows[k]] = refuse(f"no {what} at the estimate (gamma variance {var[k]:.2e})")
-    keep, none = ~bad, [None] * len(rows)
-    lanes = zip(rows[keep].tolist(), params[keep].tolist(), np.sqrt(var[keep]).tolist(),
-                loglik[keep].tolist(), iterations[keep].tolist(), cov[keep],
-                none if alpha_hat is None else alpha_hat[keep].tolist(),
-                none if cov_sandwich is None else cov_sandwich[keep])
-    for r, p, se, ll, its, c, alpha, c_sw in lanes:
-        out[r] = FitResult(method=method, gamma_hat=p[gamma_index], se_gamma=se, params=tuple(p),
-                           loglik=ll, iterations=its, cov=c, alpha_hat=alpha, f=f,
-                           cov_sandwich=c_sw, corrected=corrected)
+    keep = ~bad
+    params = params[keep]
+    return _Lanes(
+        method, out, rows[keep], params, params[:, gamma_index], np.sqrt(var[keep]), cov[keep],
+        loglik[keep], iterations[keep], None if alpha_hat is None else alpha_hat[keep], f,
+        None if cov_sandwich is None else cov_sandwich[keep], corrected,
+    )
+
+
+def _unfitted(out, method, p):
+    """The lanes of a batch none of whose tables fit; out holds each table's error."""
+    return _lanes(out, np.empty(0, dtype=int), method, np.empty((0, p)), 1, np.empty((0, p, p)),
+                  np.empty(0), np.empty(0, dtype=int), None)
+
+
+def _results(lanes):
+    """Each table's public outcome: its FitResult, or the error it raises alone."""
+    out = list(lanes.failed)
+    none = [None] * len(lanes.rows)
+    fits = zip(lanes.rows.tolist(), lanes.params.tolist(), lanes.gamma.tolist(),
+               lanes.se.tolist(), lanes.loglik.tolist(), lanes.iteration_counts.tolist(),
+               lanes.cov, none if lanes.alpha_hat is None else lanes.alpha_hat.tolist(),
+               none if lanes.cov_sandwich is None else lanes.cov_sandwich)
+    for r, p, gamma, se, ll, its, c, alpha, c_sw in fits:
+        out[r] = FitResult(method=lanes.method, gamma_hat=gamma, se_gamma=se, params=tuple(p),
+                           loglik=ll, iterations=its, cov=c, alpha_hat=alpha, f=lanes.f,
+                           cov_sandwich=c_sw, corrected=lanes.corrected)
+    return out
 
 
 def _one(outcomes):
@@ -216,8 +267,14 @@ def fit_marginal_batch(tables, continuity_correction: bool = False) -> list:
     the estimates are taken per lane by ``math.log``.  Where a ratio of two
     collapsed cells, or a cell's share of its column, is not a normal float,
     its log is the difference of the two logs; a share above ``_NEAR_ONE``
-    is logged as ``log1p`` of minus the other cell's share.
+    is logged as ``log1p`` of minus the other cell's share.  The outcomes of
+    ``_marginal_lanes``.
     """
+    return _results(_marginal_lanes(tables, continuity_correction))
+
+
+def _marginal_lanes(tables, continuity_correction=False):
+    """``fit_marginal_batch`` as arrays (``_Lanes``)."""
     w = _cells(tables)
     m = w.sum(axis=2)  # (R, 2, 2) exposure-by-disease margins [d, j]
     if continuity_correction:
@@ -254,9 +311,8 @@ def fit_marginal_batch(tables, continuity_correction: bool = False) -> list:
     logs[odd] = [math.log(a) - math.log(b) for a, b in zip(num[odd].tolist(), den[odd].tolist())]
     params = np.stack([logs[:, 0], logs[:, 1] - logs[:, 2]], axis=-1)
     cov = np.stack([var_alpha0, -var_alpha0, -var_alpha0, var_gamma], axis=-1).reshape(-1, 2, 2)
-    _results(out, live, Method.MAR, params, 1, cov, loglik, np.zeros(len(live), dtype=int),
-             ZeroCell, corrected=continuity_correction)
-    return out
+    return _lanes(out, live, Method.MAR, params, 1, cov, loglik, np.zeros(len(live), dtype=int),
+                  ZeroCell, corrected=continuity_correction)
 
 
 _IGRID = np.arange(2.0)[:, None]
@@ -309,8 +365,14 @@ def fit_adjusted_batch(tables) -> list:
     Returns one outcome per table: its FitResult, or the error it raises
     alone.  Lanes iterate together but stop on their own; the reductions,
     stacked solves and inverses round each lane as a one-table fit does,
-    so every lane is bitwise independent of the others.
+    so every lane is bitwise independent of the others.  The outcomes of
+    ``_adjusted_lanes``.
     """
+    return _results(_adjusted_lanes(tables))
+
+
+def _adjusted_lanes(tables):
+    """``fit_adjusted_batch`` as arrays (``_Lanes``)."""
     w = _cells(tables)
     n_lanes = len(w)
     total = w.reshape(n_lanes, 8).sum(axis=1)
@@ -405,8 +467,7 @@ def fit_adjusted_batch(tables) -> list:
     with np.errstate(over="ignore", invalid="ignore"):
         cov = 0.5 * (cov + cov.transpose(0, 2, 1))
         loglik = ll[ok] * total[ok]
-    _results(out, ok, Method.ADJ, t[ok], 2, cov, loglik, iterations[ok], Separation)
-    return out
+    return _lanes(out, ok, Method.ADJ, t[ok], 2, cov, loglik, iterations[ok], Separation)
 
 
 def _zeta_to_s(zeta):
@@ -461,15 +522,32 @@ def fit_constrained_batch(tables, f: float, f_misspecified: bool = False, adjust
     adjusted fits anyway does not run them twice; otherwise they are fitted
     here.  Returns one outcome per table: its FitResult, or the error it
     raises alone.  All lanes run through one ``newton_ascent``; each is
-    bitwise what a one-table fit gives.
+    bitwise what a one-table fit gives.  The outcomes of
+    ``_constrained_lanes``.
+    """
+    if adjusted is not None:
+        failed = [adj if isinstance(adj, CCEffError) else None for adj in adjusted]
+        fitted = [adj.params for adj, error in zip(adjusted, failed) if error is None]
+        adjusted = failed, np.array(fitted).reshape(-1, 3)
+    return _results(_constrained_lanes(tables, f, f_misspecified, adjusted))
+
+
+def _constrained_lanes(tables, f, f_misspecified=False, adjusted=None):
+    """``fit_constrained_batch`` as arrays (``_Lanes``).
+
+    adjusted, when given, is the tables' adjusted fits as (failed, params):
+    each table's error or None, and the (alpha, beta, gamma) rows of the
+    tables that fitted, in order (``_adjusted_lanes``' failed and params).
     """
     w = _cells(tables)
     n_lanes = len(w)
-    if adjusted is None:
-        adjusted = fit_adjusted_batch(w)
     if not (0.0 < f < 1.0):
-        return [InfeasibleStart(f"prevalence f={f!r} must lie in (0, 1)") for _ in range(n_lanes)]
-    out = [adj if isinstance(adj, CCEffError) else None for adj in adjusted]
+        out = [InfeasibleStart(f"prevalence f={f!r} must lie in (0, 1)") for _ in range(n_lanes)]
+        return _unfitted(out, Method.ADJCON, 4)
+    if adjusted is None:
+        adj = _adjusted_lanes(w)
+        adjusted = adj.failed, adj.params
+    out, adj_params = list(adjusted[0]), adjusted[1]
     total = w.reshape(n_lanes, 8).sum(axis=1)
     n_cases = w[:, 1].reshape(n_lanes, 4).sum(axis=1)
     n_controls = w[:, 0].reshape(n_lanes, 4).sum(axis=1)
@@ -483,10 +561,10 @@ def fit_constrained_batch(tables, f: float, f_misspecified: bool = False, adjust
         out[r] = InfeasibleStart("sample covariate or exposure fraction lies on the boundary")
     lanes = lanes[~edge]
     if not lanes.size:
-        return out
+        return _unfitted(out, Method.ADJCON, 4)
 
     cells = w.reshape(n_lanes, 8)[lanes]
-    coef = np.array([adjusted[r].params[1:] for r in lanes])
+    coef = adj_params[~edge, 1:]
     zeta = np.column_stack([coef, logit(theta0[lanes]), logit(pi0[lanes])])
 
     @np.errstate(invalid="ignore")  # a failing row's inf and NaN parts warn in the chart change
@@ -552,9 +630,8 @@ def fit_constrained_batch(tables, f: float, f_misspecified: bool = False, adjust
             p_ctrl, p_case = (x / x.sum(axis=1)[:, None] for x in (wk[:, :4], wk[:, 4:]))
             nu = n_cases[good] / n_controls[good]
             cov_sw = sandwich_s(wk, p_case, p_ctrl, nu, f, s_hat[kept]) / total[good, None, None]
-    _results(out, good, Method.ADJCON, s_hat[kept], 1, cov, loglik, iterations[kept],
-             SingularInformation, alpha_hat=alpha_hat[kept], f=float(f), cov_sandwich=cov_sw)
-    return out
+    return _lanes(out, good, Method.ADJCON, s_hat[kept], 1, cov, loglik, iterations[kept],
+                  SingularInformation, alpha_hat=alpha_hat[kept], f=float(f), cov_sandwich=cov_sw)
 
 
 def _wald_lanes(gamma_hat, se, level):
@@ -568,6 +645,13 @@ def _check_level(level):
     """Raise InvalidInput unless a test level lies in (0, 1)."""
     if not (0.0 < level < 1.0):
         raise InvalidInput("level must lie in (0, 1)")
+
+
+def _check_methods(methods):
+    """Raise InvalidInput where a tuple of Methods names one of them more than once."""
+    repeated = [m for k, m in enumerate(methods) if m in methods[:k]]
+    if repeated:
+        raise InvalidInput(f"method {repeated[0].value} is named more than once")
 
 
 def wald_test(fit: FitResult, level: float = 0.05) -> TestResult:

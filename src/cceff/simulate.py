@@ -30,13 +30,15 @@ from .errors import (
     InvalidInput,
     NonConvergence,
 )
-from .estimators import CaseControlTable, Method, _check_level, _one, _wald_lanes
+from .estimators import (
+    CaseControlTable, Method, _check_level, _check_methods, _one, _wald_lanes,
+)
 
-# The batch entry points, bound under the one-table names so that the layer
-# trace (perfbench/spans.py) counts each batch as one call of that fit.
-from .estimators import fit_adjusted_batch as fit_adjusted
-from .estimators import fit_constrained_batch as fit_constrained
-from .estimators import fit_marginal_batch as fit_marginal
+# The batch fits' lane forms, bound under the one-table names so that the
+# layer trace (perfbench/spans.py) counts each batch as one call of that fit.
+from .estimators import _adjusted_lanes as fit_adjusted
+from .estimators import _constrained_lanes as fit_constrained
+from .estimators import _marginal_lanes as fit_marginal
 from .model import DesignParams, PopulationParams, _alpha_error, retro_distribution
 
 __all__ = [
@@ -91,6 +93,7 @@ class SimConfig:
             methods = ()
         if not methods:
             raise InvalidInput(f"methods={self.methods!r} must name some of mar, adj, adjcon")
+        _check_methods(methods)
         if self.replicates < 1:
             raise InvalidInput("replicates must be at least 1")
         _check_level(self.level)
@@ -293,11 +296,12 @@ def sample_table(params, design, seed, replicate_index) -> CaseControlTable:
 
 
 def _fit_block(methods, tables, f, continuity_correction):
-    """The fits of methods on a block of tables, one batch per method.
+    """The fits of methods on a block of tables, one batch per method, as lanes.
 
-    Returns, per method, each table's outcome: its FitResult or the error it
-    raised.  Mar takes continuity_correction and AdjCon the prevalence f.
-    The adjusted fits run once and serve both Adj and AdjCon's start.
+    Returns, per method, the batch's ``_Lanes``: each table's error, and
+    the arrays of the tables that fit (``estimators._results`` makes them
+    FitResults).  Mar takes continuity_correction and AdjCon the prevalence
+    f.  The adjusted fits run once and serve both Adj and AdjCon's start.
     """
     fits = {}
     if Method.MAR in methods:
@@ -305,70 +309,80 @@ def _fit_block(methods, tables, f, continuity_correction):
     if Method.ADJ in methods or Method.ADJCON in methods:
         fits[Method.ADJ] = fit_adjusted(tables)
     if Method.ADJCON in methods:
-        fits[Method.ADJCON] = fit_constrained(tables, f, adjusted=fits[Method.ADJ])
+        adjusted = fits[Method.ADJ]
+        fits[Method.ADJCON] = fit_constrained(
+            tables, f, adjusted=(adjusted.failed, adjusted.params)
+        )
     return [fits[method] for method in methods]
 
 
-# Tables per batch of fits, a memory budget: every Newton round of a batch
-# has a fixed cost, paid once a batch, and the batch runs until its slowest
-# lane, so fewer batches are faster, while the peak memory of a batch's fits
-# grows by about 5 KiB a table.  Peak RSS of a 10,000-replicate Fig. 1 run
-# was 77 MiB in batches of 128, 86 MiB in batches of 2048 and 128 MiB as
-# one batch, for equal reports (in process; 2-vCPU Xeon VM, Python 3.11,
-# numpy 2.4, scipy 1.17), so 2048 tables hold a batch within about 10 MiB.
-# Only a run of more than 128 replicates (the CLI's default is 1000) takes
-# fewer batches than before; perfbench's blocks of 40 and 6 tables fit one
-# batch either way, so its workloads cannot show the change.
+# Replicates per chunk, a memory budget: run_mc samples and fits a chunk at a
+# time and keeps of its fits only each method's included gammas and standard
+# errors (16 bytes a replicate) and counts.  Every Newton round of a batch
+# has a fixed cost, paid once a chunk, and the batch runs until its slowest
+# lane, so fewer chunks are faster, while a chunk's fits peak at about 5 KiB
+# a table.  A 10,000-replicate Fig. 1 run peaks at 59 MiB RSS in chunks of
+# 128 (0.73 s), 72 MiB in chunks of 2048 (0.50 s) and 124 MiB as one chunk
+# (0.50 s), against 56 MiB for the import alone (in process; 2-vCPU Xeon VM,
+# Python 3.11, numpy 2.4, scipy 1.17).  perfbench's blocks of 40 and 6
+# replicates fit one chunk.
 _CHUNK = 2048
 
 
 def run_mc(config: SimConfig) -> MCReport:
     """Run the Monte Carlo and fold per-replicate outcomes in index order.
 
-    All tables are sampled first, in one pass (``sample_tables``), then
-    fitted in index order in this process, in batches of ``_CHUNK`` tables.
-    Every fit is bitwise independent of the batch it runs in, and the fold
-    is deterministic, so the report does not depend on the batch size; the
-    Wald tests and coverage checks run on arrays, one lane per replicate.
     The theory columns come first, through ``asymptotic_power``'s
     one-point path: a point whose theory fails raises before any table is
-    sampled or fitted.
+    sampled or fitted.  Then the replicates are sampled (``sample_tables``)
+    and fitted in this process, in index order, ``_CHUNK`` at a time; of a
+    chunk's fits only each method's included gammas and standard errors,
+    its Wald rejections and coverage counts and its failure counts by kind
+    are kept, so memory does not grow with the replicates beyond 16 bytes
+    a replicate and method.  Replicate r draws from its own Philox stream
+    and every fit is bitwise independent of the batch it runs in; the Wald
+    tests and coverage checks are elementwise, and the means and standard
+    deviations fold the kept arrays whole, so the report does not depend
+    on the chunk size.
     """
     params, design = config.params, config.design
     theory = {m: _delta_and_variance(m, params, design.nu) for m in config.methods}
-    tables = sample_tables(params, design, config.seed, range(config.replicates))
     z_half = _z_half(config.level)
     f = config.f_supplied if config.f_supplied is not None else params.f
-    outcomes = [[] for _ in config.methods]
-    for start in range(0, len(tables), _CHUNK):
-        block = tables[start : start + _CHUNK]
-        for per, fits in zip(outcomes, _fit_block(config.methods, block, f, False)):
-            per += fits
+    methods, total = config.methods, config.replicates
+    # Row m holds method m's included gammas and ses, in index order, in its first included[m].
+    gammas, ses = np.empty((2, len(methods), total))
+    included, rejects, covered = ([0] * len(methods) for _ in range(3))
+    failures = [Counter() for _ in methods]
+    for start in range(0, total, _CHUNK):
+        indices = range(start, min(start + _CHUNK, total))
+        tables = sample_tables(params, design, config.seed, indices)
+        for m, lanes in enumerate(_fit_block(methods, tables, f, False)):
+            gamma, se = lanes.gamma, lanes.se
+            k = included[m]
+            included[m] += len(gamma)
+            gammas[m, k : included[m]], ses[m, k : included[m]] = gamma, se
+            rejects[m] += int(np.count_nonzero(_wald_lanes(gamma, se, config.level)[2]))
+            covered[m] += int(np.count_nonzero(np.abs(gamma - params.gamma) <= z_half * se))
+            failures[m].update(type(e).__name__ for e in lanes.failed if e is not None)
 
     sqrt_n = math.sqrt(design.n)
     stats = []
-    for method, per in zip(config.methods, outcomes):
-        ok = [fit for fit in per if not isinstance(fit, CCEffError)]
-        failures = Counter(type(fit).__name__ for fit in per if isinstance(fit, CCEffError))
-        n_inc = len(ok)
-        total = config.replicates
+    for m, method in enumerate(methods):
+        n_inc = included[m]
         if n_inc == 0:
             raise AllReplicatesFailed(
-                f"all {total} replicates failed for method {method.value}: {dict(failures)}"
+                f"all {total} replicates failed for method {method.value}: {dict(failures[m])}"
             )
-        # Every FitResult has se_gamma > 0.
-        gammas = np.array([fit.gamma_hat for fit in ok])
-        ses = np.array([fit.se_gamma for fit in ok])
-        rejects = int(np.count_nonzero(_wald_lanes(gammas, ses, config.level)[2]))
+        gamma, se = gammas[m, :n_inc], ses[m, :n_inc]
         if config.failures_reject:
-            rejects += total - n_inc
-        covered = int(np.count_nonzero(np.abs(gammas - params.gamma) <= z_half * ses))
+            rejects[m] += total - n_inc
 
-        mean_gamma = float(gammas.mean())
-        sd_gamma = float(gammas.std(ddof=1)) if n_inc > 1 else math.nan
-        sd_se = float(ses.std(ddof=1)) if n_inc > 1 else math.nan
-        rej_rate = rejects / total
-        cov_rate = covered / n_inc
+        mean_gamma = float(gamma.mean())
+        sd_gamma = float(gamma.std(ddof=1)) if n_inc > 1 else math.nan
+        sd_se = float(se.std(ddof=1)) if n_inc > 1 else math.nan
+        rej_rate = rejects[m] / total
+        cov_rate = covered[m] / n_inc
 
         t_delta, t_var = theory[method]
         stats.append(
@@ -376,14 +390,14 @@ def run_mc(config: SimConfig) -> MCReport:
                 method=method,
                 n_included=n_inc,
                 n_failed=total - n_inc,
-                failures=dict(failures),
+                failures=dict(failures[m]),
                 mean_gamma=mean_gamma,
                 mean_gamma_mc_se=sd_gamma / math.sqrt(n_inc) if n_inc > 1 else math.nan,
                 sd_root_n=sd_gamma * sqrt_n,
                 sd_root_n_mc_se=sd_gamma * sqrt_n / math.sqrt(2.0 * (n_inc - 1))
                 if n_inc > 1
                 else math.nan,
-                mean_se_root_n=float(ses.mean()) * sqrt_n,
+                mean_se_root_n=float(se.mean()) * sqrt_n,
                 mean_se_root_n_mc_se=sd_se * sqrt_n / math.sqrt(n_inc) if n_inc > 1 else math.nan,
                 rejection_rate=rej_rate,
                 rejection_rate_mc_se=math.sqrt(rej_rate * (1.0 - rej_rate) / total),

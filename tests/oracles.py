@@ -178,12 +178,20 @@ def mp_marginal(cells, dps=50):
     """The marginal fit of eight cells (d, i, j) in mpmath: (alpha0, gamma, var_alpha0, var_gamma, loglik).
 
     Collapses over i; the cells are taken exactly and every result is rounded once to a float.
+    The larger share x of a column is logged as log1p(-(1 - x)), 1 - x the other share, so
+    that its term keeps its digits however small that other share is, at any precision.
     """
+
+    def log_share(d, j):
+        if m[d][j] >= m[1 - d][j]:
+            return mpmath.log1p(-m[1 - d][j] / col[j])
+        return mpmath.log(m[d][j] / col[j])
+
     with mpmath.workdps(dps):
         w = [mpmath.mpf(float(c)) for c in np.ravel(cells)]
         m = [[w[4 * d + j] + w[4 * d + 2 + j] for j in (0, 1)] for d in (0, 1)]
         col = [m[0][j] + m[1][j] for j in (0, 1)]
-        loglik = sum(m[d][j] * mpmath.log(m[d][j] / col[j]) for d in (0, 1) for j in (0, 1))
+        loglik = sum(m[d][j] * log_share(d, j) for d in (0, 1) for j in (0, 1))
         return tuple(float(x) for x in (
             mpmath.log(m[1][0] / m[0][0]),
             mpmath.log(m[1][1] * m[0][0] / (m[1][0] * m[0][1])),

@@ -396,6 +396,7 @@ class TestFit:
 
     def test_manifest_start_time_is_taken_before_the_fits(self, tmp_path, monkeypatch):
         events = []
+        adjusted_lanes = cceff.simulate.fit_adjusted
 
         def now():
             events.append("now")
@@ -403,7 +404,7 @@ class TestFit:
 
         def fit_adjusted(tables):
             events.append("fit")
-            return cceff.fit_adjusted_batch(tables)
+            return adjusted_lanes(tables)
 
         monkeypatch.setattr(cceff.cli, "_now", now)
         monkeypatch.setattr(cceff.simulate, "fit_adjusted", fit_adjusted)
@@ -416,13 +417,13 @@ class TestFit:
 
     def test_adj_and_adjcon_share_one_adjusted_fit(self, monkeypatch):
         calls = []
-        fit_adjusted_batch = cceff.estimators.fit_adjusted_batch
+        adjusted_lanes = cceff.estimators._adjusted_lanes
 
         def counted(tables):
             calls.append(len(tables))
-            return fit_adjusted_batch(tables)
+            return adjusted_lanes(tables)
 
-        monkeypatch.setattr(cceff.estimators, "fit_adjusted_batch", counted)
+        monkeypatch.setattr(cceff.estimators, "_adjusted_lanes", counted)
         monkeypatch.setattr(cceff.simulate, "fit_adjusted", counted)
         w = [[[30, 12], [18, 25]], [[20, 22], [10, 40]]]
         argv = self.cells(w) + ["--methods", "adj,adjcon", "--prevalence", "0.1"]
@@ -921,6 +922,20 @@ class TestFailures:
         assert ei.value.code == 2
         assert "--methods" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--f", "0.3", *CANON, "--n", "40", "--replicates", "2"],
+        ["fit", *CELL_ARGV, "--prevalence", "0.3"],
+    ])
+    @pytest.mark.parametrize("methods, repeated", [
+        ("mar,mar", "mar"), ("adjcon,adj,mar,adj", "adj"),
+    ])
+    def test_repeated_method_is_usage_error(self, tmp_path, capsys, argv, methods, repeated):
+        out = tmp_path / "x.csv"
+        assert run(*argv, "--methods", methods, "--out", out) == 2
+        err = f"cceff {argv[0]}: method {repeated} is named more than once\n"
+        assert capsys.readouterr() == ("", err)
+        assert not out.exists() and not os.path.exists(manifest_path(str(out)))
 
     def test_subnormal_prevalence_is_an_adjcon_error_row(self, tmp_path, capsys):
         out = tmp_path / "fit.csv"

@@ -198,6 +198,10 @@ class TestMarginal:
         assert abs(fit.gamma_hat - want) <= 1e-10
 
     @given(st.lists(st.floats(-300.0, 300.0), min_size=8, max_size=8))
+    # The exposed column's control share is 7.3e-52: the oracle logs its
+    # case share, which rounds to 1 at 50 digits, by log1p.
+    @example([-264.551082368541, 240.47346914374486, -124.62699155114669, 91.1622810910734,
+              72.59956802367844, 201.31844066108675, 52.321923077646034, 291.6109244809643])
     def test_log_uniform_cells_fit_as_the_oracle_does(self, exponents):
         # Cells from 1e-300 to 1e300 keep the Woolf variance finite, while a
         # collapsed ratio or share may leave the normal floats.
@@ -211,12 +215,15 @@ class TestMarginal:
     @given(st.lists(st.floats(-300.0, 300.0), min_size=8, max_size=8))
     @example([3.9, -1.76, 0.9, -1.67, -0.66, 13.2, 19.93, 2.25])  # a share rounds to 1
     @example([-83.6, -283.3, -42.0, -205.5, 55.2, -280.1, 281.8, -32.5])  # its partner underflows
+    # Its partner is 7.3e-52 of it.
+    @example([-264.551082368541, 240.47346914374486, -124.62699155114669, 91.1622810910734,
+              72.59956802367844, 201.31844066108675, 52.321923077646034, 291.6109244809643])
     def test_log_likelihood_keeps_its_relative_accuracy(self, exponents):
-        # A share within 2^-10 of 1 is logged by log1p.  The oracle works at
-        # 700 digits so that it keeps log(1 - x) for x down to 1e-600.
+        # A share within 2^-10 of 1 is logged by log1p, in the fit and in
+        # the oracle alike, so that the oracle keeps log(1 - x) for any x.
         cells = [10.0 ** e for e in exponents]
         (fit,) = fit_marginal_batch(np.reshape(cells, (1, 2, 2, 2)))
-        loglik = oracles.mp_marginal(cells, dps=700)[4]
+        loglik = oracles.mp_marginal(cells)[4]
         assert abs(fit.loglik - loglik) <= 1e-13 * abs(loglik)
 
     def test_loglik_is_maximized_binomial(self):

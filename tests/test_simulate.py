@@ -1,4 +1,6 @@
+from collections import Counter
 import math
+import tracemalloc
 import warnings
 
 from hypothesis import assume, example, given
@@ -28,6 +30,8 @@ from cceff import (
     expected_table,
     fit_adjusted_batch,
     fit_constrained,
+    fit_constrained_batch,
+    fit_marginal_batch,
     limiting_value,
     misspec_sweep,
     retro_distribution,
@@ -38,6 +42,7 @@ from cceff import (
     sigma_AC_sq,
     sigma_M_sq,
 )
+from cceff.estimators import _results
 
 import oracles
 
@@ -88,6 +93,14 @@ class TestSimConfig:
     def test_rejects_values_outside_the_field_type_before_any_work(self, kw):
         with pytest.raises(InvalidInput):
             self.base(**kw)
+
+    @pytest.mark.parametrize("methods, repeated", [
+        (("mar", "mar", "adjcon"), "mar"),
+        ((Method.ADJCON, "adj", "mar", "adj", "adjcon"), "adj"),
+    ])
+    def test_a_repeated_method_is_invalid_input(self, methods, repeated):
+        with pytest.raises(InvalidInput, match=f"^method {repeated} is named more than once$"):
+            self.base(methods=methods)
 
     def test_integer_like_replicates_become_int(self):
         cfg = self.base(replicates=np.int64(10))
@@ -371,9 +384,70 @@ class TestRunMC:
         cfg = SimConfig(
             params=canonical, design=DesignParams(1.0, 1000.0), replicates=30, seed=11
         )
-        default = run_mc(cfg)
+        f1s = [canonical.f - 0.05, canonical.f + 0.05]
+
+        def reports():
+            sweep = misspec_sweep(canonical, DesignParams(1.0, 1e5), f1s, mc_confirm=(1000, 30),
+                                  seed=11)
+            return run_mc(cfg), sweep
+
+        default = reports()
+        assert all(math.isfinite(row.mc_mean_gamma_se) for row in default[1])
         monkeypatch.setattr(simulate_mod, "_CHUNK", chunk)
-        assert run_mc(cfg) == default
+        assert reports() == default
+
+    def test_lanes_type_every_replicate_as_the_public_fits_do(self, monkeypatch):
+        # At the sparse truth, 300 replicates of seed 1 hold Mar ZeroCell and
+        # AdjCon SingularInformation and NonConvergence lanes.
+        sparse = PopulationParams(
+            alpha_from_prevalence(0.02, 1.5, 0.0, 0.1, 0.08), 1.5, 0.0, 0.1, 0.08
+        )
+        design = DesignParams(0.5, 150.0)
+        fit_block, blocks = simulate_mod._fit_block, []
+
+        def recorded(*args):
+            blocks.append(fit_block(*args))
+            return blocks[-1]
+
+        monkeypatch.setattr(simulate_mod, "_fit_block", recorded)
+        report = run_mc(SimConfig(params=sparse, design=design, replicates=300, seed=1))
+        tables = sample_tables(sparse, design, 1, range(300))
+        public = [fit_marginal_batch(tables), fit_adjusted_batch(tables),
+                  fit_constrained_batch(tables, sparse.f)]
+        (block,) = blocks
+        kinds = set()
+        for lanes, outcomes, st in zip(block, public, report.stats):
+            fits = [o for o in outcomes if isinstance(o, FitResult)]
+            errors = [(type(o), str(o)) for o in outcomes if not isinstance(o, FitResult)]
+            assert lanes.gamma.tolist() == [fit.gamma_hat for fit in fits]
+            assert lanes.se.tolist() == [fit.se_gamma for fit in fits]
+            assert [(type(e), str(e)) for e in lanes.failed if e is not None] == errors
+            assert st.n_included == len(fits)
+            assert st.failures == Counter(kind.__name__ for kind, _ in errors)
+            assert st.mean_gamma == float(np.array([fit.gamma_hat for fit in fits]).mean())
+            kinds |= {(st.method.value, kind) for kind in st.failures}
+        assert kinds == {
+            ("mar", "ZeroCell"), ("adjcon", "SingularInformation"), ("adjcon", "NonConvergence")
+        }
+
+    def test_memory_does_not_grow_with_the_replicates(self, monkeypatch):
+        monkeypatch.setattr(simulate_mod, "_CHUNK", 256)
+        fig1 = PopulationParams(
+            alpha_from_prevalence(0.3, 1.0, 0.3, 0.4, 0.5), 1.0, 0.3, 0.4, 0.5
+        )
+
+        def peak(replicates):
+            cfg = SimConfig(fig1, DesignParams(1.0, 20000.0), replicates, seed=1)
+            tracemalloc.start()
+            try:
+                run_mc(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(300)  # the truth's cached laws and first-call allocations
+        # Kept: 16 bytes a replicate for each of the three methods.
+        assert peak(5000) - peak(1000) <= 2**20
 
     def test_one_adjusted_fit_per_replicate(self, canonical, monkeypatch):
         fit_adjusted = simulate_mod.fit_adjusted
@@ -430,7 +504,7 @@ class TestRunMC:
         # and AdjCon, which starts from it, reports the same kind.
         w = np.array([[[40.0, 30.0], [0.0, 0.0]], [[25.0, 35.0], [0.0, 0.0]]])
         fits = simulate_mod._fit_block(tuple(Method), w[None], canonical.f, False)
-        outcomes = [o for (o,) in fits]
+        outcomes = [o for (o,) in map(_results, fits)]
         kinds = ["" if isinstance(o, FitResult) else type(o).__name__ for o in outcomes]
         assert kinds == ["", "ZeroMargin", "ZeroMargin"]
         with pytest.raises(ZeroMargin):
