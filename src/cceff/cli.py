@@ -29,9 +29,7 @@ from .estimators import (
     Method,
     _check_level,
     _check_methods,
-    _one,
-    _results,
-    wald_test,
+    _wald_lanes,
 )
 from .model import DesignParams, PopulationParams, alpha_from_prevalence
 from .simulate import (
@@ -366,7 +364,7 @@ def cmd_fit(r):
             raise InvalidInput(str(exc)) from None
     if Method.ADJCON in methods and r["prevalence"] is None:
         raise InvalidInput("--prevalence is required when method adjcon is requested")
-    _check_level(r["level"])  # wald_test would find it only after a fit succeeds
+    _check_level(r["level"])  # _wald_lanes takes the level as given
     table = CaseControlTable(w)
 
     started = _now()
@@ -375,18 +373,13 @@ def cmd_fit(r):
     any_error = False
     print(f"{'method':<8} {'gamma_hat':>12} {'se':>12} {'z':>10} {'p':>12} converged")
     for method, lanes in zip(methods, fits):
-        try:
-            fit = _one(_results(lanes))
-            test = wald_test(fit, r["level"])
-            print(
-                f"{method.value:<8} {fit.gamma_hat:>12.6g} {fit.se_gamma:>12.6g} "
-                f"{test.z:>10.4g} {test.p_value:>12.6g} yes"
-            )
-            out_rows.append(
-                [method, fit.gamma_hat, fit.se_gamma, test.z, test.p_value,
-                 test.reject, True, ""]
-            )
-        except CCEffError as exc:
+        (exc,) = lanes.failed
+        if exc is None:
+            gamma, se = lanes.gamma.item(), lanes.se.item()
+            z, p_value, reject = (x.item() for x in _wald_lanes(lanes.gamma, lanes.se, r["level"]))
+            print(f"{method.value:<8} {gamma:>12.6g} {se:>12.6g} {z:>10.4g} {p_value:>12.6g} yes")
+            out_rows.append([method, gamma, se, z, p_value, reject, True, ""])
+        else:
             any_error = True
             print(f"{method.value:<8} failed: {type(exc).__name__}: {exc}")
             out_rows.append(

@@ -21,7 +21,8 @@ and typed failure, and its numbers are bitwise what it gets fitted alone.
 of one.  Each batch is its lane form (``_marginal_lanes``,
 ``_adjusted_lanes``, ``_constrained_lanes``), which returns the fitted lanes
 as arrays with each failed table's error, plus ``_results``, which makes
-the FitResults; the Monte Carlo reads the arrays and builds no FitResult.
+the FitResults.  Only the public fits build FitResults: one fit hands its
+outcome to another layer, or to the Monte Carlo and ``cceff fit``, as lanes.
 """
 
 from dataclasses import dataclass
@@ -499,7 +500,8 @@ def fit_constrained(
     (beta, gamma, logit theta, logit pi) by ``newton_ascent`` (gradient
     tolerance 1e-13, at most 100 iterations), started from the adjusted
     fit's (beta, gamma) and the sample covariate and exposure fractions (the
-    adjusted estimates projected onto the constraint surface).  When the
+    adjusted estimates projected onto the constraint surface); a fraction
+    whose logit lies outside the search box raises InfeasibleStart.  When the
     adjusted fit fails, this fit raises the same error.  The covariance of
     (beta, gamma, theta, pi) is the inverse observed information in s; an
     information that is nearly singular, or a fit that no FitResult can
@@ -514,30 +516,22 @@ def fit_constrained(
     return _one(fit_constrained_batch(table.w[None], f, f_misspecified))
 
 
-def fit_constrained_batch(tables, f: float, f_misspecified: bool = False, adjusted=None) -> list:
+def fit_constrained_batch(tables, f: float, f_misspecified: bool = False) -> list:
     """``fit_constrained`` at prevalence f on each table of an (R, 2, 2, 2) array.
 
-    adjusted, when given, holds each table's ``fit_adjusted_batch`` outcome
-    (a FitResult or the error it raised), so that a caller that needs the
-    adjusted fits anyway does not run them twice; otherwise they are fitted
-    here.  Returns one outcome per table: its FitResult, or the error it
-    raises alone.  All lanes run through one ``newton_ascent``; each is
-    bitwise what a one-table fit gives.  The outcomes of
-    ``_constrained_lanes``.
+    Returns one outcome per table: its FitResult, or the error it raises
+    alone.  All lanes run through one ``newton_ascent``; each is bitwise
+    what a one-table fit gives.  The outcomes of ``_constrained_lanes``.
     """
-    if adjusted is not None:
-        failed = [adj if isinstance(adj, CCEffError) else None for adj in adjusted]
-        fitted = [adj.params for adj, error in zip(adjusted, failed) if error is None]
-        adjusted = failed, np.array(fitted).reshape(-1, 3)
-    return _results(_constrained_lanes(tables, f, f_misspecified, adjusted))
+    return _results(_constrained_lanes(tables, f, f_misspecified))
 
 
 def _constrained_lanes(tables, f, f_misspecified=False, adjusted=None):
     """``fit_constrained_batch`` as arrays (``_Lanes``).
 
-    adjusted, when given, is the tables' adjusted fits as (failed, params):
-    each table's error or None, and the (alpha, beta, gamma) rows of the
-    tables that fitted, in order (``_adjusted_lanes``' failed and params).
+    adjusted, when given, is the tables' ``_adjusted_lanes``, so that a
+    caller that needs the adjusted fits anyway does not run them twice;
+    otherwise they are fitted here.
     """
     w = _cells(tables)
     n_lanes = len(w)
@@ -545,27 +539,25 @@ def _constrained_lanes(tables, f, f_misspecified=False, adjusted=None):
         out = [InfeasibleStart(f"prevalence f={f!r} must lie in (0, 1)") for _ in range(n_lanes)]
         return _unfitted(out, Method.ADJCON, 4)
     if adjusted is None:
-        adj = _adjusted_lanes(w)
-        adjusted = adj.failed, adj.params
-    out, adj_params = list(adjusted[0]), adjusted[1]
+        adjusted = _adjusted_lanes(w)
+    out = list(adjusted.failed)
     total = w.reshape(n_lanes, 8).sum(axis=1)
     n_cases = w[:, 1].reshape(n_lanes, 4).sum(axis=1)
     n_controls = w[:, 0].reshape(n_lanes, 4).sum(axis=1)
     w = w / total[:, None, None, None]
     theta0 = w[:, :, 1, :].reshape(n_lanes, 4).sum(axis=1)
     pi0 = w[:, :, :, 1].reshape(n_lanes, 4).sum(axis=1)
-    lanes = np.array([r for r in range(n_lanes) if out[r] is None], dtype=int)
-    t0, p0 = theta0[lanes], pi0[lanes]
-    edge = ~((0.0 < t0) & (t0 < 1.0) & (0.0 < p0) & (p0 < 1.0))
+    lanes = adjusted.rows
+    zeta = np.column_stack([adjusted.params[:, 1:], logit(theta0[lanes]), logit(pi0[lanes])])
+    # A start outside the search box could never take a step.
+    edge = ~_in_zeta_box(zeta)
     for r in lanes[edge]:
         out[r] = InfeasibleStart("sample covariate or exposure fraction lies on the boundary")
-    lanes = lanes[~edge]
+    lanes, zeta = lanes[~edge], zeta[~edge]
     if not lanes.size:
         return _unfitted(out, Method.ADJCON, 4)
 
     cells = w.reshape(n_lanes, 8)[lanes]
-    coef = adj_params[~edge, 1:]
-    zeta = np.column_stack([coef, logit(theta0[lanes]), logit(pi0[lanes])])
 
     @np.errstate(invalid="ignore")  # a failing row's inf and NaN parts warn in the chart change
     def evaluate(z, k):

@@ -299,9 +299,9 @@ def _fit_block(methods, tables, f, continuity_correction):
     """The fits of methods on a block of tables, one batch per method, as lanes.
 
     Returns, per method, the batch's ``_Lanes``: each table's error, and
-    the arrays of the tables that fit (``estimators._results`` makes them
-    FitResults).  Mar takes continuity_correction and AdjCon the prevalence
-    f.  The adjusted fits run once and serve both Adj and AdjCon's start.
+    the arrays of the tables that fit.  Mar takes continuity_correction and
+    AdjCon the prevalence f.  The adjusted fits run once and serve both Adj
+    and AdjCon's start.
     """
     fits = {}
     if Method.MAR in methods:
@@ -309,10 +309,7 @@ def _fit_block(methods, tables, f, continuity_correction):
     if Method.ADJ in methods or Method.ADJCON in methods:
         fits[Method.ADJ] = fit_adjusted(tables)
     if Method.ADJCON in methods:
-        adjusted = fits[Method.ADJ]
-        fits[Method.ADJCON] = fit_constrained(
-            tables, f, adjusted=(adjusted.failed, adjusted.params)
-        )
+        fits[Method.ADJCON] = fit_constrained(tables, f, adjusted=fits[Method.ADJ])
     return [fits[method] for method in methods]
 
 

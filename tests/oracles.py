@@ -201,6 +201,110 @@ def mp_marginal(cells, dps=50):
         ))
 
 
+def _mp_unit_cells(cells):
+    """Eight cells (d, i, j), taken exactly and scaled to unit total, as c[d][i][j]."""
+    w = [mpmath.mpf(float(c)) for c in np.ravel(cells)]
+    total = mpmath.fsum(w)
+    return [[[w[4 * d + 2 * i + j] / total for j in (0, 1)] for i in (0, 1)] for d in (0, 1)]
+
+
+def _mp_score(c, alpha, beta, gamma):
+    """Score of the per-unit prospective log-likelihood in (alpha, beta, gamma).
+
+    l = sum_ij c1_ij eta_ij - m_ij log(1 + e^eta_ij), eta_ij = alpha + beta i + gamma j,
+    m_ij = c0_ij + c1_ij; each derivative is sum c1_ij - m_ij p_ij over the cells with
+    that regressor.
+    """
+    eta = [[alpha + beta * i + gamma * j for j in (0, 1)] for i in (0, 1)]
+    resid = [[c[1][i][j] - (c[0][i][j] + c[1][i][j]) / (1 + mpmath.exp(-eta[i][j]))
+              for j in (0, 1)] for i in (0, 1)]
+    return [sum(resid[i][j] for i in (0, 1) for j in (0, 1)), resid[1][0] + resid[1][1],
+            resid[0][1] + resid[1][1]]
+
+
+def mp_adjusted_root(cells, params, dps=40):
+    """Adj's MLE (alpha, beta, gamma) as a root of its score equations, by ``mpmath.findroot``.
+
+    Newton at dps digits from params, the float fit; raises ValueError where
+    no root is found to the working precision.
+    """
+    with mpmath.workdps(dps):
+        c = _mp_unit_cells(cells)
+        root = mpmath.findroot(lambda a, b, g: _mp_score(c, a, b, g),
+                               [mpmath.mpf(float(x)) for x in params])
+        return tuple(float(x) for x in root)
+
+
+def mp_constrained_kkt(cells, f, alpha, s, dps=40):
+    """AdjCon's MLE at prevalence f as a KKT point, by ``mpmath.findroot``: (alpha, s).
+
+    The unknowns are (alpha, beta, gamma, theta, pi) and a multiplier lambda;
+    the equations are grad l = lambda grad F and F = f, with l the per-unit
+    retrospective log-likelihood of the module docstring of
+    ``cceff._constrained`` (the prospective part plus the covariate and
+    exposure laws theta and pi) and F = sum_ij p_ij tx_i te_j the
+    prevalence, both differentiated by hand (findroot differences them for
+    its Jacobian).  Newton at dps digits from the float fit (alpha, s),
+    lambda from the alpha equation; raises ValueError where no root is
+    found to the working precision.
+    """
+    with mpmath.workdps(dps):
+        f = mpmath.mpf(float(f))
+        c = _mp_unit_cells(cells)
+        x1 = sum(c[d][1][j] for d in (0, 1) for j in (0, 1))
+        e1 = sum(c[d][i][1] for d in (0, 1) for i in (0, 1))
+
+        def parts(alpha, beta, gamma, theta, pi):
+            # grad l, grad F and F at one point.
+            p = [[1 / (1 + mpmath.exp(-(alpha + beta * i + gamma * j))) for j in (0, 1)]
+                 for i in (0, 1)]
+            tx, te = (1 - theta, theta), (1 - pi, pi)
+            v = [[p[i][j] * (1 - p[i][j]) * tx[i] * te[j] for j in (0, 1)] for i in (0, 1)]
+            grad_l = _mp_score(c, alpha, beta, gamma) + [
+                x1 / theta - (1 - x1) / (1 - theta), e1 / pi - (1 - e1) / (1 - pi),
+            ]
+            grad_f = [
+                sum(v[i][j] for i in (0, 1) for j in (0, 1)), v[1][0] + v[1][1],
+                v[0][1] + v[1][1],
+                sum((p[1][j] - p[0][j]) * te[j] for j in (0, 1)),
+                sum((p[i][1] - p[i][0]) * tx[i] for i in (0, 1)),
+            ]
+            prevalence = sum(p[i][j] * tx[i] * te[j] for i in (0, 1) for j in (0, 1))
+            return grad_l, grad_f, prevalence
+
+        def equations(*u):
+            grad_l, grad_f, prevalence = parts(*u[:5])
+            return [gl - u[5] * gf for gl, gf in zip(grad_l, grad_f)] + [prevalence - f]
+
+        start = [mpmath.mpf(float(x)) for x in (alpha, *s)]
+        grad_l, grad_f, _ = parts(*start)
+        root = mpmath.findroot(equations, start + [grad_l[0] / grad_f[0]])
+        return float(root[0]), tuple(float(x) for x in root[1:5])
+
+
+def separated(cells):
+    """Whether a table's cases and controls are separated, so that Adj has no finite MLE.
+
+    Albert and Anderson (1984): with the four covariate patterns x = (1, i, j),
+    some b has x.b >= 0 on every pattern holding a case, x.b <= 0 on every
+    pattern holding a control, and x.b != 0 on some filled pattern.  Decided
+    by a HiGHS linear program over b in [-1, 1]^3 that maximizes the summed
+    |x.b| of the one-arm patterns.
+    """
+    from scipy.optimize import linprog
+
+    w = np.reshape(cells, (2, 4))
+    x = np.array([[1.0, i, j] for i in (0, 1) for j in (0, 1)])
+    sign = (w[1] > 0).astype(float) - (w[0] > 0).astype(float)  # +1 cases only, -1 controls only
+    mixed = (w[0] > 0) & (w[1] > 0)
+    one_arm = sign != 0
+    lp = linprog(-(sign[one_arm] @ x[one_arm]), A_ub=-sign[one_arm, None] * x[one_arm],
+                 b_ub=np.zeros(one_arm.sum()), A_eq=x[mixed] if mixed.any() else None,
+                 b_eq=np.zeros(mixed.sum()) if mixed.any() else None,
+                 bounds=[(-1.0, 1.0)] * 3, method="highs")
+    return -lp.fun > 1e-9
+
+
 def fd_derivative(fn, x, h=1e-6):
     return (fn(x + h) - fn(x - h)) / (2.0 * h)
 

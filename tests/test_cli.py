@@ -450,6 +450,33 @@ class TestFit:
         assert run("fit", *dup, "--methods", "mar") == 2
         assert capsys.readouterr().err == line
 
+    @pytest.mark.parametrize("cells, prevalence", [
+        ([30, 12, 18, 25, 20, 22, 10, 40], 0.3),  # CI's table: three fits
+        ([30, 12, 18, 25, 20, 22, 10, 40], 1.5),  # AdjCon InfeasibleStart
+        ([0, 1, 0, 0, 0, 1e16, 1000, 1000], 0.3),  # CI's share table: three errors
+        ([40, 30, 20, 10, 25, 0, 15, 0], 0.3),  # no exposed case: Mar ZeroCell
+    ])
+    def test_rows_are_the_public_fits_and_their_wald_tests(self, tmp_path, cells, prevalence):
+        w = np.reshape(cells, (2, 2, 2)).astype(float)
+        out = tmp_path / "fit.csv"
+        run("fit", *self.cells(w), "--methods", "mar,adj,adjcon", "--prevalence", prevalence,
+            "--out", out)
+        _, rows = read_csv(out)
+        table = cceff.CaseControlTable(w)
+        fits = [lambda: cceff.fit_marginal(table), lambda: cceff.fit_adjusted(table),
+                lambda: cceff.fit_constrained(table, prevalence)]
+        for row, fit in zip(rows, fits):
+            try:
+                result = fit()
+            except cceff.CCEffError as exc:
+                assert row[1:] == ["nan"] * 4 + ["false", "false", f"{type(exc).__name__}: {exc}"]
+                continue
+            test = cceff.wald_test(result)
+            written = [float(x).hex() for x in row[1:5]]
+            assert written == [x.hex() for x in (result.gamma_hat, result.se_gamma, test.z,
+                                                 test.p_value)]
+            assert row[5:] == [_fmt(test.reject), "true", ""]
+
     def test_manifest_rebuild(self, tmp_path):
         w = np.array([[[30, 12], [18, 25]], [[20, 22], [10, 40]]], dtype=float)
         out = tmp_path / "fit.csv"

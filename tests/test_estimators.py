@@ -29,14 +29,16 @@ from cceff import (
     fit_marginal_batch,
     limiting_value,
     sample_table,
+    sample_tables,
     sigma_A_sq,
     sigma_AC_sq,
     wald_test,
 )
 import cceff._constrained as constrained_mod
-from cceff.errors import CCEffError, InfeasibleStart, NonConvergence
+from cceff.errors import CCEffError, InfeasibleStart
 
 import oracles
+from test_bitwise import FIG1, FIG1_DESIGN, SPARSE, SPARSE_DESIGN
 
 
 def table_from(cells):
@@ -405,15 +407,31 @@ class TestConstrained:
         assert type(batch) is InfeasibleStart and str(batch) == str(error.value)
 
     def test_curvature_overflow_is_a_typed_error_without_a_warning(self):
-        # Cells spanning hundreds of decades take the Newton iterates to a
-        # theta or pi whose square is subnormal, where the curvature overflows.
+        # Cells spanning hundreds of decades put the sample exposure fraction
+        # at 3.7e-162, whose logit (about -371) lies outside the search box,
+        # so the start is infeasible; Newton iterates from there would reach
+        # a pi whose square is subnormal, where the curvature overflows.
         cells = [2.753554535775351e-112, 8.007448355446472e-89, 2.0354334845885512e-162,
                  1.931635865502153e-97, 1.0744284865637203e+64, 1.3859489151138205e-299,
                  2.137558417238647e+73, 1.3185704649160907e-105]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             (out,) = fit_constrained_batch(np.reshape(cells, (1, 2, 2, 2)), 0.3)
-        assert type(out) is NonConvergence
+        assert type(out) is InfeasibleStart
+
+    def test_start_outside_the_search_box_is_infeasible(self):
+        # Adj fits this table, but its sample exposure fraction 2.2e-18 has a
+        # logit of about -40, past the box's 36: no candidate in the box could
+        # ever be evaluated, so Newton could not start.
+        t = CaseControlTable(np.reshape([5, 1e-17, 4, 1e-17, 3, 1e-17, 6, 1e-17], (2, 2, 2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit_adjusted(t)
+            with pytest.raises(InfeasibleStart) as error:
+                fit_constrained(t, 0.3)
+            (batch,) = fit_constrained_batch(t.w[None], 0.3)
+        assert str(error.value) == "sample covariate or exposure fraction lies on the boundary"
+        assert type(batch) is InfeasibleStart and str(batch) == str(error.value)
 
     def test_observed_information_positive_definite(self, canonical):
         from cceff._constrained import loglik_grad_hess_s
@@ -536,3 +554,63 @@ class TestWald:
         fit = fit_marginal(collapsed_table(30.0, 20.0, 20.0, 30.0))
         with pytest.raises(ValueError, match=r"level must lie in \(0, 1\)"):
             wald_test(fit, level=level)
+
+
+def _oracle_tables(family, k=20):
+    """k tables of one family, each with the prevalence its AdjCon fit is given."""
+    rng = np.random.default_rng(1)
+    if family == "sparse":
+        # Replicate 10 of seed 11 has no exposed case: Adj's MLE is infinite there.
+        tables = [sample_tables(SPARSE, SPARSE_DESIGN, 1, range(k)),
+                  sample_tables(SPARSE, SPARSE_DESIGN, 11, [10])]
+        return np.concatenate(tables), SPARSE.f
+    if family == "fig1":
+        return sample_tables(FIG1, FIG1_DESIGN, 1, range(k)), FIG1.f
+    if family == "log-uniform":
+        return 10.0 ** rng.uniform(-3.0, 3.0, (k, 2, 2, 2)), 0.3
+    # Near-separated: one cell a thousand to a hundred million times below the others.
+    w = 10.0 ** rng.uniform(0.0, 2.0, (k, 8))
+    w[np.arange(k), rng.integers(0, 8, k)] = 10.0 ** rng.uniform(-6.0, -3.0, k)
+    return w.reshape(k, 2, 2, 2), 0.3
+
+
+class TestAgainstTheKKTOracle:
+    """Each fit lies within 1e-9 standard errors of the MLE that mpmath finds at 40 digits.
+
+    AdjCon's MLE is the root of its KKT system (grad l = lambda grad F, F = f)
+    and Adj's the root of its score equations, both Newton-polished from the
+    fit (``oracles.mp_constrained_kkt``, ``oracles.mp_adjusted_root``).  A fit
+    may instead raise a typed error.  Adj returns a FitResult for a separated
+    table, whose MLE is infinite, so the oracle finds no root there: such a
+    table must be separated by ``oracles.separated``'s linear program (the
+    open breach that a separation mask is to type).
+    """
+
+    BOUND = 1e-9
+
+    @pytest.mark.parametrize("family", ["sparse", "fig1", "log-uniform", "near-separated"])
+    def test_fits_are_the_mle(self, family):
+        tables, f = _oracle_tables(family)
+        for cells in tables:
+            table = CaseControlTable(cells)
+            try:
+                fit = fit_adjusted(table)
+            except CCEffError:
+                pass
+            else:
+                try:
+                    root = oracles.mp_adjusted_root(cells, fit.params)
+                except ValueError:
+                    assert oracles.separated(cells), cells.ravel().tolist()
+                else:
+                    self.assert_within(fit, root, cells)
+            try:
+                fit = fit_constrained(table, f)
+            except CCEffError:
+                continue
+            _, s = oracles.mp_constrained_kkt(cells, f, fit.alpha_hat, fit.params)
+            self.assert_within(fit, s, cells)
+
+    def assert_within(self, fit, params, cells):
+        distance = np.abs(np.subtract(fit.params, params)) / np.sqrt(np.diag(fit.cov))
+        assert distance.max() <= self.BOUND, (fit.method, cells.ravel().tolist(), distance)

@@ -38,7 +38,7 @@ from cceff import (
     wald_test,
 )
 from cceff._constrained import loglik_grad_hess_s, profile_parts
-from cceff.estimators import _wald_lanes
+from cceff.estimators import _adjusted_lanes, _constrained_lanes, _results, _wald_lanes
 from cceff.model import _retro_lanes
 
 from test_bitwise import (
@@ -137,10 +137,12 @@ class TestFitLanes:
 
     def test_adjusted_outcomes_can_be_handed_in(self):
         w = np.array(SPECIAL_TABLES, dtype=float).reshape(-1, 2, 2, 2)
-        adjusted = fit_adjusted_batch(w)
-        given_adj = fit_constrained_batch(w, SPARSE_F, adjusted=adjusted)
-        own_adj = fit_constrained_batch(w, SPARSE_F)
+        adjusted = _adjusted_lanes(w)
+        failed = list(adjusted.failed)
+        given_adj = _results(_constrained_lanes(w, SPARSE_F, adjusted=adjusted))
+        own_adj = _results(_constrained_lanes(w, SPARSE_F))
         assert [_outcome(o) for o in given_adj] == [_outcome(o) for o in own_adj]
+        assert adjusted.failed == failed  # Adj's own outcomes are left as they were
 
     def test_constrained_verdicts_of_mixed_lanes_are_the_lone_fits(self):
         # The mc_sparse tables of seeds 5 and 7 hold a NonConvergence and a
