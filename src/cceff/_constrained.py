@@ -296,7 +296,7 @@ def no_derivatives(f):
     derivatives in s; else the intercept's inversion failed.
     """
     return (
-        f"every p (1 - p) rounds to 0 at the intercept for prevalence f={f!r}, "
+        f"every p (1 - p) rounds to 0 at the intercept for prevalence f={float(f)!r}, "
         "so dF/dalpha is 0 and the constrained likelihood has no derivatives"
     )
 

@@ -9,9 +9,9 @@ and two-sided Wald power.  Marginal and covariate-stratified variances
 follow Woolf and Gart (1962) respectively; the constrained variance comes
 from the exact Fisher information of the constrained model.  The one-point
 variances, ``asymptotic_constants`` and the scalar closed forms that take nu
-first reject, with InvalidInput, a case:control ratio nu outside
-``DesignParams``' domain, and those that take theta or pi also a value
-outside ``PopulationParams``' bounds.
+first reject, with InvalidInput, a case:control ratio nu outside its
+``model._DOMAIN`` range, and those that take theta or pi also a value
+outside its range.
 """
 
 from dataclasses import dataclass
@@ -28,8 +28,7 @@ from .model import (
     DesignParams,
     PopulationParams,
     _alpha_error,
-    _check_nu,
-    _check_prob,
+    _check,
     _retro_lanes,
     alpha_from_prevalence,
     prevalence_at,
@@ -172,7 +171,7 @@ def sigma_M_sq(params: PopulationParams, nu: float) -> float:
     Raises InvalidInput where an exposure margin rounds outside (0, 1).
     The batch of one of ``_variance_lanes``.
     """
-    _check_nu(nu)
+    _check(nu=nu)
     var_m, _, bad_m, _ = _variance_lanes(retro_distribution(params), nu)
     if bad_m:
         raise InvalidInput(f"an exposure margin is not inside (0, 1) at {params}")
@@ -186,7 +185,7 @@ def sigma_A_sq(params: PopulationParams, nu: float) -> float:
     1, which leaves a stratum's term without a finite value.  The batch of
     one of ``_variance_lanes``.
     """
-    _check_nu(nu)
+    _check(nu=nu)
     _, var_a, _, bad_a = _variance_lanes(retro_distribution(params), nu)
     if bad_a:
         raise InvalidInput(f"an exposure probability rounds to 0 or 1 at {params}")
@@ -211,16 +210,9 @@ def _variance_lanes(r, nu):
     return var_m, var_a, bad_m, bad_a
 
 
-def _check_closed_form(nu, **probs):
-    """Raise InvalidInput unless nu and the named probabilities lie in the model's domain."""
-    _check_nu(nu)
-    for name, v in probs.items():
-        _check_prob(name, v)
-
-
 def sigma0_sq(nu: float, pi: float) -> float:
     """Common null variance (2 + nu + 1/nu)/{pi(1 - pi)}."""
-    _check_closed_form(nu, pi=pi)
+    _check(nu=nu, pi=pi)
     return (2.0 + nu + 1.0 / nu) / (pi * (1.0 - pi))
 
 
@@ -232,7 +224,7 @@ def sigma_AC_sq(params: PopulationParams, nu: float) -> float:
     the prevalence identity; the frame is smooth through beta = 0.  The
     batch of one of ``_sigma_AC_lanes``.
     """
-    _check_nu(nu)
+    _check(nu=nu)
     r = retro_distribution(params)
     s = [[params.beta, params.gamma, params.theta, params.pi]]
     (var,), (eig,) = _sigma_AC_lanes(np.array([params.f]), np.array(s), r.p_case, r.p_ctrl, nu)
@@ -261,7 +253,7 @@ def _sigma_AC_lanes(f, s, p_case, p_ctrl, nu):
 
 def lambda_ratio(alpha, beta, theta, nu):
     """gamma -> 0 limit of sigma_A_sq / sigma_M_sq; at least 1, equal 1 iff beta = 0."""
-    _check_closed_form(nu, theta=theta)
+    _check(nu=nu, theta=theta)
     if beta == 0.0:
         return 1.0
     # (1 + e^(alpha+beta))/(1 + e^alpha) computed through logaddexp for large |alpha|
@@ -273,7 +265,7 @@ def lambda_ratio(alpha, beta, theta, nu):
 
 def lambda0(beta, theta, nu):
     """Rare-outcome limit of lambda: 1 + nu theta(1-theta)(1-e^beta)^2 / [(1+nu){(1-theta+e^beta theta)^2 + nu e^beta}]."""
-    _check_closed_form(nu, theta=theta)
+    _check(nu=nu, theta=theta)
     em = math.expm1(beta)
     c = 1.0 + theta * em
     return 1.0 + nu * theta * (1.0 - theta) * em * em / (
@@ -283,7 +275,7 @@ def lambda0(beta, theta, nu):
 
 def pitman_are_M_vs_A(alpha, beta, theta, nu):
     """Pitman ARE of the marginal test relative to the adjusted test."""
-    _check_closed_form(nu, theta=theta)
+    _check(nu=nu, theta=theta)
     slope = attenuation_slope(alpha, beta, theta)
     return slope * slope * lambda_ratio(alpha, beta, theta, nu)
 
@@ -296,7 +288,7 @@ def pitman_are_M_vs_AC(alpha, beta, theta, pi, nu):
     has no closed form) while the marginal variance at gamma = 0 is exactly
     sigma0_sq.
     """
-    _check_closed_form(nu, theta=theta, pi=pi)
+    _check(nu=nu, theta=theta, pi=pi)
     if beta == 0.0:
         return 1.0
     var = sigma_AC_sq(PopulationParams(alpha, beta, 1e-8, theta, pi), nu)
@@ -315,7 +307,7 @@ def pitman_tau(beta, theta, nu):
     tau <= 0 with equality iff beta = 0: adjusting with the constraint never
     loses local power for rare outcomes, to second order.
     """
-    _check_closed_form(nu, theta=theta)
+    _check(nu=nu, theta=theta)
     em = math.expm1(beta)
     eb = math.exp(beta)
     b1, b2 = b_factors(beta, theta)
@@ -378,7 +370,7 @@ def asymptotic_power(method, params: PopulationParams, nu, n, level=0.05):
 
 def asymptotic_constants(params: PopulationParams, nu: float) -> AsymptoticConstants:
     """All closed-form constants of the theory at one parameter point."""
-    _check_nu(nu)
+    _check(nu=nu)
     try:
         alpha_star, f_star = bias_minimizer(params.beta, params.gamma, params.theta, params.pi)
     except VacuousMinimizer:
@@ -412,12 +404,12 @@ def theory_curve(f_values, beta, gamma, theta, pi, nu, n, level=0.05):
     in grid order, run alone through the one-point functions, raises its
     error with the row's prevalence as the error's ``f`` attribute.  A
     design (nu, n) outside ``DesignParams``, a level outside (0, 1) or
-    (beta, gamma, theta, pi) outside ``PopulationParams`` raises
-    InvalidInput before any row.
+    (beta, gamma, theta, pi) outside ``model._DOMAIN`` raises InvalidInput
+    before any row.
     """
     DesignParams(nu=nu, n=n)
     _check_level(level)
-    PopulationParams(0.0, beta, gamma, theta, pi)
+    _check(beta=beta, gamma=gamma, theta=theta, pi=pi)
     try:
         alpha_star, f_star = bias_minimizer(beta, gamma, theta, pi)
     except VacuousMinimizer:

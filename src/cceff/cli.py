@@ -136,14 +136,19 @@ def manifest_to_argv(path):
 
     A switch is its bare flag when true, each part of a repeated option one
     --flag=part, a k-value option its flag and k parts, any other --flag=value
-    (so a value that begins with "-" stays a value).
+    (so a value that begins with "-" stays a value).  A manifest without
+    command= or with a param. key that names no option raises ValueError.
     """
     entries = parse_manifest(path)
+    if "command" not in entries:
+        raise ValueError(f"{path}: missing key 'command'")
     argv = [entries["command"]]
     for key, value in sorted(entries.items()):
         if not key.startswith("param."):
             continue
         name = key[len("param."):]
+        if name not in OPTIONS:
+            raise ValueError(f"{path}: key {key!r} names no option")
         flag, parse_fn, parts = _flag(name), OPTIONS[name][0], _parts(name)
         if parse_fn is _parse_bool:
             argv += [flag] if value == "true" else []

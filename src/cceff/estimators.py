@@ -536,7 +536,8 @@ def _constrained_lanes(tables, f, f_misspecified=False, adjusted=None):
     w = _cells(tables)
     n_lanes = len(w)
     if not (0.0 < f < 1.0):
-        out = [InfeasibleStart(f"prevalence f={f!r} must lie in (0, 1)") for _ in range(n_lanes)]
+        error = f"prevalence f={float(f)!r} must lie in (0, 1)"
+        out = [InfeasibleStart(error) for _ in range(n_lanes)]
         return _unfitted(out, Method.ADJCON, 4)
     if adjusted is None:
         adjusted = _adjusted_lanes(w)
@@ -601,7 +602,7 @@ def _constrained_lanes(tables, f, f_misspecified=False, adjusted=None):
             )
         else:
             out[lanes[k]] = BoundaryEstimate(
-                f"constrained estimate pinned at the parameter-space edge: s = {tuple(s_hat[k])}"
+                f"constrained estimate pinned at the parameter-space edge: s = {s_hat[k].tolist()}"
             )
     # alpha_hat, ll and h_s are those of the last accepted evaluation, at s_hat.
     kept = np.flatnonzero(~(failed | stalled | edge))

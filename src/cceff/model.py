@@ -34,6 +34,20 @@ __all__ = [
 
 _COEF_BOUND = 50.0
 _PROB_MARGIN = 1e-8
+# The model's input domain: each parameter's closed range (lo, hi).
+_DOMAIN = {
+    **dict.fromkeys(("alpha", "beta", "gamma"), (-_COEF_BOUND, _COEF_BOUND)),
+    **dict.fromkeys(("theta", "pi"), (_PROB_MARGIN, 1.0 - _PROB_MARGIN)),
+    "nu": (1e-6, 1e6),
+}
+
+
+def _check(**values):
+    """Raise InvalidInput for the first value outside its ``_DOMAIN`` range, NaN included."""
+    for name, v in values.items():
+        lo, hi = _DOMAIN[name]
+        if not (lo <= v <= hi):
+            raise InvalidInput(f"{name}={v!r} outside [{lo!r}, {hi!r}]")
 
 
 @dataclass(frozen=True)
@@ -41,9 +55,9 @@ class PopulationParams:
     """Parameters of the source population.
 
     alpha, beta, gamma are the logistic intercept, X-D log odds ratio and
-    E-D log odds ratio; theta = pr(X=1) and pi = pr(E=1).  Bounds keep the
-    downstream linear algebra well conditioned: |alpha|, |beta|, |gamma|
-    at most 50 and theta, pi within [1e-8, 1 - 1e-8].
+    E-D log odds ratio; theta = pr(X=1) and pi = pr(E=1).  Each lies in its
+    ``_DOMAIN`` range, which keeps the downstream linear algebra well
+    conditioned.
     """
 
     alpha: float
@@ -53,12 +67,7 @@ class PopulationParams:
     pi: float
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "gamma"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or abs(v) > _COEF_BOUND:
-                raise InvalidInput(f"{name}={v!r} outside [-{_COEF_BOUND:g}, {_COEF_BOUND:g}]")
-        for name in ("theta", "pi"):
-            _check_prob(name, getattr(self, name))
+        _check(alpha=self.alpha, beta=self.beta, gamma=self.gamma, theta=self.theta, pi=self.pi)
 
     @cached_property
     def f(self) -> float:
@@ -70,7 +79,7 @@ class PopulationParams:
         """``retro_distribution``'s laws, computed once per truth; its arrays are read-only."""
         f, invalid, r = _retro_lanes(self.alpha, self.beta, self.gamma, self.theta, self.pi)
         if not (0.0 < f < 1.0):
-            raise InvalidInput(f"prevalence {f!r} rounds to 0 or 1 at {self}")
+            raise InvalidInput(f"prevalence {float(f)!r} rounds to 0 or 1 at {self}")
         if invalid:
             raise InvalidInput(
                 f"the case or control law of (X, E) has an empty covariate stratum at {self}"
@@ -80,27 +89,15 @@ class PopulationParams:
         return r
 
 
-def _check_prob(name, v):
-    """Raise InvalidInput unless the probability v, called name, lies in [1e-8, 1 - 1e-8]."""
-    if not (_PROB_MARGIN <= v <= 1.0 - _PROB_MARGIN):
-        raise InvalidInput(f"{name}={v!r} outside [{_PROB_MARGIN:g}, {1.0 - _PROB_MARGIN:g}]")
-
-
-def _check_nu(nu):
-    """Raise InvalidInput unless the case:control ratio nu lies in [1e-6, 1e6]."""
-    if not (1e-6 <= nu <= 1e6):
-        raise InvalidInput(f"nu={nu!r} outside [1e-6, 1e6]")
-
-
 @dataclass(frozen=True)
 class DesignParams:
-    """Case-control sampling design: case:control ratio nu and total size n."""
+    """Case-control sampling design: case:control ratio nu (see ``_DOMAIN``) and total size n."""
 
     nu: float
     n: float
 
     def __post_init__(self):
-        _check_nu(self.nu)
+        _check(nu=self.nu)
         if not (self.n > 0 and math.isfinite(self.n)):
             raise InvalidInput(f"n={self.n!r} must be positive and finite")
 

@@ -30,7 +30,7 @@ from cceff import (
 )
 
 import oracles
-from _grids import draw_params
+from _grids import domain_edges, domain_message, draw_params
 
 
 def params_at(alpha, beta, gamma, theta, pi):
@@ -193,7 +193,7 @@ class TestVariances:
         (asymptotic_constants, 0.0),
     ])
     def test_nu_outside_the_design_domain_is_invalid_input(self, canonical, fn, nu):
-        with pytest.raises(InvalidInput, match=r"nu=.* outside \[1e-6, 1e6\]"):
+        with pytest.raises(InvalidInput, match=r"nu=.* outside \[1e-06, 1000000\.0\]"):
             fn(canonical, nu)
 
     def test_adjustment_never_cheaper(self):
@@ -509,3 +509,17 @@ class TestClosedFormDomain:
     def test_outside_the_domain_is_invalid_input(self, fn, args):
         with pytest.raises(InvalidInput, match=r"^(nu|theta)=.* outside \["):
             fn(*args)
+
+    @pytest.mark.parametrize("name, value, outside", domain_edges(("nu", "theta", "pi")))
+    def test_each_range_holds_its_bounds_and_nothing_past_them(self, name, value, outside):
+        fn, args = {
+            "nu": (sigma0_sq, (value, 0.5)),
+            "pi": (sigma0_sq, (1.0, value)),
+            "theta": (lambda0, (1.0, value, 1.0)),
+        }[name]
+        if not outside:
+            assert math.isfinite(fn(*args))
+            return
+        with pytest.raises(InvalidInput) as error:
+            fn(*args)
+        assert str(error.value) == domain_message(name, value)

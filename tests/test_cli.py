@@ -561,6 +561,22 @@ class TestSimulate:
         assert err.count("\n") == 1 and err.startswith("cceff simulate: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("truth, message", [
+        (["--alpha", "0", "--beta", "1", "--gamma", "0.3", "--theta", "1", "--pi", "0.5"],
+         "theta=1.0 outside [1e-08, 0.99999999]"),
+        # The prevalence used to print as np.float64(1.0).
+        (["--alpha", "50", "--beta", "1", "--gamma", "0.3", "--theta", "0.4", "--pi", "0.5"],
+         "prevalence 1.0 rounds to 0 or 1 at "
+         "PopulationParams(alpha=50.0, beta=1.0, gamma=0.3, theta=0.4, pi=0.5)"),
+    ], ids=["theta", "prevalence"])
+    def test_truth_outside_the_domain_prints_the_bounds_or_a_plain_float(
+        self, tmp_path, capsys, truth, message
+    ):
+        out = tmp_path / "sim.csv"
+        assert run("simulate", *truth, "--n", "100", "--out", out) == 2
+        assert capsys.readouterr() == ("", f"cceff simulate: {message}\n")
+        assert not out.exists()
+
     def test_exactly_one_of_alpha_and_f(self, tmp_path, capsys):
         base = ["simulate", *CANON, "--n", "400", "--replicates", "4",
                 "--out", tmp_path / "x.csv"]
@@ -780,6 +796,18 @@ class TestOptionTable:
         path.write_text("command=fit\nbeta 1\n")
         with pytest.raises(ValueError, match=r"run\.cfg:2: expected key=value$"):
             parse_manifest(path)
+
+    @pytest.mark.parametrize("text, key", [
+        ("command=fit\nparam.methods=mar\nparam.bogus=1\n", "key 'param.bogus' names no option"),
+        ("param.methods=mar\n", "missing key 'command'"),
+    ], ids=["unknown", "no-command"])
+    def test_manifest_to_argv_rejects_an_unknown_or_missing_key(self, tmp_path, text, key):
+        # Each used to raise KeyError.
+        path = tmp_path / "run.manifest"
+        path.write_text(text)
+        with pytest.raises(ValueError) as error:
+            manifest_to_argv(path)
+        assert str(error.value) == f"{path}: {key}"
 
     def test_cell_manifest_line_and_its_rebuild(self, tmp_path):
         out = tmp_path / "fit.csv"

@@ -1,3 +1,4 @@
+import ast
 import math
 import statistics
 import warnings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cceff import (
+    BoundaryEstimate,
     BracketFailure,
     CaseControlTable,
     DesignParams,
@@ -405,6 +407,27 @@ class TestConstrained:
             "so dF/dalpha is 0 and the constrained likelihood has no derivatives"
         )
         assert type(batch) is InfeasibleStart and str(batch) == str(error.value)
+
+    # A numpy prevalence or estimate used to print as np.float64(...) in these messages.
+    @pytest.mark.parametrize("f, message", [
+        (np.float64(1.5), "prevalence f=1.5 must lie in (0, 1)"),
+        (np.float64(0.9999999999999999), "every p (1 - p) rounds to 0 at the intercept for "
+         "prevalence f=0.9999999999999999, so dF/dalpha is 0 and the constrained likelihood "
+         "has no derivatives"),
+    ], ids=["outside", "no-derivatives"])
+    def test_a_numpy_prevalence_prints_a_plain_float(self, f, message):
+        t = CaseControlTable(np.reshape([40, 30, 20, 10, 25, 5, 15, 8], (2, 2, 2)))
+        (out,) = fit_constrained_batch(t.w[None], f)
+        assert type(out) is InfeasibleStart and str(out) == message
+
+    def test_a_pinned_estimate_prints_plain_floats(self):
+        t = CaseControlTable(np.reshape([0, 0, 0, 5, 1, 0, 1, 3], (2, 2, 2)))
+        with pytest.raises(BoundaryEstimate) as error:
+            fit_constrained(t, 0.3)
+        head, _, s = str(error.value).partition("s = ")
+        assert head == "constrained estimate pinned at the parameter-space edge: "
+        s = ast.literal_eval(s)
+        assert type(s) is list and len(s) == 4 and all(type(v) is float for v in s)
 
     def test_curvature_overflow_is_a_typed_error_without_a_warning(self):
         # Cells spanning hundreds of decades put the sample exposure fraction

@@ -23,7 +23,7 @@ from cceff import (
 )
 
 import oracles
-from _grids import draw_params
+from _grids import domain_edges, domain_message, draw_params
 
 coef = st.floats(-5.0, 5.0)
 prob_inner = st.floats(0.05, 0.95)
@@ -65,6 +65,31 @@ class TestDesignParams:
     def test_n_positive_finite(self, n):
         with pytest.raises(ValueError):
             DesignParams(nu=1.0, n=n)
+
+
+class TestDomain:
+    """``_DOMAIN`` is what PopulationParams and DesignParams accept, bounds included."""
+
+    @pytest.mark.parametrize("name, value, outside", domain_edges())
+    def test_each_range_holds_its_bounds_and_nothing_past_them(self, name, value, outside):
+        if name == "nu":
+            cls, fields = DesignParams, dict(nu=value, n=100.0)
+        else:
+            cls, fields = PopulationParams, dict(alpha=0.0, beta=0.5, gamma=0.5, theta=0.3, pi=0.7)
+            fields[name] = value
+        if not outside:
+            assert getattr(cls(**fields), name) == value
+            return
+        with pytest.raises(InvalidInput) as error:
+            cls(**fields)
+        assert str(error.value) == domain_message(name, value)
+
+    def test_a_rounded_prevalence_prints_a_plain_float(self):
+        # The prevalence used to print as np.float64(1.0).
+        params = PopulationParams(50.0, 1.0, 0.3, 0.4, 0.5)
+        with pytest.raises(InvalidInput) as error:
+            retro_distribution(params)
+        assert str(error.value) == f"prevalence 1.0 rounds to 0 or 1 at {params}"
 
 
 class TestCellProbs:
