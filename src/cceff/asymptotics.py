@@ -7,11 +7,11 @@ asymptotic relative efficiencies, the tau coefficient of the rare-outcome
 ARE expansion e_P(Mar, AdjCon) = 1 + tau*rho^2 + O(rho^3) with rho = e^alpha,
 and two-sided Wald power.  Marginal and covariate-stratified variances
 follow Woolf and Gart (1962) respectively; the constrained variance comes
-from the exact Fisher information of the constrained model.  The one-point
-variances, ``asymptotic_constants`` and the scalar closed forms that take nu
-first reject, with InvalidInput, a case:control ratio nu outside its
-``model._DOMAIN`` range, and those that take theta or pi also a value
-outside its range.
+from the exact Fisher information of the constrained model.  An argument
+outside its ``model._DOMAIN`` range raises InvalidInput naming it and the
+range before any other work, except in ``b_factors``, ``bias_delta`` and
+``attenuation_slope``: each theory row calls them, so they check only where
+they fail (an overflow or a value that is not finite).
 """
 
 from dataclasses import dataclass
@@ -99,8 +99,14 @@ def b_factors(beta, theta):
 
     Written with expm1 so beta = 0 gives b1 = b2 = 1 exactly.
     """
-    em = math.expm1(beta)
-    return 1.0 + em * (1.0 - theta), math.exp(beta) / (1.0 + theta * em)
+    try:
+        em = math.expm1(beta)
+        b1, b2 = 1.0 + em * (1.0 - theta), math.exp(beta) / (1.0 + theta * em)
+    except ArithmeticError:  # e^beta overflows past beta = 709; theta = 1 can divide by 0
+        b1 = b2 = math.nan
+    if not math.isfinite(b1 * b2):
+        _check(beta=beta, theta=theta)
+    return b1, b2
 
 
 def bias_delta(alpha, beta, gamma, theta):
@@ -114,16 +120,21 @@ def bias_delta(alpha, beta, gamma, theta):
     ratio rounds to 0 (only at extreme coefficients).
     """
     b1, b2 = b_factors(beta, theta)
-    spread = (b1 - b2) * (-math.expm1(gamma))
-    if alpha <= 0.0:
-        ea = math.exp(alpha)
-        num = ea * spread
-        den = (1.0 + math.exp(alpha + gamma) * b1) * (1.0 + ea * b2)
-    else:
-        r = math.exp(-alpha)
-        num = r * spread
-        den = (r + math.exp(gamma) * b1) * (r + b2)
-    ratio = num / den
+    try:
+        spread = (b1 - b2) * (-math.expm1(gamma))
+        if alpha <= 0.0:
+            ea = math.exp(alpha)
+            num = ea * spread
+            den = (1.0 + math.exp(alpha + gamma) * b1) * (1.0 + ea * b2)
+        else:
+            r = math.exp(-alpha)
+            num = r * spread
+            den = (r + math.exp(gamma) * b1) * (r + b2)
+        ratio = num / den
+    except ArithmeticError:  # e^gamma overflows past gamma = 709
+        ratio = math.nan
+    if not math.isfinite(ratio):
+        _check(alpha=alpha, beta=beta, gamma=gamma, theta=theta)
     if ratio <= -1.0:
         raise InvalidInput(
             f"marginal odds ratio rounds to 0 at (alpha, beta, gamma, theta) = "
@@ -147,7 +158,10 @@ def attenuation_slope(alpha, beta, theta):
         r = math.exp(-alpha)
         num = b1 * b2 + 2.0 * b2 * r + r * r
         den = b1 * b2 + (b1 + b2) * r + r * r
-    return num / den
+    slope = num / den
+    if not math.isfinite(slope):
+        _check(alpha=alpha, beta=beta, theta=theta)
+    return slope
 
 
 def bias_minimizer(beta, gamma, theta, pi):
@@ -155,6 +169,7 @@ def bias_minimizer(beta, gamma, theta, pi):
 
     alpha* = -{log(b1 b2) + gamma}/2 and f* is the prevalence there.
     """
+    _check(beta=beta, gamma=gamma, theta=theta, pi=pi)
     if beta == 0.0 or gamma == 0.0:
         raise VacuousMinimizer(
             "delta vanishes identically when beta = 0 or gamma = 0; no unique minimizer"
@@ -253,7 +268,7 @@ def _sigma_AC_lanes(f, s, p_case, p_ctrl, nu):
 
 def lambda_ratio(alpha, beta, theta, nu):
     """gamma -> 0 limit of sigma_A_sq / sigma_M_sq; at least 1, equal 1 iff beta = 0."""
-    _check(nu=nu, theta=theta)
+    _check(nu=nu, theta=theta, alpha=alpha, beta=beta)
     if beta == 0.0:
         return 1.0
     # (1 + e^(alpha+beta))/(1 + e^alpha) computed through logaddexp for large |alpha|
@@ -265,7 +280,7 @@ def lambda_ratio(alpha, beta, theta, nu):
 
 def lambda0(beta, theta, nu):
     """Rare-outcome limit of lambda: 1 + nu theta(1-theta)(1-e^beta)^2 / [(1+nu){(1-theta+e^beta theta)^2 + nu e^beta}]."""
-    _check(nu=nu, theta=theta)
+    _check(nu=nu, theta=theta, beta=beta)
     em = math.expm1(beta)
     c = 1.0 + theta * em
     return 1.0 + nu * theta * (1.0 - theta) * em * em / (
@@ -275,7 +290,6 @@ def lambda0(beta, theta, nu):
 
 def pitman_are_M_vs_A(alpha, beta, theta, nu):
     """Pitman ARE of the marginal test relative to the adjusted test."""
-    _check(nu=nu, theta=theta)
     slope = attenuation_slope(alpha, beta, theta)
     return slope * slope * lambda_ratio(alpha, beta, theta, nu)
 
@@ -307,7 +321,7 @@ def pitman_tau(beta, theta, nu):
     tau <= 0 with equality iff beta = 0: adjusting with the constraint never
     loses local power for rare outcomes, to second order.
     """
-    _check(nu=nu, theta=theta)
+    _check(nu=nu, theta=theta, beta=beta)
     em = math.expm1(beta)
     eb = math.exp(beta)
     b1, b2 = b_factors(beta, theta)
@@ -330,8 +344,15 @@ def _std_normal_cdf(x):
 
 
 def _z_half(level):
-    """The two-sided Wald test's critical value at the given level."""
-    return NormalDist().inv_cdf(1.0 - level / 2.0)
+    """The two-sided Wald test's critical value, finite at every level in (0, 1).
+
+    Where 1 - level/2 rounds to 1 (level <= 2^-53) it is minus the lower
+    tail's quantile at level/2, which is held at or above 5e-324.
+    """
+    upper = 1.0 - level / 2.0
+    if upper < 1.0:
+        return NormalDist().inv_cdf(upper)
+    return -NormalDist().inv_cdf(max(level / 2.0, 5e-324))
 
 
 def _wald_power(shift, var, n, z):

@@ -13,11 +13,10 @@ import dataclasses
 from dataclasses import dataclass
 import math
 import operator
-import warnings
 
 import numpy as np
 from scipy.special import ndtri
-from scipy.special._ufuncs import _binom_cdf, _binom_ppf
+from scipy.special._ufuncs import _binom_cdf
 
 from ._constrained import (
     _mass_lanes, expected_masses, loglik_grad_hess_s, newton_ascent, no_derivatives, sandwich_s,
@@ -60,11 +59,6 @@ __all__ = [
 DEFAULT_EPS = 1e-3
 # A misspecification limit whose gradient max-norm ends within this bar is converged.
 _LIMIT_BAR = 1e-10
-# From this many draws up, a split guesses each binomial quantile and checks it
-# against two CDF values: below it the guess's fixed cost of about 20 us
-# exceeds what it saves on boost's solver (0.4 us a draw at n = 20, 3.5 us
-# at n = 10^4; 2-vCPU Xeon VM, scipy 1.17).
-_GUESS_LANES = 16
 # The open box a limit's iterate stays in: |beta|, |gamma| < 60 and theta, pi in (0, 1).
 _S_LOW = np.array([-60.0, -60.0, 0.0, 0.0])
 _S_HIGH = np.array([60.0, 60.0, 1.0, 1.0])
@@ -157,20 +151,15 @@ def expected_table(params: PopulationParams, design: DesignParams) -> CaseContro
 
 
 def _binom_quantile(u, n, p):
-    """Each lane's binomial quantile: the smallest k in [0, n] with CDF(k; n, p) >= u.
+    """Each lane's binomial quantile: the smallest k in [0, n] with ``_binom_cdf(k; n, p) >= u``.
 
     u and n are arrays of uniforms in [0, 1) and counts n >= 1, with one
-    0 < p < 1.  From ``_GUESS_LANES`` lanes up, a Cornish-Fisher guess
-    (Devroye 1986, III.2) is kept where one stacked ``_binom_cdf`` call shows
-    CDF(k - 1) < u <= CDF(k) (about 99.9 % of lanes at n = 10^4, 97 % at
-    n = 70); the other lanes, and every lane of a smaller call, take boost's
-    solver (``_binom_solve``).  So the result is bitwise
-    ``_binom_ppf(u, n, p)``, the ufunc behind ``scipy.stats.binom.ppf``,
-    wherever that answers without a warning.  Where the solver warns, its
-    count is a best guess, and a checked guess can differ from it.
+    0 < p < 1.  A Cornish-Fisher guess k (Devroye 1986, III.2) is kept where
+    one stacked ``_binom_cdf`` call shows CDF(k - 1) < u <= CDF(k) (about
+    99.9 % of lanes at n = 10^4, 97 % at n = 70); the other lanes bisect on
+    ``_binom_cdf`` with CDF(lo) < u <= CDF(hi), so no lane's count depends
+    on the others.  A CDF value that is not finite raises InvalidInput.
     """
-    if len(u) < _GUESS_LANES:
-        return _binom_solve(u, n, p)
     q = 1.0 - p
     skew = (q - p) / 6.0
     z = ndtri(np.maximum(u, 5e-324))  # finite also at u = 0
@@ -179,29 +168,18 @@ def _binom_quantile(u, n, p):
     below, at = _binom_cdf(np.stack([k - 1.0, k]), n, p)
     miss = ~(((k == 0.0) | (below < u)) & (at >= u))
     if miss.any():
-        k[miss] = _binom_solve(u[miss], n[miss], p)
-    return k
-
-
-def _binom_solve(u, n, p):
-    """boost's binomial quantile ``_binom_ppf(u, n, p)``.
-
-    Where the solver finds no count (some splits at n near 2^53) it returns
-    NaN with a RuntimeWarning; that raises InvalidInput naming the count
-    that was split, without the warning.  A warning that comes with a count
-    passes through.
-    """
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", RuntimeWarning)
-        k = _binom_ppf(u, n, p)
-    lost = np.isnan(k)
-    if lost.any():
-        raise InvalidInput(
-            f"sampling cannot split {int(n[lost][0])} subjects: the binomial quantile "
-            "solver finds no count at this sample size"
-        )
-    for warning in caught:
-        warnings.warn(warning.message, stacklevel=2)
+        u, n = u[miss], n[miss]
+        # lo = -1 (CDF 0) and hi = n (CDF 1), narrowed where a guess's CDF value is on one side of u.
+        lo = np.where(at[miss] < u, k[miss], -1.0)
+        hi = np.where(below[miss] >= u, k[miss] - 1.0, n)
+        while (hi - lo > 1.0).any():
+            mid = lo + np.ceil((hi - lo) / 2.0)  # in (lo, hi), or hi once hi = lo + 1
+            cdf = _binom_cdf(mid, n, p)
+            lost = n[~np.isfinite(cdf)]
+            if lost.size:
+                raise InvalidInput(f"sampling cannot split {lost[0]} subjects: a CDF is not finite")
+            lo, hi = np.where(cdf >= u, lo, mid), np.where(cdf >= u, mid, hi)
+        k[miss] = hi
     return k
 
 
@@ -211,12 +189,9 @@ def _multinomial_invcdf(u, n, probs):
     u holds one row of len(probs) - 1 uniforms in [0, 1) per draw; returns
     one row of counts per draw.  The conditional probabilities are the same
     for every draw, so each split is one ``_binom_quantile`` call over the
-    draws that still have a positive remaining count: a normal guess checked
-    against two CDF values, with boost's solver as the fallback for the
-    draws it misses.  The counts are those of ``scipy.stats.binom.ppf``
-    for 0 < u < 1 wherever its solver answers without a warning; at u = 0
-    the count is 0, the smallest, where ``binom.ppf`` gives -1.  A split
-    the solver cannot invert raises InvalidInput.
+    draws that still have a positive remaining count: each count is the
+    smallest k whose binomial CDF reaches the draw's uniform, so at u = 0
+    it is 0.  A split whose CDF is not finite raises InvalidInput.
     """
     k = len(probs)
     counts = np.zeros((len(u), k), dtype=np.int64)

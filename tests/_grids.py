@@ -29,7 +29,8 @@ def draw_params(rng, n, **overrides):
 def domain_edges(names=tuple(_DOMAIN)):
     """pytest params (name, value, outside) at both ends of each named ``_DOMAIN`` range.
 
-    Each bound lies inside; the float one step past it and NaN lie outside.
+    Each bound lies inside; the float one step past it, a value 16 range
+    widths past it (where e^beta overflows) and NaN lie outside.
     """
     for name in names:
         lo, hi = _DOMAIN[name]
@@ -37,6 +38,8 @@ def domain_edges(names=tuple(_DOMAIN)):
         yield pytest.param(name, hi, False, id=f"{name}-hi")
         yield pytest.param(name, float(np.nextafter(lo, -math.inf)), True, id=f"{name}-below")
         yield pytest.param(name, float(np.nextafter(hi, math.inf)), True, id=f"{name}-above")
+        yield pytest.param(name, lo - 16.0 * (hi - lo), True, id=f"{name}-far-below")
+        yield pytest.param(name, hi + 16.0 * (hi - lo), True, id=f"{name}-far-above")
         yield pytest.param(name, math.nan, True, id=f"{name}-nan")
 
 

@@ -5,12 +5,14 @@ pr(D=d, X=i, E=j) with plain loops, or by finite differences of exact
 expectations at high precision (mpmath).  Nothing imports the package's
 formula implementations, so agreement is evidence rather than tautology.
 
-The exception is the block of frozen references at the end: verbatim
-copies of the small-array prevalence inversion and prevalence derivatives
-that the plain-float kernels replaced, of the one-table-at-a-time sampler
-that the batch sampler replaced, of the lane form of the constrained
-profile likelihood that the per-cell kernels replaced, and of the damped
-Newton routine whose per-round bookkeeping was packed.  They are the judge
+``cdf_rule_table`` draws the sampler's tables by a scalar search on
+``scipy.stats.binom.cdf``.  The exception is the block of frozen
+references at the end: verbatim copies of the small-array prevalence
+inversion and prevalence derivatives that the plain-float kernels
+replaced, of the one-table-at-a-time sampler that the batch sampler
+replaced, of the lane form of the constrained profile likelihood that the
+per-cell kernels replaced, and of the damped Newton routine whose
+per-round bookkeeping was packed.  They are the judge
 of the replacements' bitwise identity, not of their mathematics.
 """
 
@@ -307,6 +309,46 @@ def separated(cells):
 
 def fd_derivative(fn, x, h=1e-6):
     return (fn(x + h) - fn(x - h)) / (2.0 * h)
+
+
+def _smallest_count(u, n, p):
+    """The smallest k in [0, n] with binom.cdf(k, n, p) >= u, by bisection on integers."""
+    lo, hi = -1, n
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if binom.cdf(mid, n, p) >= u:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def cdf_rule_table(params, design, seed, replicate_index):
+    """One retrospective sample's cell weights by the CDF rule, one scalar search per split.
+
+    The uniforms are the frozen ``sample_table``'s Philox stream, and each
+    conditional binomial count is the smallest k whose ``binom.cdf``
+    reaches the split's uniform.  The design must be one that sampler draws.
+    """
+    n1 = int(round(design.n_cases))
+    r = retro_distribution(params)
+    key = np.array([seed % 2**64, replicate_index % 2**64], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
+    arms = []
+    for remaining, probs in ((n1, r.p_case.ravel()), (int(round(design.n)) - n1, r.p_ctrl.ravel())):
+        counts = []
+        for idx, u in enumerate(rng.random(3)):
+            tail = probs[idx:].sum()
+            p = probs[idx] / tail if tail > 0 else 0.0
+            if p >= 1.0:
+                c = remaining
+            else:
+                c = _smallest_count(u, remaining, p) if remaining > 0 and p > 0.0 else 0
+            counts.append(c)
+            remaining -= c
+        arms.append(counts + [remaining])
+    cases, ctrls = arms
+    return np.array([ctrls, cases], dtype=float).reshape(2, 2, 2)
 
 
 # ------------------------------------------------- frozen array references

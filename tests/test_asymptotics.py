@@ -1,4 +1,6 @@
+import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from cceff import (
     sigma_M_sq,
     theory_curve,
 )
+from cceff.asymptotics import _z_half
 
 import oracles
 from _grids import domain_edges, domain_message, draw_params
@@ -388,6 +391,19 @@ class TestPower:
             got = asymptotic_power(method, p, 1.0, 50000.0, level=0.05)
             assert abs(got - 0.05) <= 1e-12
 
+    @pytest.mark.parametrize("level", [2.0**-53, 1e-17, 1e-300])
+    def test_null_power_equals_a_level_below_2_53(self, canonical, level):
+        # 1 - level/2 rounds to 1 here; the critical value used to raise StatisticsError.
+        p = params_at(canonical.alpha, canonical.beta, 0.0, canonical.theta, canonical.pi)
+        for method in Method:
+            assert_allclose(asymptotic_power(method, p, 1.0, 50000.0, level=level), level, rtol=1e-12)
+
+    def test_every_level_has_a_finite_critical_value(self):
+        levels = [0.5, 0.05, 1e-15, 2.0**-52, 2.0**-53, 1e-16, 1e-100, 1e-323, 5e-324]
+        z = [_z_half(level) for level in levels]
+        assert all(math.isfinite(x) for x in z)
+        assert z == sorted(z)
+
     def test_power_increases_to_one(self, canonical):
         prev = 0.0
         for n in (1e2, 1e3, 1e4, 1e5, 1e6):
@@ -509,6 +525,46 @@ class TestClosedFormDomain:
     def test_outside_the_domain_is_invalid_input(self, fn, args):
         with pytest.raises(InvalidInput, match=r"^(nu|theta)=.* outside \["):
             fn(*args)
+
+    @pytest.mark.parametrize("fn, args, name", [
+        # These raised OverflowError, ZeroDivisionError or ValueError.
+        (b_factors, (800.0, 0.4), "beta"),
+        (b_factors, (-50.0, 1.0), "theta"),
+        (lambda0, (800.0, 0.4, 1.0), "beta"),
+        (pitman_tau, (800.0, 0.4, 1.0), "beta"),
+        (attenuation_slope, (0.0, 800.0, 0.4), "beta"),
+        (bias_minimizer, (800.0, 0.3, 0.4, 0.5), "beta"),
+        (bias_minimizer, (-50.0, 0.3, 0.0, 1e-8), "theta"),
+        (bias_delta, (-2.0, 1.0, 800.0, 0.4), "gamma"),
+        (lambda_ratio, (-2.0, -800.0, 0.4, 1.0), "beta"),
+        (pitman_are_M_vs_A, (-2.0, 800.0, 0.4, 1.0), "beta"),
+    ])
+    def test_a_failure_past_the_domain_names_the_argument(self, fn, args, name):
+        value = args[list(inspect.signature(fn).parameters).index(name)]
+        with pytest.raises(InvalidInput) as error:
+            fn(*args)
+        assert str(error.value) == domain_message(name, value)
+
+    @pytest.mark.parametrize("fn", [
+        b_factors, bias_delta, attenuation_slope, bias_minimizer, sigma0_sq, lambda_ratio, lambda0,
+        pitman_are_M_vs_A, pitman_tau,
+    ], ids=lambda fn: fn.__name__)
+    def test_each_closed_form_is_finite_or_names_the_argument_past_its_range(self, fn):
+        # b_factors, bias_delta and attenuation_slope, which every theory row
+        # calls, check their arguments only where they fail.
+        point = dict(alpha=-2.0, beta=1.0, gamma=0.3, theta=0.4, pi=0.5, nu=1.0)
+        names = list(inspect.signature(fn).parameters)
+        for edge in domain_edges(names):
+            name, value, outside = edge.values
+            args = {k: point[k] for k in names} | {name: value}
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    out = fn(**args)
+            except InvalidInput as error:
+                assert outside and str(error) == domain_message(name, value), edge.id
+            else:
+                assert np.all(np.isfinite(out)), edge.id
 
     @pytest.mark.parametrize("name, value, outside", domain_edges(("nu", "theta", "pi")))
     def test_each_range_holds_its_bounds_and_nothing_past_them(self, name, value, outside):

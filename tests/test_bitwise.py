@@ -8,9 +8,10 @@ max|grad| 1.56e-8 against a 1e-8 bar), where a last-ulp change could flip
 a NonConvergence.  The kernels are therefore compared bit for bit with the
 frozen array forms in ``oracles``, and the stalled fits and limits with
 digests of their outputs.  The batch sampler is compared bit for bit with
-the frozen one-table sampler, ``newton_ascent`` with its frozen form on the
-fits' and limits' own evaluations, and the theory curves of the benchmark's
-panels with digests of every field.
+the frozen one-table sampler where that draws without a warning, and with
+``oracles.cdf_rule_table`` elsewhere; ``newton_ascent`` with its frozen
+form on the fits' and limits' own evaluations; and the theory curves of
+the benchmark's panels with digests of every field.
 """
 
 from contextlib import contextmanager
@@ -432,6 +433,21 @@ design_nu = st.floats(1e-6, 1e6)
 sample_size = st.integers(2, 10**7)
 
 
+def _frozen_or_rule_table(params, design, seed, index):
+    """The frozen sampler's table, or the CDF rule's where one of its binom.ppf calls warns.
+
+    A warning marks boost's count as a best guess, which need not be the
+    smallest count the CDF reaches.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            return oracles.sample_table(params, design, seed, index)
+        except RuntimeWarning:
+            pass
+    return oracles.cdf_rule_table(params, design, seed, index)
+
+
 class TestBatchSampler:
     @given(
         alpha=coef, beta=coef, gamma=coef, theta=prob, pi=prob, nu=design_nu, n=sample_size,
@@ -443,6 +459,9 @@ class TestBatchSampler:
              count=12)
     @example(alpha=0.0, beta=0.0, gamma=0.0, theta=0.5, pi=0.5, nu=1e-6, n=10**7, seed=0,
              first=2**64 - 3, count=6)
+    # mc_sparse's truth at n = 2^53, where boost's solver warns on some splits.
+    @example(alpha=-4.178842584573201, beta=1.5, gamma=0.0, theta=0.1, pi=0.08, nu=0.5, n=2**53,
+             seed=1, first=0, count=2)
     def test_matches_frozen_one_table_sampler(
         self, alpha, beta, gamma, theta, pi, nu, n, seed, first, count
     ):
@@ -458,7 +477,7 @@ class TestBatchSampler:
                 sample_tables(params, design, seed, indices)
             return
         try:
-            want = [oracles.sample_table(params, design, seed, i) for i in indices]
+            want = [_frozen_or_rule_table(params, design, seed, i) for i in indices]
         except ValueError as exc:
             with pytest.raises(ValueError, match=re.escape(str(exc))):
                 sample_tables(params, design, seed, indices)

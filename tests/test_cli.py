@@ -698,6 +698,24 @@ class TestMisspec:
         assert out.read_bytes() == first
 
 
+class TestTinyLevels:
+    # From level 2^-53 down 1 - level/2 rounds to 1; these runs raised StatisticsError.
+    @pytest.mark.parametrize("argv", [
+        ["theory", "--f-grid", "0.1:0.5:3", "--level", "1e-16"],
+        ["simulate", "--f", "0.3", "--n", "2000", "--replicates", "5", "--level", "1e-300"],
+        ["misspec", "--f", "0.3", "--f1-grid", "0.2:0.4:3", "--mc-confirm", "2000", "3",
+         "--level", "1e-300"],
+        ["simulate", "--f", "0.3", "--n", "2000", "--replicates", "2", "--level", "5e-324"],
+    ])
+    def test_runs_and_rebuilds(self, tmp_path, capsys, argv):
+        out = tmp_path / "x.csv"
+        assert run(*argv, *CANON, "--out", out) == 0
+        assert capsys.readouterr().err == ""
+        first = out.read_bytes()
+        assert run(*manifest_to_argv(manifest_path(str(out)))) == 0
+        assert out.read_bytes() == first
+
+
 CELLS = [("--cell", f"{d},{i},{j},{c}") for (d, i, j), c in zip(
     [(d, i, j) for d in (0, 1) for i in (0, 1) for j in (0, 1)],
     ["30", "12", "18.5", "25", "20", "22", "1e-3", "40"],

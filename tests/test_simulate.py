@@ -3,7 +3,7 @@ import math
 import tracemalloc
 import warnings
 
-from hypothesis import assume, example, given
+from hypothesis import example, given
 from hypothesis import strategies as st
 import numpy as np
 import pytest
@@ -213,26 +213,24 @@ class TestSampleTable:
 
 
 class TestInverseCDF:
-    """The sampler's binomial inverse CDF is the ufunc behind scipy.stats.binom.ppf."""
+    """Each sampled count is the smallest k whose binomial CDF reaches the draw's uniform."""
 
-    def test_bitwise_equal_to_binom_ppf(self):
+    def test_cdf_is_bitwise_binom_cdf(self):
         # If a scipy release renames or changes the private ufunc, this fails.
         rng = np.random.Generator(np.random.Philox(key=2026))
         size = 20000
-        q = rng.random(size)
-        q = q[q > 0.0]
-        n = np.floor(10.0 ** rng.uniform(0.0, 7.0, len(q))).astype(np.int64)
-        tiny = rng.uniform(0.0, 1e-15, len(q))
-        p = np.concatenate([rng.random(len(q) - 200), tiny[:100], 1.0 - tiny[100:200]])
+        n = np.floor(10.0 ** rng.uniform(0.0, 7.0, size)).astype(np.int64)
+        k = np.floor(rng.random(size) * (n + 1.0))
+        tiny = rng.uniform(0.0, 1e-15, size)
+        p = np.concatenate([rng.random(size - 200), tiny[:100], 1.0 - tiny[100:200]])
         p = np.clip(p, 5e-324, np.nextafter(1.0, 0.0))
-        got = simulate_mod._binom_ppf(q, n, p)
-        want = binom.ppf(q, n, p)
+        got = simulate_mod._binom_cdf(k, n, p)
+        want = binom.cdf(k, n, p)
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
 
     # Lanes of (u, n), u on the grid of Philox uniforms k 2^-53 from 0 to
-    # 1 - 2^-53, covering the one-call path (below _GUESS_LANES lanes) and
-    # the guess.
+    # 1 - 2^-53, with calls of one lane up to 40.
     uniform = st.integers(0, 2**53 - 1).map(lambda k: k * 2.0**-53)
     lanes = st.lists(st.tuples(uniform, st.integers(1, 10**12)), min_size=1, max_size=40)
     exponent = st.floats(-12.0, -0.3)
@@ -240,53 +238,61 @@ class TestInverseCDF:
 
     @given(lanes=lanes, p=log_uniform_p)
     @example(lanes=[(0.0, 10**4)] * 20, p=0.3)
+    # boost's binom.ppf answers 3383 here without a warning; the CDF's count is 3378.
     @example(lanes=[(1.0 - 2.0**-53, 10**4)] * 20, p=0.3)
     @example(lanes=[(2.0**-53, 10**4), (2.0**-53, 10**12)] * 10, p=0.3)
     @example(lanes=[(0.0, 1), (1.0 - 2.0**-53, 1), (2.0**-53, 1)], p=1e-12)
     @example(lanes=[(0.0, 10**12), (1.0 - 2.0**-53, 10**12), (2.0**-53, 7)] * 6, p=1.0 - 1e-12)
-    def test_quantile_is_binom_ppf(self, lanes, p):
+    def test_quantile_is_the_smallest_count_the_cdf_reaches(self, lanes, p):
         u = np.array([lane[0] for lane in lanes])
         n = np.array([lane[1] for lane in lanes], dtype=np.int64)
-        with warnings.catch_warnings(record=True) as solver_warned:
-            warnings.simplefilter("always")
-            want = simulate_mod._binom_ppf(u, n, p)
-        # Where the solver warns, its count is a best guess, not always the
-        # smallest count the CDF gives.
-        assume(not solver_warned)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = simulate_mod._binom_quantile(u, n, p)
-        assert got.tobytes() == want.tobytes()
+            k = simulate_mod._binom_quantile(u, n, p)
+        assert np.all((0.0 <= k) & (k <= n))
+        # binom.cdf(-1) is 0, which u = 0 does not exceed: there the count is 0.
+        assert np.all((binom.cdf(k - 1.0, n, p) < u) | ((k == 0.0) & (u == 0.0)))
+        assert np.all(u <= binom.cdf(k, n, p))
+
+    def test_a_count_does_not_depend_on_the_size_of_its_split(self):
+        # boost's solver, which once drew splits under 16 draws, answered 0 here.
+        u, p = 1.0 - 2.0**-53, 1.7402093740624849e-16
+        alone = simulate_mod._binom_quantile(np.full(1, u), np.ones(1, dtype=np.int64), p)
+        shared = simulate_mod._binom_quantile(np.full(16, u), np.ones(16, dtype=np.int64), p)
+        assert alone.tolist() == [1.0]
+        assert shared.tolist() == [1.0] * 16
 
     @staticmethod
     def _truth(f, beta, gamma, theta, pi):
         return PopulationParams(alpha_from_prevalence(f, beta, gamma, theta, pi), beta, gamma, theta, pi)
 
-    def test_sample_sizes_the_solver_cannot_split_are_invalid_input(self):
-        # At n near 2^53 boost's solver finds no count for some splits; those
-        # raise instead of casting NaN to a count.  The Fig. 1 truth draws.
-        unsplittable = [
-            (self._truth(0.02, 1.5, 0.0, 0.1, 0.08), DesignParams(0.5, 2.0**53)),  # mc_sparse's truth
-            (self._truth(0.5, 3.0, 2.0, 1e-6, 0.999), DesignParams(1.0, 8e15)),
-        ]
+    @pytest.mark.parametrize("replicates", [1, 200])
+    @pytest.mark.parametrize("truth, design", [
+        ((0.02, 1.5, 0.0, 0.1, 0.08), DesignParams(0.5, 2.0**53)),  # mc_sparse's truth
+        ((0.5, 3.0, 2.0, 1e-6, 0.999), DesignParams(1.0, 8e15)),
+        ((0.3, 1.0, 0.3, 0.4, 0.5), DesignParams(1.0, 2.0**53)),  # Fig. 1
+    ])
+    def test_sample_sizes_up_to_2_53_draw_valid_tables(self, truth, design, replicates):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for params, design in unsplittable:
-                for replicates in (1, 200):
-                    with pytest.raises(InvalidInput, match=r"^sampling cannot split \d+ subjects"):
-                        sample_tables(params, design, 1, range(replicates))
-            fig1 = self._truth(0.3, 1.0, 0.3, 0.4, 0.5)
-            tables = sample_tables(fig1, DesignParams(1.0, 2.0**53), 1, range(200))
+            tables = sample_tables(self._truth(*truth), design, 1, range(replicates))
         assert np.all(tables >= 0.0)
-        assert np.all(tables.sum(axis=(2, 3)) == 2.0**52)
+        n1, n0 = simulate_mod._arm_sizes(design)
+        assert np.all(tables.sum(axis=(2, 3)) == [n0, n1])
 
-    def test_a_solver_warning_with_a_count_passes_through(self):
-        # Near u = 1 with a tiny p boost warns and answers 2, where the CDF's
-        # smallest count is 1; the sampler keeps its answer and its warning.
+    def test_a_cdf_that_is_not_finite_is_invalid_input(self, monkeypatch):
+        monkeypatch.setattr(simulate_mod, "_binom_cdf", lambda k, n, p: np.full(np.shape(k), np.nan))
+        with pytest.raises(InvalidInput, match=r"^sampling cannot split 7 subjects"):
+            simulate_mod._binom_quantile(np.array([0.5]), np.array([7]), 0.3)
+
+    def test_near_one_with_a_tiny_p_the_count_is_the_cdfs(self):
+        # Near u = 1 with a tiny p boost's solver warns and answers 2; the
+        # CDF's smallest count is 1, found without a warning.
         u, n = np.array([0.9999999999999966]), np.array([524])
-        with pytest.warns(RuntimeWarning, match="do_inverse_discrete_quantile"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             got = simulate_mod._binom_quantile(u, n, 2.968095569765316e-11)
-        assert got.tolist() == [2.0]
+        assert got.tolist() == [1.0]
 
     @pytest.mark.parametrize("n, probs", [
         (10, np.full(4, 0.25)),
